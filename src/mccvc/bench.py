@@ -1,9 +1,14 @@
 """Benchmark and experiment drivers behind the command-line interface.
 
-Reports are plain JSON-serializable dicts with a stable key order.  Every
-report embeds the fully resolved configuration and all replication seeds, so
-re-running from the embedded config reproduces it bit for bit (wall-clock
-fields excepted).
+Every driver fits through one method dispatch, `_fit`, which runs
+`ridge_solve` (mmse), `fit_mcc` (mcc) or `fit_mcc_vc` (mcc-vc) and returns the
+weights with the fixed-point result.  Reports are plain JSON-serializable
+dicts with a stable key order.  Every report embeds the fully resolved
+configuration and all replication seeds, so re-running from the embedded
+config reproduces it bit for bit (wall-clock fields excepted).  Each result
+row counts the runs that failed numerically (`failures`) and, among the
+others, those whose final fit stopped at `max_iterations` without converging
+(`nonconverged`, always 0 for mmse).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._serialize import JsonRecord
 from .data import (
     MinMaxRecord,
     NoiseModel,
@@ -59,24 +65,49 @@ def databench_default_grid() -> ParamGrid:
     )
 
 
-def grid_to_dict(grid: ParamGrid) -> dict:
-    return {
-        "sigma_set": [float(s) for s in grid.sigma_set],
-        "center_set": None
-        if grid.center_set is None
-        else [float(c) for c in grid.center_set],
-        "center_rule": grid.center_rule.value,
-    }
+class _BenchConfig(JsonRecord):
+    """A Monte Carlo config serializes as its fields plus every replication seed."""
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "seeds": [self.seed + r for r in range(self.runs)]}
 
 
-def grid_from_dict(d: dict) -> ParamGrid:
-    return ParamGrid(
-        sigma_set=np.asarray(d["sigma_set"], dtype=float),
-        center_set=None
-        if d.get("center_set") is None
-        else np.asarray(d["center_set"], dtype=float),
-        center_rule=CenterRule(d["center_rule"]),
-    )
+def _fit(method: str, H, targets, lambda_prime: float, sigma, grid, cfg, on_iteration=None):
+    """Fit one canonical method; returns (beta, fixed-point result or None).
+
+    `sigma` is the frozen mcc width, `grid` the mcc-vc search grid, and `cfg`
+    supplies `max_iterations` and `tolerance`.  The solvers are looked up as
+    module globals at call time, so a profiler can swap them for wrappers.
+    """
+    if method == "mmse":
+        return ridge_solve(H, targets, lambda_prime), None
+    if method == "mcc":
+        result = fit_mcc(
+            H,
+            targets,
+            sigma=sigma,
+            lambda_prime=lambda_prime,
+            max_iterations=cfg.max_iterations,
+            tolerance=cfg.tolerance,
+            on_iteration=on_iteration,
+        )
+    elif method == "mcc-vc":
+        config = FitConfig(
+            grid=grid,
+            lambda_prime=lambda_prime,
+            max_iterations=cfg.max_iterations,
+            tolerance=cfg.tolerance,
+        )
+        result = fit_mcc_vc(H, targets, config, on_iteration=on_iteration)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return result.beta, result
+
+
+def _offset(result: FitResult | None) -> float:
+    # A variable-center fit aims the residuals at the converged center rather
+    # than at zero, so its predictor is H beta + c*; mcc's center is 0.
+    return 0.0 if result is None else result.trace[-1].center
 
 
 def _aggregate(values: list[float]) -> tuple[float | None, float]:
@@ -93,7 +124,7 @@ def _aggregate(values: list[float]) -> tuple[float | None, float]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SynthBenchConfig:
+class SynthBenchConfig(_BenchConfig):
     seed: int = 42
     runs: int = 100
     n_samples: int = 400
@@ -107,40 +138,6 @@ class SynthBenchConfig:
     tolerance: float = 1e-9
     jobs: int = 1
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "runs": self.runs,
-            "n_samples": self.n_samples,
-            "w_star": list(self.w_star),
-            "methods": list(self.methods),
-            "cases": list(self.cases),
-            "lambda_prime": self.lambda_prime,
-            "mcc_sigmas": list(self.mcc_sigmas),
-            "grid": grid_to_dict(self.grid),
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "jobs": self.jobs,
-            "seeds": [self.seed + r for r in range(self.runs)],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthBenchConfig":
-        return cls(
-            seed=d["seed"],
-            runs=d["runs"],
-            n_samples=d["n_samples"],
-            w_star=tuple(d["w_star"]),
-            methods=tuple(d["methods"]),
-            cases=tuple(d["cases"]),
-            lambda_prime=d["lambda_prime"],
-            mcc_sigmas=tuple(d["mcc_sigmas"]),
-            grid=grid_from_dict(d["grid"]),
-            max_iterations=d["max_iterations"],
-            tolerance=d["tolerance"],
-            jobs=d.get("jobs", 1),
-        )
-
 
 def synth_fit(
     method: str,
@@ -150,31 +147,9 @@ def synth_fit(
     sigma: float | None = None,
 ) -> tuple[np.ndarray, FitResult | None]:
     """Fit one method on a prepared design; returns (beta, fixed-point result)."""
-    if method == "mmse":
-        return ridge_solve(H, targets, cfg.lambda_prime), None
-    if method == "mcc":
-        result = fit_mcc(
-            H,
-            targets,
-            sigma=cfg.mcc_sigmas[0] if sigma is None else sigma,
-            lambda_prime=cfg.lambda_prime,
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-        )
-        return result.beta, result
-    if method == "mcc-vc":
-        result = fit_mcc_vc(
-            H,
-            targets,
-            FitConfig(
-                grid=cfg.grid,
-                lambda_prime=cfg.lambda_prime,
-                max_iterations=cfg.max_iterations,
-                tolerance=cfg.tolerance,
-            ),
-        )
-        return result.beta, result
-    raise ValueError(f"unknown method {method!r}")
+    if sigma is None and method == "mcc":
+        sigma = cfg.mcc_sigmas[0]
+    return _fit(method, H, targets, cfg.lambda_prime, sigma, cfg.grid, cfg)
 
 
 def _expand_methods(cfg: SynthBenchConfig) -> list[tuple[str, str, float | None]]:
@@ -200,27 +175,23 @@ def run_synth_bench(cfg: SynthBenchConfig) -> dict:
     fit, and scores it by `rmse_weights` against the generating weights.
     Replications that abort numerically are counted and excluded.
     """
-    presets = inner_noise_presets()
     methods = _expand_methods(cfg)
     w_star = np.asarray(cfg.w_star, dtype=float)
 
     def one_replication(args) -> dict:
         case, rep = args
-        noise = presets[case - 1]
-        inputs, targets = generate_linear_data(
-            w_star, cfg.n_samples, noise, cfg.seed + rep
-        )
-        H = build_linear_features(inputs)
+        H, targets = synth_case_design(case, cfg.n_samples, cfg.seed + rep, cfg.w_star)
         per_method = {}
         for label, method, sigma in methods:
             t0 = time.perf_counter()
             try:
-                beta, _ = synth_fit(method, H, targets, cfg, sigma)
+                beta, result = synth_fit(method, H, targets, cfg, sigma)
             except SolverError:
                 per_method[label] = None
                 continue
             elapsed = time.perf_counter() - t0
-            per_method[label] = (rmse_weights(beta, w_star), elapsed)
+            nonconverged = result is not None and not result.converged
+            per_method[label] = (rmse_weights(beta, w_star), elapsed, nonconverged)
         return per_method
 
     tasks = [(case, rep) for case in cfg.cases for rep in range(cfg.runs)]
@@ -234,13 +205,14 @@ def run_synth_bench(cfg: SynthBenchConfig) -> dict:
     for (case, _rep), outcome in zip(tasks, outcomes):
         for label, payload in outcome.items():
             slot = by_key.setdefault(
-                (label, case), {"rmse": [], "time": [], "failures": 0}
+                (label, case), {"rmse": [], "time": [], "failures": 0, "nonconverged": 0}
             )
             if payload is None:
                 slot["failures"] += 1
             else:
                 slot["rmse"].append(payload[0])
                 slot["time"].append(payload[1])
+                slot["nonconverged"] += payload[2]
 
     results = []
     for label, _method, sigma in methods:
@@ -258,6 +230,7 @@ def run_synth_bench(cfg: SynthBenchConfig) -> dict:
                 "std_time_s": std_time,
                 "runs": len(slot["rmse"]),
                 "failures": slot["failures"],
+                "nonconverged": slot["nonconverged"],
             }
             if sigma is not None:
                 entry["mcc_sigma"] = sigma
@@ -297,7 +270,7 @@ def canonical_method(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class DataBenchConfig:
+class DataBenchConfig(_BenchConfig):
     target: int | str = -1
     train_fraction: float = 0.5
     folds: int = 5
@@ -322,46 +295,6 @@ class DataBenchConfig:
         for m in self.methods:
             canonical_method(m)
 
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "train_fraction": self.train_fraction,
-            "folds": self.folds,
-            "runs": self.runs,
-            "seed": self.seed,
-            "model": self.model,
-            "hidden": self.hidden,
-            "bias_column": self.bias_column,
-            "methods": list(self.methods),
-            "lambda_grid": list(self.lambda_grid),
-            "mcc_sigma_grid": list(self.mcc_sigma_grid),
-            "vc_grid": grid_to_dict(self.vc_grid),
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "norm_scope": self.norm_scope,
-            "seeds": [self.seed + r for r in range(self.runs)],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataBenchConfig":
-        return cls(
-            target=d["target"],
-            train_fraction=d["train_fraction"],
-            folds=d["folds"],
-            runs=d["runs"],
-            seed=d["seed"],
-            model=d["model"],
-            hidden=d["hidden"],
-            bias_column=d["bias_column"],
-            methods=tuple(d["methods"]),
-            lambda_grid=tuple(d["lambda_grid"]),
-            mcc_sigma_grid=tuple(d["mcc_sigma_grid"]),
-            vc_grid=grid_from_dict(d["vc_grid"]),
-            max_iterations=d["max_iterations"],
-            tolerance=d["tolerance"],
-            norm_scope=d["norm_scope"],
-        )
-
 
 def _feature_builder(cfg: DataBenchConfig, input_dim: int, rep: int):
     if cfg.model == "elm":
@@ -381,38 +314,10 @@ def _candidate_list(method: str, cfg: DataBenchConfig):
     return [{"lambda_prime": lp} for lp in cfg.lambda_grid]
 
 
-def _fit_candidate(
-    method: str, candidate: dict, H, targets, cfg: DataBenchConfig
-) -> tuple[np.ndarray, float]:
-    """Fit one hyperparameter candidate; returns (beta, prediction offset).
-
-    A variable-center fit aims the residuals at the converged center rather
-    than at zero, so its predictor is H beta + c*; the offset is 0 for the
-    zero-center methods.
-    """
-    if method == "mmse":
-        return ridge_solve(H, targets, candidate["lambda_prime"]), 0.0
-    if method == "mcc":
-        result = fit_mcc(
-            H,
-            targets,
-            sigma=candidate["sigma"],
-            lambda_prime=candidate["lambda_prime"],
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-        )
-        return result.beta, 0.0
-    result = fit_mcc_vc(
-        H,
-        targets,
-        FitConfig(
-            grid=cfg.vc_grid,
-            lambda_prime=candidate["lambda_prime"],
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-        ),
-    )
-    return result.beta, result.trace[-1].center
+def _fit_candidate(method: str, candidate: dict, H, targets, cfg: DataBenchConfig):
+    """Fit one hyperparameter candidate; returns (beta, fixed-point result)."""
+    sigma = candidate.get("sigma")
+    return _fit(method, H, targets, candidate["lambda_prime"], sigma, cfg.vc_grid, cfg)
 
 
 def _cross_validate(method: str, H, targets, folds, cfg: DataBenchConfig):
@@ -422,12 +327,12 @@ def _cross_validate(method: str, H, targets, folds, cfg: DataBenchConfig):
         scores = []
         try:
             for train_idx, val_idx in folds:
-                beta, offset = _fit_candidate(
+                beta, result = _fit_candidate(
                     method, candidate, H[train_idx], targets[train_idx], cfg
                 )
                 scores.append(
                     rmse_predictions(
-                        predict(H[val_idx], beta) + offset, targets[val_idx]
+                        predict(H[val_idx], beta) + _offset(result), targets[val_idx]
                     )
                 )
         except SolverError:
@@ -451,6 +356,7 @@ def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict
             "select_time": [],
             "selected": [],
             "failures": 0,
+            "nonconverged": 0,
         }
         for label in cfg.methods
     }
@@ -479,13 +385,16 @@ def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict
                 continue
             t0 = time.perf_counter()
             try:
-                beta, offset = _fit_candidate(
+                beta, result = _fit_candidate(
                     method, candidate, H_train, train.targets, cfg
                 )
             except SolverError:
                 slot["failures"] += 1
                 continue
             fit_time = time.perf_counter() - t0
+            offset = _offset(result)
+            if result is not None and not result.converged:
+                slot["nonconverged"] += 1
             slot["train_rmse"].append(
                 rmse_predictions(predict(H_train, beta) + offset, train.targets)
             )
@@ -515,6 +424,7 @@ def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict
                 "mean_select_time_s": mean_select,
                 "runs": len(slot["train_rmse"]),
                 "failures": slot["failures"],
+                "nonconverged": slot["nonconverged"],
                 "selected": slot["selected"],
             }
         )
@@ -587,38 +497,14 @@ def run_fit(data: TabularDataset, cfg: FitCmdConfig) -> dict:
             "bias_column": cfg.bias_column,
         }
 
+    beta, result = _fit(
+        method, H, fitted.targets, cfg.lambda_prime, cfg.mcc_sigma, cfg.grid, cfg
+    )
     kernel = None
-    if method == "mmse":
-        beta = ridge_solve(H, fitted.targets, cfg.lambda_prime)
-    elif method == "mcc":
-        result = fit_mcc(
-            H,
-            fitted.targets,
-            sigma=cfg.mcc_sigma,
-            lambda_prime=cfg.lambda_prime,
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-        )
-        beta = result.beta
+    if result is not None:
         last = result.trace[-1]
         kernel = {"sigma": last.sigma, "center": last.center}
-    else:
-        result = fit_mcc_vc(
-            H,
-            fitted.targets,
-            FitConfig(
-                grid=cfg.grid,
-                lambda_prime=cfg.lambda_prime,
-                max_iterations=cfg.max_iterations,
-                tolerance=cfg.tolerance,
-            ),
-        )
-        beta = result.beta
-        last = result.trace[-1]
-        kernel = {"sigma": last.sigma, "center": last.center}
-
-    # Variable-center fits aim residuals at c*, so the predictor restores it.
-    offset = 0.0 if kernel is None else kernel["center"]
+    offset = _offset(result)
     fitted_predictions = predict(H, beta) + offset
     if record is not None:
         raw_predictions = record.inverse_targets(fitted_predictions)
@@ -721,17 +607,7 @@ def run_kernel_trace(H, targets, cfg: KernelTraceConfig) -> tuple[list[dict], Fi
     def hook(k, residuals, params, _beta):
         captured[k] = (residuals.copy(), params.sigma, params.center)
 
-    result = fit_mcc_vc(
-        H,
-        targets,
-        FitConfig(
-            grid=cfg.grid,
-            lambda_prime=cfg.lambda_prime,
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-        ),
-        on_iteration=hook,
-    )
+    _, result = _fit("mcc-vc", H, targets, cfg.lambda_prime, None, cfg.grid, cfg, hook)
 
     traces = []
     for k in cfg.iterations:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._serialize import JsonRecord
 from .errors import DataError
 
 _TWO_PI = 2.0 * math.pi
@@ -259,7 +260,7 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MinMaxRecord:
+class MinMaxRecord(JsonRecord):
     """Per-column affine transforms mapping a dataset into [0, 1].
 
     Constant columns map to 0.5 and invert back to their constant value.
@@ -283,31 +284,11 @@ class MinMaxRecord:
     def transform_features(self, features: np.ndarray) -> np.ndarray:
         return self._forward(features, self.feature_min, self.feature_max)
 
-    def inverse_features(self, features: np.ndarray) -> np.ndarray:
-        return self._backward(features, self.feature_min, self.feature_max)
-
     def transform_targets(self, targets: np.ndarray) -> np.ndarray:
         return self._forward(targets, self.target_min, self.target_max)
 
     def inverse_targets(self, targets: np.ndarray) -> np.ndarray:
         return self._backward(targets, self.target_min, self.target_max)
-
-    def to_dict(self) -> dict:
-        return {
-            "feature_min": [float(v) for v in self.feature_min],
-            "feature_max": [float(v) for v in self.feature_max],
-            "target_min": self.target_min,
-            "target_max": self.target_max,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MinMaxRecord":
-        return cls(
-            feature_min=np.asarray(d["feature_min"], dtype=float),
-            feature_max=np.asarray(d["feature_max"], dtype=float),
-            target_min=float(d["target_min"]),
-            target_max=float(d["target_max"]),
-        )
 
 
 def minmax_record(data: TabularDataset) -> MinMaxRecord:
@@ -328,40 +309,23 @@ def apply_minmax(record: MinMaxRecord, data: TabularDataset) -> TabularDataset:
     )
 
 
-def normalize_minmax(data: TabularDataset) -> tuple[TabularDataset, MinMaxRecord]:
-    """Map every feature and the target into [0, 1]; returns the transform too."""
-    record = minmax_record(data)
-    return apply_minmax(record, data), record
-
-
 # ---------------------------------------------------------------------------
 # Splits
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Random train/test split sizes: a fraction or an explicit train count."""
+    """Random train/test split: the training fraction and the shuffle seed."""
 
-    train_fraction: float | None = 0.5
-    train_count: int | None = None
+    train_fraction: float = 0.5
     seed: int = 0
-    folds: int | None = None
 
     def __post_init__(self):
-        if (self.train_fraction is None) == (self.train_count is None):
-            raise ValueError("give exactly one of train_fraction or train_count")
-        if self.train_fraction is not None and not 0.0 < self.train_fraction < 1.0:
+        if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
-        if self.train_count is not None and self.train_count < 1:
-            raise ValueError("train_count must be positive")
-        if self.folds is not None and self.folds < 2:
-            raise ValueError("folds must be at least 2")
 
     def resolve_train_count(self, n: int) -> int:
-        if self.train_count is not None:
-            count = self.train_count
-        else:
-            count = int(round(self.train_fraction * n))
+        count = int(round(self.train_fraction * n))
         if not 1 <= count <= n - 1:
             raise DataError(
                 f"cannot split {n} rows into {count} train / {n - count} test"

@@ -7,23 +7,17 @@ weights beta are ever trained, so predictions are always H @ beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import expit
 
 
-class Activation(str, Enum):
-    SIGMOID = "sigmoid"
-
-
 @dataclass(frozen=True)
 class HiddenLayerSpec:
-    """Frozen random hidden layer: weights (m x d), biases (m,), activation."""
+    """Frozen random sigmoid hidden layer: weights (m x d) and biases (m,)."""
 
     input_weights: np.ndarray
     biases: np.ndarray
-    activation: Activation = Activation.SIGMOID
 
     def __post_init__(self):
         w = np.asarray(self.input_weights, dtype=float)
@@ -38,11 +32,6 @@ class HiddenLayerSpec:
         b.setflags(write=False)
         object.__setattr__(self, "input_weights", w)
         object.__setattr__(self, "biases", b)
-        object.__setattr__(self, "activation", Activation(self.activation))
-
-    @property
-    def hidden_count(self) -> int:
-        return self.input_weights.shape[0]
 
     @property
     def input_dim(self) -> int:
@@ -97,10 +86,3 @@ def predict(H, beta) -> np.ndarray:
     if H.ndim != 2 or b.ndim != 1 or H.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: H {H.shape} vs beta {b.shape}")
     return H @ b
-
-
-def sigmoid(z):
-    """Numerically stable logistic function 1 / (1 + exp(-z))."""
-    if not np.all(np.isfinite(np.asarray(z, dtype=float))):
-        raise ValueError("activation argument must be finite")
-    return expit(z)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,6 +28,17 @@ SQRT_PI = math.sqrt(math.pi)
 _TIE_RTOL = 1e-12
 # The smallest admissible kernel width, as a fraction of the residual spread.
 _SIGMA_FLOOR_FRAC = 1e-3
+
+
+def _check_width(sigma, name: str = "sigma") -> float:
+    """Return a kernel width as a float; reject it unless it is a positive finite
+    real whose square is a normal float (a smaller one would make the kernel 0/0)."""
+    sigma = float(sigma)
+    if not math.isfinite(sigma) or sigma <= 0.0:
+        raise ValueError(f"{name} must be a positive finite real, got {sigma!r}")
+    if sigma * sigma < sys.float_info.min:
+        raise ValueError(f"{name} {sigma!r} is too small: its square underflows")
+    return sigma
 
 
 class CenterRule(str, Enum):
@@ -45,10 +57,8 @@ class KernelParams:
     center: float
 
     def __post_init__(self):
-        sigma = float(self.sigma)
+        sigma = _check_width(self.sigma)
         center = float(self.center)
-        if not math.isfinite(sigma) or sigma <= 0.0:
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma!r}")
         if not math.isfinite(center):
             raise ValueError(f"center must be finite, got {self.center!r}")
         object.__setattr__(self, "sigma", sigma)
@@ -133,9 +143,7 @@ def gaussian_kernel(u, sigma: float):
     attained at u = 0.  Far-tail evaluations may underflow to exactly 0.0,
     which is the intended weighting for extreme outliers.
     """
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+    sigma = _check_width(sigma)
     arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("kernel argument must be finite")
@@ -156,9 +164,7 @@ def gaussian_kde(sample, x, bandwidth: float):
     center x and width `bandwidth`; the two code paths agree bit for bit.
     """
     s = as_error_vector(sample)
-    bandwidth = float(bandwidth)
-    if not math.isfinite(bandwidth) or bandwidth <= 0.0:
-        raise ValueError(f"bandwidth must be a positive finite real, got {bandwidth!r}")
+    bandwidth = _check_width(bandwidth, "bandwidth")
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
@@ -182,9 +188,7 @@ def param_objective(errors, sigma: float, center: float) -> float:
     Equals 1/(2 sqrt(pi) sigma) - 2 * (1/N) sum_i G_sigma(e_i - center); the
     first term is the closed-form self-energy integral of the Gaussian kernel.
     """
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+    sigma = _check_width(sigma)
     e = as_error_vector(errors)
     corr = float(_kernel_values(e - float(center), sigma).mean())
     return 1.0 / (2.0 * SQRT_PI * sigma) - 2.0 * corr

@@ -10,6 +10,7 @@ loop with the kernel frozen at (sigma, 0).
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -258,9 +259,16 @@ def fit_mcc(
     initial_beta: np.ndarray | None = None,
     on_iteration: IterationHook | None = None,
 ) -> FitResult:
-    """Classical zero-center baseline: the same loop with (sigma, 0) frozen."""
+    """Classical zero-center baseline: the same loop with (sigma, 0) frozen.
+
+    A positive width whose square underflows would zero every weight, so it
+    raises DegenerateWeightsError before the first iteration.
+    """
     H, t = check_design(H, targets)
-    frozen = KernelParams(sigma=float(sigma), center=0.0)
+    sigma = float(sigma)
+    if 0.0 < sigma and sigma * sigma < sys.float_info.min:
+        raise DegenerateWeightsError(f"kernel width {sigma!r} underflows every weight")
+    frozen = KernelParams(sigma=sigma, center=0.0)
     return _fixed_point_loop(
         H,
         t,

@@ -1,10 +1,14 @@
 """Benchmark driver and command-line interface tests."""
 
+import importlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mccvc import bench
 from mccvc.bench import (
     DataBenchConfig,
     FitCmdConfig,
@@ -15,6 +19,7 @@ from mccvc.bench import (
     canonical_method,
     predict_with_model,
     run_fit,
+    run_data_bench,
     run_kernel_trace,
     run_synth_bench,
     synth_case_design,
@@ -83,6 +88,26 @@ class TestSynthBench:
         assert [r["method"] for r in report["results"]] == ["mcc@1", "mcc@2"]
         assert [r["mcc_sigma"] for r in report["results"]] == [1.0, 2.0]
 
+    def test_config_missing_jobs_takes_default(self):
+        d = json.loads(json.dumps(_small_synth_cfg(jobs=3).to_dict()))
+        del d["jobs"]
+        assert SynthBenchConfig.from_dict(d).jobs == 1
+
+    def test_config_keys_in_field_order(self):
+        config = run_synth_bench(_small_synth_cfg(methods=("mmse",)))["config"]
+        assert list(config) == [
+            "seed", "runs", "n_samples", "w_star", "methods", "cases",
+            "lambda_prime", "mcc_sigmas", "grid", "max_iterations", "tolerance",
+            "jobs", "seeds",
+        ]
+        assert list(config["grid"]) == ["sigma_set", "center_set", "center_rule"]
+        assert config["grid"]["center_rule"] == "grid"
+
+    def test_nonconverged_counts_fits_stopped_at_the_cap(self):
+        report = run_synth_bench(_small_synth_cfg(max_iterations=1))
+        counts = {r["method"]: r["nonconverged"] for r in report["results"]}
+        assert counts == {"mmse": 0, "mcc": 2, "mcc-vc": 2}
+
     def test_seeds_embedded(self):
         report = run_synth_bench(_small_synth_cfg(seed=11, runs=3))
         assert report["config"]["seeds"] == [11, 12, 13]
@@ -139,6 +164,19 @@ class TestDataBench:
             assert row["runs"] == 2
             assert row["failures"] == 0
             assert len(row["selected"]) == 2
+
+    def test_rerun_from_embedded_config(self, small_dataset):
+        report = run_data_bench([("demo", small_dataset)], self._cfg(runs=1))
+        config = json.loads(json.dumps(report["config"]))
+        clone = DataBenchConfig.from_dict(config)
+        assert json.dumps(clone.to_dict()) == json.dumps(report["config"])
+        rerun = run_data_bench([("demo", small_dataset)], clone)
+        assert _strip_timings(rerun) == _strip_timings(report)
+
+    def test_nonconverged_counts_fits_stopped_at_the_cap(self, small_dataset):
+        section = bench_dataset("demo", small_dataset, self._cfg(max_iterations=1))
+        counts = {r["method"]: r["nonconverged"] for r in section["results"]}
+        assert counts == {"relm": 0, "elm-mcc": 2, "elm-mcc-vc": 2}
 
     def test_deterministic(self, small_dataset):
         a = _strip_timings(bench_dataset("demo", small_dataset, self._cfg()))
@@ -344,3 +382,55 @@ class TestCli:
         assert [r["method"] for r in report["datasets"][0]["results"]] == [
             "relm", "elm-mcc", "elm-mcc-vc",
         ]
+
+
+class TestTracingContract:
+    """A profiler times the solvers by swapping `fit_mcc_vc`, `fit_mcc` and
+    `ridge_solve` in `mccvc.bench`, so every driver must look them up there
+    at call time."""
+
+    SOLVER = {"mmse": "ridge_solve", "mcc": "fit_mcc", "mcc-vc": "fit_mcc_vc"}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+        for name in self.SOLVER.values():
+            def counted(*args, _name=name, _fn=getattr(bench, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(bench, name, counted)
+        return counts
+
+    def test_every_driver_calls_the_patched_solvers(self, calls, small_dataset):
+        grid = ParamGrid(np.linspace(0.5, 3.0, 6), np.linspace(-4, 4, 17))
+        H, t = synth_case_design(2, 60, 1)
+        for method, name in self.SOLVER.items():
+            calls.clear()
+            bench.synth_fit(method, H, t, _small_synth_cfg(grid=grid))
+            assert calls == {name: 1}
+            calls.clear()
+            run_fit(small_dataset, FitCmdConfig(method=method, grid=grid))
+            assert calls == {name: 1}
+
+        calls.clear()
+        cfg = DataBenchConfig(
+            runs=1, folds=2, hidden=4, lambda_grid=(1e-2,), mcc_sigma_grid=(1.0,),
+            vc_grid=ParamGrid(np.linspace(0.1, 1.0, 4), None, CenterRule.MEDIAN_OF_ERRORS),
+        )
+        bench_dataset("demo", small_dataset, cfg)
+        # two CV folds and the final fit per method
+        assert calls == {"ridge_solve": 3, "fit_mcc": 3, "fit_mcc_vc": 3}
+
+        calls.clear()
+        run_kernel_trace(H, t, KernelTraceConfig(iterations=(1,), grid=grid))
+        assert calls == {"fit_mcc_vc": 1}
+
+    def test_traced_names_resolve(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.tracing import WRAPPED
+
+        for module, attr, _span in WRAPPED:
+            assert callable(getattr(importlib.import_module(module), attr, None)), (
+                f"{module}.{attr} is traced but does not exist"
+            )

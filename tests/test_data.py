@@ -21,7 +21,6 @@ from mccvc.data import (
     kfold_indices,
     load_csv,
     minmax_record,
-    normalize_minmax,
     rmse_predictions,
     rmse_weights,
     sample_noise,
@@ -185,37 +184,44 @@ class TestLoadCsv:
             load_csv(tmp_path / "absent.csv", has_header=False, target_column=0)
 
 
+def _normalized(data):
+    record = minmax_record(data)
+    return apply_minmax(record, data), record
+
+
 class TestNormalize:
     def test_column_mapped_to_unit_interval(self):
         data = TabularDataset(np.array([[0.0], [5.0], [10.0]]), np.array([1.0, 2.0, 3.0]))
-        out, _ = normalize_minmax(data)
+        out, _ = _normalized(data)
         assert np.array_equal(out.features[:, 0], [0.0, 0.5, 1.0])
         assert np.array_equal(out.targets, [0.0, 0.5, 1.0])
 
     def test_constant_column_maps_to_half(self):
         data = TabularDataset(np.array([[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]]),
                               np.array([1.0, 2.0, 3.0]))
-        out, _ = normalize_minmax(data)
+        out, _ = _normalized(data)
         assert np.array_equal(out.features[:, 0], [0.5, 0.5, 0.5])
 
     def test_round_trip(self):
         rng = np.random.default_rng(11)
         data = TabularDataset(rng.normal(size=(30, 4)) * 13.0, rng.normal(size=30) * 7.0)
-        out, record = normalize_minmax(data)
-        np.testing.assert_allclose(record.inverse_features(out.features),
+        out, record = _normalized(data)
+        span = record.feature_max - record.feature_min
+        np.testing.assert_allclose(record.feature_min + out.features * span,
                                    data.features, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(record.inverse_targets(out.targets),
                                    data.targets, rtol=1e-12, atol=1e-12)
 
     def test_constant_column_round_trip(self):
-        data = TabularDataset(np.array([[7.0], [7.0], [7.0]]), np.array([1.0, 2.0, 3.0]))
-        out, record = normalize_minmax(data)
-        np.testing.assert_allclose(record.inverse_features(out.features), 7.0)
+        data = TabularDataset(np.array([[1.0], [2.0], [3.0]]), np.array([7.0, 7.0, 7.0]))
+        out, record = _normalized(data)
+        assert np.array_equal(out.targets, [0.5, 0.5, 0.5])
+        np.testing.assert_allclose(record.inverse_targets(out.targets), 7.0)
 
     def test_extremes_hit_bounds(self):
         rng = np.random.default_rng(12)
         data = TabularDataset(rng.normal(size=(50, 3)), rng.normal(size=50))
-        out, _ = normalize_minmax(data)
+        out, _ = _normalized(data)
         assert np.all(out.features >= 0.0) and np.all(out.features <= 1.0)
         assert np.allclose(out.features.min(axis=0), 0.0)
         assert np.allclose(out.features.max(axis=0), 1.0)
@@ -258,22 +264,16 @@ class TestSplit:
         assert len(recovered) == len(original)
         assert set(recovered) == original
 
-    def test_explicit_count(self):
-        train, test = split(self._dataset(20), SplitSpec(train_fraction=None,
-                                                         train_count=15, seed=1))
-        assert train.n_rows == 15 and test.n_rows == 5
-
     def test_degenerate_split_rejected(self):
+        # 0.9 of 3 rows rounds to all 3, which leaves no test row
         with pytest.raises(DataError):
-            split(self._dataset(3), SplitSpec(train_fraction=None, train_count=3, seed=0))
+            split(self._dataset(3), SplitSpec(train_fraction=0.9, seed=0))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SplitSpec(train_fraction=0.5, train_count=10)
-        with pytest.raises(ValueError):
             SplitSpec(train_fraction=1.5)
         with pytest.raises(ValueError):
-            SplitSpec(train_fraction=0.5, folds=1)
+            SplitSpec(train_fraction=0.0)
 
 
 class TestKfold:

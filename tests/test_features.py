@@ -9,7 +9,6 @@ from mccvc.features import (
     elm_features,
     init_elm,
     predict,
-    sigmoid,
 )
 
 SIGMOID_3 = 0.95257412682243322  # oracle: 1/(1+exp(-3)), mpmath dps=30
@@ -131,8 +130,3 @@ class TestPredict:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             predict(np.eye(3), np.zeros(2))
-
-
-def test_sigmoid_rejects_non_finite():
-    with pytest.raises(ValueError):
-        sigmoid(np.array([np.inf]))

@@ -5,6 +5,7 @@ Expected constants marked "oracle" were computed independently with mpmath at
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -257,6 +258,29 @@ class TestOptimizeParams:
         p1, _ = optimize_params(e + delta, shifted)
         assert p1.sigma == p0.sigma
         assert p1.center - delta == pytest.approx(p0.center, abs=1e-9)
+
+
+class TestTinyWidths:
+    # 1e-300 squares to 0.0, where the kernel would evaluate 0/0 to NaN.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: gaussian_kernel(0.0, s),
+            lambda s: param_objective([0.0, 1.0], s, 0.0),
+            lambda s: gaussian_kde([0.0, 1.0], 0.0, s),
+            lambda s: KernelParams(s, 0.0),
+        ],
+        ids=["gaussian_kernel", "param_objective", "gaussian_kde", "KernelParams"],
+    )
+    def test_width_whose_square_underflows_rejected(self, call):
+        with pytest.raises(ValueError, match="underflows"):
+            call(1e-300)
+
+    def test_smallest_admissible_width_is_finite(self):
+        sigma = 2.0 * math.sqrt(sys.float_info.min)
+        assert math.isfinite(gaussian_kernel(0.0, sigma))
+        assert gaussian_kernel(1.0, sigma) == 0.0
+        assert math.isfinite(param_objective([0.0, 1.0], sigma, 0.0))
 
 
 class TestTypes:

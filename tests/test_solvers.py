@@ -172,6 +172,11 @@ class TestFixedPointLoops:
         assert all(r.sigma == 2.0 and r.center == 0.0 for r in res.trace)
         assert np.all(np.isfinite(res.beta))
 
+    def test_fit_mcc_rejects_width_whose_square_underflows(self):
+        H, t, _ = _random_problem(np.random.default_rng(4))
+        with pytest.raises(DegenerateWeightsError):
+            fit_mcc(H, t, sigma=1e-300, lambda_prime=1e-4)
+
     def test_initial_beta_shape_checked(self):
         rng = np.random.default_rng(10)
         H, t, _ = _random_problem(rng)
