@@ -68,6 +68,10 @@ def databench_default_grid() -> ParamGrid:
 class _BenchConfig(JsonRecord):
     """A Monte Carlo config serializes as its fields plus every replication seed."""
 
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError("runs must be at least 1")
+
     def to_dict(self) -> dict:
         return {**super().to_dict(), "seeds": [self.seed + r for r in range(self.runs)]}
 
@@ -137,6 +141,12 @@ class SynthBenchConfig(_BenchConfig):
     max_iterations: int = 100
     tolerance: float = 1e-9
     jobs: int = 1
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("methods", "cases", "mcc_sigmas"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
 
 
 def synth_fit(
@@ -288,6 +298,7 @@ class DataBenchConfig(_BenchConfig):
     norm_scope: str = "full"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.model not in ("linear", "elm"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.norm_scope not in ("full", "train", "none"):
@@ -450,9 +461,9 @@ def run_data_bench(datasets: list[tuple[str, TabularDataset]], cfg: DataBenchCon
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FitCmdConfig:
+class FitCmdConfig(JsonRecord):
     method: str = "mcc-vc"
-    model: str = "linear"
+    model: str = "elm"
     hidden: int = 100
     bias_column: bool = False
     normalize: bool = True
@@ -558,7 +569,7 @@ def predict_with_model(model: dict, features_raw) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class KernelTraceConfig:
+class KernelTraceConfig(JsonRecord):
     iterations: tuple[int, ...] = (1, 2)
     bins: int = 24
     hist_range: str = "robust"

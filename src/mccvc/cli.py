@@ -1,5 +1,11 @@
 """Command-line interface: benchmarks, single-file fits, and kernel traces.
 
+Each subcommand fills one `bench` config (`SynthBenchConfig`,
+`DataBenchConfig`, `FitCmdConfig`, `KernelTraceConfig`): a flag names the
+field it sets and takes its default from that dataclass, so the CLI and the
+library run the same defaults.  The grid flags replace the config's search
+grid.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
@@ -15,7 +21,7 @@ import numpy as np
 from . import bench
 from .data import TabularDataset, load_csv
 from .errors import DataError, SolverError
-from .kernels import CenterRule, ParamGrid
+from .kernels import default_param_grid
 
 PROG = "mccvc"
 
@@ -57,7 +63,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid {text!r} must ascend with step > 0")
     count = int(round((end - start) / step)) + 1
     values = start + step * np.arange(count)
-    return values[values <= end + 0.5 * step]
+    # Keep values up to `end` plus rounding slack, never a step beyond it.
+    return values[values <= end + 1e-9 * step]
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
@@ -84,29 +91,19 @@ def _parse_target(text: str):
         return text
 
 
-def _add_common_flags(p: argparse.ArgumentParser, runs_default: int = 100):
-    p.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
-    p.add_argument("--runs", type=int, default=runs_default,
-                   help=f"Monte Carlo replications (default {runs_default})")
+def _add_loop_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", type=Path, default=None, help="output file path")
-    p.add_argument("--lambda-prime", type=float, default=1e-4,
-                   help="regularizer of the fixed-point solvers (default 1e-4)")
-    p.add_argument("--max-iter", type=int, default=100,
-                   help="fixed-point iteration cap (default 100)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="cost-change stopping tolerance (default 1e-9)")
+    p.add_argument("--lambda-prime", type=float,
+                   help="regularizer of the fixed-point solvers (default %(default)s)")
+    p.add_argument("--max-iter", dest="max_iterations", type=int,
+                   help="fixed-point iteration cap (default %(default)s)")
+    p.add_argument("--tol", dest="tolerance", type=float,
+                   help="cost-change stopping tolerance (default %(default)s)")
 
 
-def _add_grid_flags(p: argparse.ArgumentParser, sigma_default: str, rule_default: str):
-    p.add_argument("--sigma-grid", type=_parse_range, default=_parse_range(sigma_default),
-                   metavar="START:STEP:END",
-                   help=f"kernel width grid (default {sigma_default})")
-    p.add_argument("--center-grid", type=_parse_range, default=_parse_range("-5.0:0.1:5.0"),
-                   metavar="START:STEP:END",
-                   help="kernel center grid (default -5.0:0.1:5.0)")
-    p.add_argument("--center-rule", choices=["grid", "mean", "median"],
-                   default=rule_default,
-                   help=f"center selection rule (default {rule_default})")
+def _add_bench_flags(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, help="base seed (default %(default)s)")
+    p.add_argument("--runs", type=int, help="Monte Carlo replications (default %(default)s)")
 
 
 def _add_dataset_flags(p: argparse.ArgumentParser):
@@ -116,18 +113,49 @@ def _add_dataset_flags(p: argparse.ArgumentParser):
                    help="target column name or 0-based index (default -1, the last)")
     p.add_argument("--no-header", action="store_true",
                    help="treat the first CSV row as data, not column names")
-    p.add_argument("--model", choices=["linear", "elm"], default="elm",
-                   help="feature map (default elm)")
-    p.add_argument("--hidden", type=int, default=100,
-                   help="hidden node count for the elm model (default 100)")
-    p.add_argument("--bias-column", type=_parse_bool, default=False, metavar="BOOL",
-                   help="append a constant column to linear features (default false)")
+    p.add_argument("--model", choices=["linear", "elm"],
+                   help="feature map (default %(default)s)")
+    p.add_argument("--hidden", type=int,
+                   help="hidden node count for the elm model (default %(default)s)")
+    p.add_argument("--bias-column", type=_parse_bool, metavar="BOOL",
+                   help="append a constant column to linear features (default %(default)s)")
 
 
-def _grid_from_args(args) -> ParamGrid:
-    rule = CenterRule(args.center_rule)
-    centers = args.center_grid if rule is CenterRule.EXPLICIT_GRID else None
-    return ParamGrid(sigma_set=args.sigma_grid, center_set=centers, center_rule=rule)
+def _span(values: np.ndarray) -> str:
+    return f"{values[0]:g}:{values[1] - values[0]:g}:{values[-1]:g}"
+
+
+def _grid_field(cls) -> str:
+    return "vc_grid" if cls is bench.DataBenchConfig else "grid"
+
+
+def _take_defaults(p: argparse.ArgumentParser, cls):
+    """Add the grid flags, then default every flag to the field of `cls` it
+    fills and the grid flags to that config's search grid; an explicit-grid
+    rule without --center-grid searches the centers of `default_param_grid()`."""
+    default = cls()
+    grid = getattr(default, _grid_field(cls))
+    centers = default_param_grid().center_set if grid.center_set is None else grid.center_set
+    p.add_argument("--sigma-grid", type=_parse_range, default=grid.sigma_set,
+                   metavar="START:STEP:END",
+                   help=f"kernel width grid (default {_span(grid.sigma_set)})")
+    p.add_argument("--center-grid", type=_parse_range, default=centers,
+                   metavar="START:STEP:END",
+                   help=f"kernel center grid (default {_span(centers)})")
+    p.add_argument("--center-rule", choices=["grid", "mean", "median"],
+                   default=grid.center_rule.value,
+                   help="center selection rule (default %(default)s)")
+    p.set_defaults(**vars(default))
+
+
+def _config(cls, args):
+    """Build `cls` from the parsed flags, the grid flags making its search grid."""
+    grid = {
+        "sigma_set": args.sigma_grid,
+        "center_set": args.center_grid if args.center_rule == "grid" else None,
+        "center_rule": args.center_rule,
+    }
+    return cls.from_dict({**vars(args), _grid_field(cls): grid})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,52 +163,54 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth-bench", help="Monte Carlo benchmark on synthetic mixtures")
-    _add_common_flags(p)
-    p.add_argument("--methods", type=_parse_str_list, default=("mmse", "mcc", "mcc-vc"),
-                   help="comma list among mmse,mcc,mcc-vc (default all)")
-    p.add_argument("--cases", type=_parse_int_list, default=(1, 2, 3, 4),
-                   help="contamination cases to run (default 1,2,3,4)")
-    p.add_argument("--samples", type=int, default=400,
-                   help="samples per replication (default 400)")
-    p.add_argument("--mcc-sigma", type=_parse_float_list, default=(4.0,),
+    _add_bench_flags(p)
+    _add_loop_flags(p)
+    p.add_argument("--methods", type=_parse_str_list,
+                   help="comma list among mmse,mcc,mcc-vc (default %(default)s)")
+    p.add_argument("--cases", type=_parse_int_list,
+                   help="contamination cases to run (default %(default)s)")
+    p.add_argument("--samples", dest="n_samples", type=int,
+                   help="samples per replication (default %(default)s)")
+    p.add_argument("--mcc-sigma", dest="mcc_sigmas", type=_parse_float_list,
                    help="fixed kernel width(s) for the zero-center baseline; "
-                        "a comma list sweeps one section per width (default 4.0)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="replication worker threads (default 1)")
-    _add_grid_flags(p, sigma_default="0.2:0.2:5.0", rule_default="grid")
+                        "a comma list sweeps one section per width (default %(default)s)")
+    p.add_argument("--jobs", type=int,
+                   help="replication worker threads (default %(default)s)")
+    _take_defaults(p, bench.SynthBenchConfig)
 
     p = sub.add_parser("data-bench", help="cross-validated benchmark on CSV datasets")
-    _add_common_flags(p)
+    _add_bench_flags(p)
+    _add_loop_flags(p)
     _add_dataset_flags(p)
     p.add_argument("--methods", type=_parse_str_list,
-                   default=("relm", "elm-mcc", "elm-mcc-vc"),
-                   help="comma list (default relm,elm-mcc,elm-mcc-vc)")
-    p.add_argument("--train-frac", type=float, default=0.5,
-                   help="training fraction of each split (default 0.5)")
-    p.add_argument("--folds", type=int, default=5,
-                   help="cross-validation folds (default 5)")
+                   help="comma list (default %(default)s)")
+    p.add_argument("--train-frac", dest="train_fraction", type=float,
+                   help="training fraction of each split (default %(default)s)")
+    p.add_argument("--folds", type=int,
+                   help="cross-validation folds (default %(default)s)")
     p.add_argument("--lambda-grid", type=_parse_float_list,
-                   default=(0.0, 1e-6, 1e-4, 1e-2, 1.0),
-                   help="regularizer candidates (default 0,1e-6,1e-4,1e-2,1)")
-    p.add_argument("--mcc-sigma", type=_parse_float_list, default=(0.5, 1.0, 2.0, 5.0),
-                   help="width candidates for the zero-center baseline")
-    p.add_argument("--norm-scope", choices=["full", "train", "none"], default="full",
-                   help="min-max normalization scope (default full)")
-    _add_grid_flags(p, sigma_default="0.1:0.1:2.0", rule_default="median")
+                   help="regularizer candidates (default %(default)s)")
+    p.add_argument("--mcc-sigma", dest="mcc_sigma_grid", type=_parse_float_list,
+                   help="width candidates for the zero-center baseline (default %(default)s)")
+    p.add_argument("--norm-scope", choices=["full", "train", "none"],
+                   help="min-max normalization scope (default %(default)s)")
+    _take_defaults(p, bench.DataBenchConfig)
 
     p = sub.add_parser("fit", help="fit one method on a CSV and save the model")
-    _add_common_flags(p, runs_default=1)
+    p.add_argument("--seed", type=int, help="base seed (default %(default)s)")
+    _add_loop_flags(p)
     _add_dataset_flags(p)
-    p.add_argument("--method", default="mcc-vc",
-                   help="mmse|mcc|mcc-vc (and their elm- aliases; default mcc-vc)")
-    p.add_argument("--mcc-sigma", type=float, default=1.0,
-                   help="fixed kernel width for --method mcc (default 1.0)")
-    p.add_argument("--normalize", type=_parse_bool, default=True, metavar="BOOL",
-                   help="min-max scale features and target before fitting (default true)")
-    _add_grid_flags(p, sigma_default="0.2:0.2:5.0", rule_default="grid")
+    p.add_argument("--method",
+                   help="mmse|mcc|mcc-vc (and their elm- aliases; default %(default)s)")
+    p.add_argument("--mcc-sigma", type=float,
+                   help="fixed kernel width for --method mcc (default %(default)s)")
+    p.add_argument("--normalize", type=_parse_bool, metavar="BOOL",
+                   help="min-max scale features and target before fitting (default %(default)s)")
+    _take_defaults(p, bench.FitCmdConfig)
 
     p = sub.add_parser("kernel-trace", help="residual histogram vs fitted kernel curves")
-    _add_common_flags(p)
+    p.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
+    _add_loop_flags(p)
     p.add_argument("--case", type=int, default=2,
                    help="synthetic contamination case 1-4 (default 2)")
     p.add_argument("--csv", type=Path, default=None,
@@ -189,13 +219,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-header", action="store_true")
     p.add_argument("--samples", type=int, default=400,
                    help="synthetic sample count (default 400)")
-    p.add_argument("--iterations", type=_parse_int_list, default=(1, 2),
-                   help="1-based iterations to capture (default 1,2)")
-    p.add_argument("--bins", type=int, default=24,
-                   help="histogram bin count (default 24)")
-    p.add_argument("--hist-range", choices=["robust", "full"], default="robust",
-                   help="clip bins to the inner-noise region or span all residuals")
-    _add_grid_flags(p, sigma_default="0.2:0.2:5.0", rule_default="grid")
+    p.add_argument("--iterations", type=_parse_int_list,
+                   help="1-based iterations to capture (default %(default)s)")
+    p.add_argument("--bins", type=int,
+                   help="histogram bin count (default %(default)s)")
+    p.add_argument("--hist-range", choices=["robust", "full"],
+                   help="clip bins to the inner-noise region or span all residuals "
+                        "(default %(default)s)")
+    _take_defaults(p, bench.KernelTraceConfig)
 
     return parser
 
@@ -259,19 +290,7 @@ def _print_data_table(report: dict):
 # ---------------------------------------------------------------------------
 
 def _cmd_synth_bench(args) -> int:
-    cfg = bench.SynthBenchConfig(
-        seed=args.seed,
-        runs=args.runs,
-        n_samples=args.samples,
-        methods=tuple(args.methods),
-        cases=tuple(args.cases),
-        lambda_prime=args.lambda_prime,
-        mcc_sigmas=tuple(args.mcc_sigma),
-        grid=_grid_from_args(args),
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
-        jobs=args.jobs,
-    )
+    cfg = _config(bench.SynthBenchConfig, args)
     report = bench.run_synth_bench(cfg)
     out = args.out or Path("synth-bench.json")
     _write_json(report, out)
@@ -281,31 +300,14 @@ def _cmd_synth_bench(args) -> int:
 
 
 def _load_datasets(args) -> list[tuple[str, TabularDataset]]:
-    paths = args.csv if isinstance(args.csv, list) else [args.csv]
     return [
         (p.stem, load_csv(p, has_header=not args.no_header, target_column=args.target))
-        for p in paths
+        for p in args.csv
     ]
 
 
 def _cmd_data_bench(args) -> int:
-    cfg = bench.DataBenchConfig(
-        target=args.target,
-        train_fraction=args.train_frac,
-        folds=args.folds,
-        runs=args.runs,
-        seed=args.seed,
-        model=args.model,
-        hidden=args.hidden,
-        bias_column=args.bias_column,
-        methods=tuple(args.methods),
-        lambda_grid=tuple(args.lambda_grid),
-        mcc_sigma_grid=tuple(args.mcc_sigma),
-        vc_grid=_grid_from_args(args),
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
-        norm_scope=args.norm_scope,
-    )
+    cfg = _config(bench.DataBenchConfig, args)
     report = bench.run_data_bench(_load_datasets(args), cfg)
     out = args.out or Path("data-bench.json")
     _write_json(report, out)
@@ -316,19 +318,7 @@ def _cmd_data_bench(args) -> int:
 
 def _cmd_fit(args) -> int:
     name, data = _load_datasets(args)[0]
-    cfg = bench.FitCmdConfig(
-        method=args.method,
-        model=args.model,
-        hidden=args.hidden,
-        bias_column=args.bias_column,
-        normalize=args.normalize,
-        lambda_prime=args.lambda_prime,
-        mcc_sigma=args.mcc_sigma,
-        grid=_grid_from_args(args),
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
-        seed=args.seed,
-    )
+    cfg = _config(bench.FitCmdConfig, args)
     model = bench.run_fit(data, cfg)
     out = args.out or Path("model.json")
     _write_json(model, out)
@@ -342,15 +332,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_kernel_trace(args) -> int:
-    cfg = bench.KernelTraceConfig(
-        iterations=tuple(args.iterations),
-        bins=args.bins,
-        hist_range=args.hist_range,
-        lambda_prime=args.lambda_prime,
-        grid=_grid_from_args(args),
-        max_iterations=args.max_iter,
-        tolerance=args.tol,
-    )
+    cfg = _config(bench.KernelTraceConfig, args)
     if args.csv is not None:
         data = load_csv(args.csv, has_header=not args.no_header, target_column=args.target)
         H, targets = data.features, data.targets
@@ -425,10 +407,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

@@ -40,21 +40,18 @@ class FitConfig:
     lambda_prime: float = 1e-4
     max_iterations: int = 100
     tolerance: float = 1e-9
-    initial_beta: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lambda_prime < 0.0:
-            raise ValueError("lambda_prime must be non-negative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.initial_beta is not None:
-            b = np.asarray(self.initial_beta, dtype=float)
-            if b.ndim != 1 or not np.all(np.isfinite(b)):
-                raise ValueError("initial_beta must be a finite 1-D vector")
-            b.setflags(write=False)
-            object.__setattr__(self, "initial_beta", b)
+        _check_loop_settings(self.lambda_prime, self.max_iterations, self.tolerance)
+
+
+def _check_loop_settings(lambda_prime: float, max_iterations: int, tolerance: float):
+    if lambda_prime < 0.0:
+        raise ValueError("lambda_prime must be non-negative")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    if not tolerance > 0.0:
+        raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -136,26 +133,18 @@ def weighted_ridge_step(
     params: KernelParams,
     lambda_prime: float,
     beta_prev,
-    weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """One fixed-point update (H'WH + lambda' I)^{-1} H'W(T - c).
 
     W is the diagonal of kernel weights G_sigma(e_i - c) at the residuals of
-    `beta_prev`; `weights` overrides it (used to cross-check the plain ridge
-    path).  All-zero weights with no regularization mean sigma is far too
-    small for the current residuals and raise DegenerateWeightsError.
+    `beta_prev`.  All-zero weights with no regularization mean sigma is far
+    too small for the current residuals and raise DegenerateWeightsError.
     """
     H, t = check_design(H, targets)
     if lambda_prime < 0.0:
         raise ValueError("lambda_prime must be non-negative")
-    if weights is None:
-        beta_prev = np.asarray(beta_prev, dtype=float)
-        e = t - H @ beta_prev
-        w = _kernel_values(e - params.center, params.sigma)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != t.shape:
-            raise ValueError("weights must match the sample count")
+    e = t - H @ np.asarray(beta_prev, dtype=float)
+    w = _kernel_values(e - params.center, params.sigma)
     if lambda_prime == 0.0 and not np.any(w > 0.0):
         raise DegenerateWeightsError(
             "all kernel weights underflowed to zero with no regularization"
@@ -178,16 +167,10 @@ def _fixed_point_loop(
     lambda_prime: float,
     max_iterations: int,
     tolerance: float,
-    initial_beta: np.ndarray | None,
     on_iteration: IterationHook | None,
 ) -> FitResult:
     n, m = H.shape
-    if initial_beta is None:
-        beta = np.zeros(m)
-    else:
-        beta = np.asarray(initial_beta, dtype=float).copy()
-        if beta.shape != (m,):
-            raise ValueError(f"initial_beta has shape {beta.shape}, expected ({m},)")
+    beta = np.zeros(m)
     lam = lambda_prime / (2.0 * n)
 
     trace: list[IterationRecord] = []
@@ -244,7 +227,6 @@ def fit_mcc_vc(
         config.lambda_prime,
         config.max_iterations,
         config.tolerance,
-        config.initial_beta,
         on_iteration,
     )
 
@@ -256,15 +238,16 @@ def fit_mcc(
     lambda_prime: float = 1e-4,
     max_iterations: int = 100,
     tolerance: float = 1e-9,
-    initial_beta: np.ndarray | None = None,
     on_iteration: IterationHook | None = None,
 ) -> FitResult:
     """Classical zero-center baseline: the same loop with (sigma, 0) frozen.
 
-    A positive width whose square underflows would zero every weight, so it
-    raises DegenerateWeightsError before the first iteration.
+    The loop settings are checked as `FitConfig` checks them.  A positive
+    width whose square underflows would zero every weight, so it raises
+    DegenerateWeightsError before the first iteration.
     """
     H, t = check_design(H, targets)
+    _check_loop_settings(lambda_prime, max_iterations, tolerance)
     sigma = float(sigma)
     if 0.0 < sigma and sigma * sigma < sys.float_info.min:
         raise DegenerateWeightsError(f"kernel width {sigma!r} underflows every weight")
@@ -276,7 +259,6 @@ def fit_mcc(
         lambda_prime,
         max_iterations,
         tolerance,
-        initial_beta,
         on_iteration,
     )
 

@@ -24,7 +24,7 @@ from mccvc.bench import (
     run_synth_bench,
     synth_case_design,
 )
-from mccvc.cli import main
+from mccvc.cli import _parse_range, main
 from mccvc.data import TabularDataset
 from mccvc.kernels import CenterRule, ParamGrid
 
@@ -125,6 +125,13 @@ class TestSynthBench:
         assert _aggregate([3.0]) == (3.0, 0.0)
         assert _aggregate([]) == (None, 0.0)
 
+    @pytest.mark.parametrize(
+        "overrides", [{"runs": 0}, {"methods": ()}, {"cases": ()}, {"mcc_sigmas": ()}]
+    )
+    def test_empty_inputs_rejected_at_construction(self, overrides):
+        with pytest.raises(ValueError):
+            _small_synth_cfg(**overrides)
+
     def test_failed_replications_counted_not_fatal(self):
         # a kernel width this far below the residual scale underflows every
         # weight; with no regularization each replication aborts and must be
@@ -187,6 +194,10 @@ class TestDataBench:
         cfg = self._cfg(model="linear", methods=("mmse", "mcc-vc"))
         section = bench_dataset("demo", small_dataset, cfg)
         assert [r["method"] for r in section["results"]] == ["mmse", "mcc-vc"]
+
+    def test_zero_runs_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="runs"):
+            self._cfg(runs=0)
 
     def test_method_aliases(self):
         assert canonical_method("RELM") == "mmse"
@@ -306,6 +317,26 @@ class TestCli:
         assert main(["frobnicate"]) == 1
         assert main(["synth-bench", "--methods", "gradient-boost", "--runs", "1"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--method", "mcc", "--max-iter", "0"],
+        ["fit", "--method", "mcc", "--tol", "0"],
+        ["fit", "--method", "mcc", "--tol", "-1"],
+        ["data-bench", "--methods", "mcc", "--max-iter", "0", "--runs", "1", "--folds", "2"],
+        ["data-bench", "--runs", "0"],
+        ["synth-bench", "--runs", "0"],
+        ["synth-bench", "--mcc-sigma", ""],
+        ["fit", "--runs", "1"],
+        ["kernel-trace", "--runs", "1"],
+    ])
+    def test_bad_settings_are_one_line_usage_errors(self, tmp_path, capsys, argv):
+        path = tmp_path / "d.csv"
+        path.write_text("".join(f"{i},{i % 3},{2 * i}\n" for i in range(8)))
+        if argv[0] in ("fit", "data-bench"):
+            argv = argv + ["--csv", str(path), "--no-header", "--hidden", "4"]
+        assert main(argv + ["--out", str(tmp_path / "o.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mccvc: ") and err.count("\n") == 1
+
     def test_data_error_exit_code(self, tmp_path, capsys):
         assert main(["data-bench", "--csv", str(tmp_path / "missing.csv"),
                      "--runs", "1"]) == 2
@@ -382,6 +413,50 @@ class TestCli:
         assert [r["method"] for r in report["datasets"][0]["results"]] == [
             "relm", "elm-mcc", "elm-mcc-vc",
         ]
+
+
+class TestDefaults:
+    """Each subcommand's flags take their defaults from the config it fills."""
+
+    COMMANDS = [
+        ("synth-bench", "run_synth_bench", SynthBenchConfig),
+        ("data-bench", "run_data_bench", DataBenchConfig),
+        ("fit", "run_fit", FitCmdConfig),
+        ("kernel-trace", "run_kernel_trace", KernelTraceConfig),
+    ]
+
+    @pytest.mark.parametrize("command, runner, cls", COMMANDS)
+    def test_cli_defaults_are_config_defaults(self, monkeypatch, tmp_path, command, runner, cls):
+        class Captured(Exception):
+            pass
+
+        def capture(*args):
+            raise Captured(args[-1])
+
+        monkeypatch.setattr(bench, runner, capture)
+        path = tmp_path / "d.csv"
+        path.write_text("1,2\n2,4\n3,7\n")
+        argv = [command]
+        if command in ("data-bench", "fit"):
+            argv += ["--csv", str(path)]
+        with pytest.raises(Captured) as caught:
+            main(argv)
+        assert caught.value.args[0].to_dict() == cls().to_dict()
+
+    @pytest.mark.parametrize("command", [c for c, _, _ in COMMANDS])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--help"])
+        assert caught.value.code == 0
+        assert "(default" in capsys.readouterr().out
+
+    def test_range_stops_at_its_end(self):
+        assert _parse_range("0:0.6:1").tolist() == [0.0, 0.6]
+        for text, count in [("0.2:0.2:5.0", 25), ("0.005:0.005:0.25", 50),
+                            ("-5.0:0.1:5.0", 101)]:
+            start, step, _ = (float(p) for p in text.split(":"))
+            assert np.array_equal(_parse_range(text), start + step * np.arange(count))
+        assert np.array_equal(_parse_range("0.005:0.005:0.25"), np.linspace(0.005, 0.25, 50))
 
 
 class TestTracingContract:

@@ -93,15 +93,6 @@ class TestWeightedRidgeStep:
         with pytest.raises(DegenerateWeightsError):
             weighted_ridge_step(H, t, KernelParams(1.0, 0.0), 0.0, np.array([0.0]))
 
-    def test_identity_weights_reproduce_ridge_exactly(self):
-        rng = np.random.default_rng(3)
-        H, t, _ = _random_problem(rng)
-        lam = 0.37
-        via_step = weighted_ridge_step(
-            H, t, KernelParams(1.0, 0.0), lam, np.zeros(3), weights=np.ones(len(t))
-        )
-        assert np.array_equal(via_step, ridge_solve(H, t, lam))
-
     def test_jitter_retry_on_semidefinite_system(self, caplog):
         # duplicated column makes H' W H exactly singular; the retry bumps the
         # diagonal and still satisfies the solve-residual contract.
@@ -177,15 +168,14 @@ class TestFixedPointLoops:
         with pytest.raises(DegenerateWeightsError):
             fit_mcc(H, t, sigma=1e-300, lambda_prime=1e-4)
 
-    def test_initial_beta_shape_checked(self):
-        rng = np.random.default_rng(10)
-        H, t, _ = _random_problem(rng)
-        cfg = FitConfig(
-            grid=ParamGrid(np.array([1.0]), np.array([0.0])),
-            initial_beta=np.zeros(7),
-        )
+    @pytest.mark.parametrize(
+        "settings",
+        [{"max_iterations": 0}, {"tolerance": 0.0}, {"tolerance": -1.0}, {"lambda_prime": -1.0}],
+    )
+    def test_fit_mcc_checks_loop_settings_like_fit_config(self, settings):
+        H, t, _ = _random_problem(np.random.default_rng(10))
         with pytest.raises(ValueError):
-            fit_mcc_vc(H, t, cfg)
+            fit_mcc(H, t, sigma=1.0, **settings)
 
     def test_config_validation(self):
         grid = ParamGrid(np.array([1.0]), np.array([0.0]))
