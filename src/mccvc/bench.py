@@ -303,6 +303,9 @@ class DataBenchConfig(_BenchConfig):
             raise ValueError(f"unknown model {self.model!r}")
         if self.norm_scope not in ("full", "train", "none"):
             raise ValueError(f"unknown normalization scope {self.norm_scope!r}")
+        for name in ("methods", "lambda_grid", "mcc_sigma_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         for m in self.methods:
             canonical_method(m)
 

@@ -93,12 +93,16 @@ def _parse_target(text: str):
 
 def _add_loop_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", type=Path, default=None, help="output file path")
-    p.add_argument("--lambda-prime", type=float,
-                   help="regularizer of the fixed-point solvers (default %(default)s)")
     p.add_argument("--max-iter", dest="max_iterations", type=int,
                    help="fixed-point iteration cap (default %(default)s)")
     p.add_argument("--tol", dest="tolerance", type=float,
                    help="cost-change stopping tolerance (default %(default)s)")
+
+
+def _add_lambda_flag(p: argparse.ArgumentParser):
+    # data-bench has none: its candidates come from --lambda-grid.
+    p.add_argument("--lambda-prime", type=float,
+                   help="regularizer of the fixed-point solvers (default %(default)s)")
 
 
 def _add_bench_flags(p: argparse.ArgumentParser):
@@ -165,6 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-bench", help="Monte Carlo benchmark on synthetic mixtures")
     _add_bench_flags(p)
     _add_loop_flags(p)
+    _add_lambda_flag(p)
     p.add_argument("--methods", type=_parse_str_list,
                    help="comma list among mmse,mcc,mcc-vc (default %(default)s)")
     p.add_argument("--cases", type=_parse_int_list,
@@ -199,6 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit one method on a CSV and save the model")
     p.add_argument("--seed", type=int, help="base seed (default %(default)s)")
     _add_loop_flags(p)
+    _add_lambda_flag(p)
     _add_dataset_flags(p)
     p.add_argument("--method",
                    help="mmse|mcc|mcc-vc (and their elm- aliases; default %(default)s)")
@@ -211,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel-trace", help="residual histogram vs fitted kernel curves")
     p.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
     _add_loop_flags(p)
+    _add_lambda_flag(p)
     p.add_argument("--case", type=int, default=2,
                    help="synthetic contamination case 1-4 (default 2)")
     p.add_argument("--csv", type=Path, default=None,

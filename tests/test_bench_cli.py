@@ -199,6 +199,11 @@ class TestDataBench:
         with pytest.raises(ValueError, match="runs"):
             self._cfg(runs=0)
 
+    @pytest.mark.parametrize("name", ["methods", "lambda_grid", "mcc_sigma_grid"])
+    def test_empty_inputs_rejected_at_construction(self, name):
+        with pytest.raises(ValueError, match=name):
+            self._cfg(**{name: ()})
+
     def test_method_aliases(self):
         assert canonical_method("RELM") == "mmse"
         assert canonical_method("elm-rcc") == "mcc"
@@ -327,6 +332,9 @@ class TestCli:
         ["synth-bench", "--mcc-sigma", ""],
         ["fit", "--runs", "1"],
         ["kernel-trace", "--runs", "1"],
+        ["data-bench", "--lambda-prime", "1", "--runs", "1"],
+        ["data-bench", "--methods", "", "--runs", "1"],
+        ["data-bench", "--lambda-grid", "", "--runs", "1"],
     ])
     def test_bad_settings_are_one_line_usage_errors(self, tmp_path, capsys, argv):
         path = tmp_path / "d.csv"
@@ -425,8 +433,9 @@ class TestDefaults:
         ("kernel-trace", "run_kernel_trace", KernelTraceConfig),
     ]
 
-    @pytest.mark.parametrize("command, runner, cls", COMMANDS)
-    def test_cli_defaults_are_config_defaults(self, monkeypatch, tmp_path, command, runner, cls):
+    @staticmethod
+    def _captured_config(monkeypatch, tmp_path, runner, argv):
+        """The config `main(argv)` hands to `bench.<runner>`."""
         class Captured(Exception):
             pass
 
@@ -436,12 +445,23 @@ class TestDefaults:
         monkeypatch.setattr(bench, runner, capture)
         path = tmp_path / "d.csv"
         path.write_text("1,2\n2,4\n3,7\n")
-        argv = [command]
-        if command in ("data-bench", "fit"):
-            argv += ["--csv", str(path)]
+        if argv[0] in ("data-bench", "fit"):
+            argv = argv + ["--csv", str(path)]
         with pytest.raises(Captured) as caught:
             main(argv)
-        assert caught.value.args[0].to_dict() == cls().to_dict()
+        return caught.value.args[0]
+
+    @pytest.mark.parametrize("command, runner, cls", COMMANDS)
+    def test_cli_defaults_are_config_defaults(self, monkeypatch, tmp_path, command, runner, cls):
+        cfg = self._captured_config(monkeypatch, tmp_path, runner, [command])
+        assert cfg.to_dict() == cls().to_dict()
+
+    @pytest.mark.parametrize(
+        "command, runner", [(c, r) for c, r, _ in COMMANDS if c != "data-bench"]
+    )
+    def test_lambda_prime_fills_the_fitting_configs(self, monkeypatch, tmp_path, command, runner):
+        argv = [command, "--lambda-prime", "0.5"]
+        assert self._captured_config(monkeypatch, tmp_path, runner, argv).lambda_prime == 0.5
 
     @pytest.mark.parametrize("command", [c for c, _, _ in COMMANDS])
     def test_help_exits_zero(self, capsys, command):

@@ -4,12 +4,18 @@ Expected constants marked "oracle" were computed independently with mpmath at
 30 significant digits and frozen here.
 """
 
+import logging
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mccvc import kernels
+from mccvc.bench import synth_case_design
 from mccvc.kernels import (
     CenterRule,
     KernelParams,
@@ -23,6 +29,7 @@ from mccvc.kernels import (
     optimize_params,
     param_objective,
 )
+from mccvc.solvers import ridge_solve
 
 # oracle: 1/sqrt(2 pi) and friends, mpmath dps=30
 G_0_1 = 0.39894228040143268
@@ -316,3 +323,137 @@ class TestTypes:
         assert grid.sigma_set[-1] == pytest.approx(5.0)
         assert grid.center_set[0] == -5.0
         assert grid.center_set[-1] == 5.0
+
+
+def _reference_optimize_params(errors, grid):
+    """The full-table search that `optimize_params` must reproduce bit for bit:
+    every (sigma, center) objective from one (C, N) difference table."""
+    e = kernels.as_error_vector(errors)
+    if grid.center_rule is CenterRule.EXPLICIT_GRID:
+        centers = np.asarray(grid.center_set, dtype=float)
+    else:
+        centers = np.array([center_from_rule(e, grid.center_rule)])
+    spread = float(np.std(e))
+    floor = kernels._SIGMA_FLOOR_FRAC * (spread if spread > 0.0 else 1.0)
+    sigmas = np.maximum(np.asarray(grid.sigma_set, dtype=float), floor)
+
+    diff = centers[:, None] - e[None, :]
+    objective = np.empty((sigmas.size, centers.size))
+    for i, s in enumerate(sigmas):
+        corr = kernels._kernel_values(diff, s).mean(axis=1)
+        objective[i, :] = 1.0 / (2.0 * kernels.SQRT_PI * s) - 2.0 * corr
+
+    best = objective.min()
+    tied = (objective - best) <= np.maximum(np.abs(objective), abs(best)) * kernels._TIE_RTOL
+    median = float(np.median(e))
+    rows, cols = np.nonzero(tied)
+    keys = [(sigmas[i], abs(centers[j] - median), centers[j]) for i, j in zip(rows, cols)]
+    pick = min(range(len(keys)), key=keys.__getitem__)
+    params = KernelParams(sigma=float(sigmas[rows[pick]]), center=float(centers[cols[pick]]))
+    return params, param_objective(e, params.sigma, params.center)
+
+
+@pytest.fixture(scope="module")
+def large_residuals():
+    """Ridge residuals of the N=20000 designs of contamination cases 2 and 4."""
+    out = []
+    for case in (2, 4):
+        H, t = synth_case_design(case, 20000, 17)
+        out.append(t - H @ ridge_solve(H, t, 1e-4))
+    return out
+
+
+def _assert_same_search(errors, grid):
+    assert optimize_params(errors, grid) == _reference_optimize_params(errors, grid)
+
+
+class TestScreenedSearch:
+    """The screened search returns the full table's (params, value) bit for bit."""
+
+    def test_large_synthetic_residuals(self, large_residuals):
+        for e in large_residuals:
+            _assert_same_search(e, default_param_grid())
+
+    def test_random_grids_with_uneven_centers(self):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            e = rng.normal(rng.uniform(-2, 2), rng.uniform(0.3, 2), 4000)
+            far = rng.random(e.size) < 0.1
+            e[far] = rng.normal(0.0, 30.0, far.sum())
+            sigmas = np.unique(rng.uniform(0.2, 3.0, 6))
+            centers = np.unique(rng.uniform(-4, 4, 24))
+            _assert_same_search(e, ParamGrid(sigmas, centers))
+
+    @pytest.mark.parametrize("errors", [[0.3], [0.3, -1.7]])
+    def test_one_and_two_errors(self, errors):
+        _assert_same_search(np.array(errors), default_param_grid())
+        _assert_same_search(np.array(errors), ParamGrid(np.array([0.5, 2.0]), np.array([-1.0, 0.5])))
+
+    def test_constant_errors(self):
+        _assert_same_search(np.full(4000, 1.25), default_param_grid())
+
+    def test_clamped_widths_log_once(self, caplog):
+        e = np.random.default_rng(32).normal(0.0, 1.0, 4000)
+        grid = ParamGrid(np.array([1e-9, 1e-8, 0.5, 1.0, 2.0]), np.linspace(-3, 3, 41))
+        with caplog.at_level(logging.INFO, logger="mccvc.kernels"):
+            _assert_same_search(e, grid)
+            caplog.clear()
+            optimize_params(e, grid)
+        assert sum("clamped" in r.message for r in caplog.records) == 1
+
+    def test_errors_beyond_the_reach_of_every_center(self):
+        e = np.random.default_rng(33).normal(100.0, 1.0, 4000)
+        _assert_same_search(e, default_param_grid())
+
+    def test_mirrored_modes_tie(self):
+        # Modes at +/-4 of a mirrored sample: the two best centers (sigma 0.6,
+        # a screened width) tie and the rule picks the smaller one.
+        x = np.random.default_rng(34).normal(4.0, 0.3, 4000)
+        _assert_same_search(np.concatenate([x, -x]), default_param_grid())
+
+    def test_centers_too_far_out_for_a_lattice(self):
+        # Near 1e17 floats are 16 apart, more than a lattice step of 0.1 sigma:
+        # these widths stay exact instead of binning onto coincident nodes.
+        centers = 1e17 + 16.0 * np.arange(8)
+        e = 1e17 + np.random.default_rng(36).normal(0.0, 100.0, 2000)
+        _assert_same_search(e, ParamGrid(np.array([50.0, 100.0]), centers))
+
+    def test_exact_tie(self):
+        _assert_same_search(np.array([-1.0, 1.0]), ParamGrid(np.array([1.0]), np.array([-1.0, 1.0])))
+
+    @pytest.mark.parametrize("rule", [CenterRule.MEAN_OF_ERRORS, CenterRule.MEDIAN_OF_ERRORS])
+    def test_one_center_rules(self, rule, large_residuals):
+        grid = ParamGrid(np.linspace(0.005, 0.25, 50), None, rule)
+        rng = np.random.default_rng(35)
+        _assert_same_search(rng.standard_t(2, 400), grid)
+        _assert_same_search(large_residuals[0], grid)
+
+    def test_large_search_stays_below_one_difference_table(self, large_residuals):
+        tracemalloc.start()
+        try:
+            optimize_params(large_residuals[0], default_param_grid())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 101 * 20000 * 8
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    loc=st.floats(-5, 5),
+    scale=st.floats(1e-3, 5),
+    sigma=st.floats(1e-2, 50),
+    centers=st.lists(st.floats(-10, 10), min_size=1, max_size=12, unique=True),
+)
+def test_screen_is_within_its_bound(n, seed, loc, scale, sigma, centers):
+    rng = np.random.default_rng(seed)
+    e = rng.normal(loc, scale, n)
+    far = rng.random(n) < 0.1
+    e[far] = rng.normal(0.0, 1e2, far.sum())
+    c = np.sort(np.array(centers))
+    count = int(kernels._node_counts(c, np.array([sigma]))[0])
+    screen, bound = kernels._binned_objectives(np.sort(e), c, sigma, count)
+    exact = kernels._exact_objectives(c[:, None] - e[None, :], np.array([sigma]))[0]
+    assert np.all(np.abs(screen - exact) <= bound)
