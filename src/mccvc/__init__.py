@@ -48,7 +48,6 @@ from .kernels import (
     CenterRule,
     KernelParams,
     ParamGrid,
-    center_from_rule,
     default_param_grid,
     empirical_correntropy,
     gaussian_kde,
@@ -93,7 +92,6 @@ __all__ = [
     "TabularDataset",
     "apply_minmax",
     "build_linear_features",
-    "center_from_rule",
     "default_param_grid",
     "elm_features",
     "empirical_correntropy",

@@ -2,13 +2,17 @@
 
 Every driver fits through one method dispatch, `_fit`, which runs
 `ridge_solve` (mmse), `fit_mcc` (mcc) or `fit_mcc_vc` (mcc-vc) and returns the
-weights with the fixed-point result.  Reports are plain JSON-serializable
-dicts with a stable key order.  Every report embeds the fully resolved
-configuration and all replication seeds, so re-running from the embedded
-config reproduces it bit for bit (wall-clock fields excepted).  Each result
-row counts the runs that failed numerically (`failures`) and, among the
-others, those whose final fit stopped at `max_iterations` without converging
-(`nonconverged`, always 0 for mmse).
+weights with the fixed-point result.  Every feature matrix comes from one
+feature map, `_feature_map`, a JSON-ready dict (an ELM layer or linear
+features, the model file's "model" entry) applied by `_features`.  Reports are
+plain JSON-serializable dicts with a stable key order.  Every report embeds
+the fully resolved configuration and all replication seeds, so re-running from
+the embedded config reproduces it bit for bit (wall-clock fields excepted).
+Every `synth-bench` and `data-bench` result row is written by one `_Tally`:
+the mean (and, for some metrics, the sample std) of each metric over the
+successful runs, then `runs`, the runs that failed numerically (`failures`)
+and the successful runs whose final fit stopped at `max_iterations` without
+converging (`nonconverged`, always 0 for mmse).
 """
 
 from __future__ import annotations
@@ -123,6 +127,31 @@ def _aggregate(values: list[float]) -> tuple[float | None, float]:
     return mean, std
 
 
+class _Tally:
+    """The runs of one report row: each metric's values over the successful
+    runs, the failed runs, and the successful fits that did not converge."""
+
+    def __init__(self, with_std: tuple[str, ...], mean_only: tuple[str, ...] = ()):
+        self.with_std = with_std
+        self.values = {name: [] for name in with_std + mean_only}
+        self.runs = self.failures = self.nonconverged = 0
+
+    def add(self, result: FitResult | None, **metrics: float):
+        for name, value in metrics.items():
+            self.values[name].append(value)
+        self.runs += 1
+        self.nonconverged += result is not None and not result.converged
+
+    def row(self) -> dict:
+        row = {}
+        for name, values in self.values.items():
+            row[f"mean_{name}"], std = _aggregate(values)
+            if name in self.with_std:
+                row[f"std_{name}"] = std
+        return {**row, "runs": self.runs, "failures": self.failures,
+                "nonconverged": self.nonconverged}
+
+
 # ---------------------------------------------------------------------------
 # Synthetic linear-regression benchmark
 # ---------------------------------------------------------------------------
@@ -147,6 +176,11 @@ class SynthBenchConfig(_BenchConfig):
         for name in ("methods", "cases", "mcc_sigmas"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
+        for m in self.methods:
+            if m not in ("mmse", "mcc", "mcc-vc"):
+                raise ValueError(f"unknown method {m!r}")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 def synth_fit(
@@ -167,14 +201,11 @@ def _expand_methods(cfg: SynthBenchConfig) -> list[tuple[str, str, float | None]
     out = []
     for m in cfg.methods:
         if m == "mcc" and len(cfg.mcc_sigmas) > 1:
-            for s in cfg.mcc_sigmas:
-                out.append((f"mcc@{s:g}", "mcc", s))
+            out.extend((f"mcc@{s:g}", "mcc", s) for s in cfg.mcc_sigmas)
         elif m == "mcc":
             out.append(("mcc", "mcc", cfg.mcc_sigmas[0]))
-        elif m in ("mmse", "mcc-vc"):
-            out.append((m, m, None))
         else:
-            raise ValueError(f"unknown method {m!r}")
+            out.append((m, m, None))
     return out
 
 
@@ -188,60 +219,41 @@ def run_synth_bench(cfg: SynthBenchConfig) -> dict:
     methods = _expand_methods(cfg)
     w_star = np.asarray(cfg.w_star, dtype=float)
 
-    def one_replication(args) -> dict:
-        case, rep = args
+    def one_replication(task) -> list:
+        # (label, None if the fit failed, else (result, weight RMSE, seconds)).
+        case, rep = task
         H, targets = synth_case_design(case, cfg.n_samples, cfg.seed + rep, cfg.w_star)
-        per_method = {}
+        outcome = []
         for label, method, sigma in methods:
             t0 = time.perf_counter()
             try:
                 beta, result = synth_fit(method, H, targets, cfg, sigma)
             except SolverError:
-                per_method[label] = None
+                outcome.append((label, None))
                 continue
             elapsed = time.perf_counter() - t0
-            nonconverged = result is not None and not result.converged
-            per_method[label] = (rmse_weights(beta, w_star), elapsed, nonconverged)
-        return per_method
+            outcome.append((label, (result, rmse_weights(beta, w_star), elapsed)))
+        return outcome
 
+    tallies = {
+        (label, case): _Tally(("rmse", "time_s")) for label, _, _ in methods for case in cfg.cases
+    }
     tasks = [(case, rep) for case in cfg.cases for rep in range(cfg.runs)]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(one_replication, tasks))
-    else:
-        outcomes = [one_replication(t) for t in tasks]
-
-    by_key: dict[tuple[str, int], dict] = {}
-    for (case, _rep), outcome in zip(tasks, outcomes):
-        for label, payload in outcome.items():
-            slot = by_key.setdefault(
-                (label, case), {"rmse": [], "time": [], "failures": 0, "nonconverged": 0}
-            )
-            if payload is None:
-                slot["failures"] += 1
-            else:
-                slot["rmse"].append(payload[0])
-                slot["time"].append(payload[1])
-                slot["nonconverged"] += payload[2]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        for (case, _rep), outcome in zip(tasks, pool.map(one_replication, tasks)):
+            for label, fitted in outcome:
+                tally = tallies[(label, case)]
+                if fitted is None:
+                    tally.failures += 1
+                else:
+                    result, rmse, elapsed = fitted
+                    tally.add(result, rmse=rmse, time_s=elapsed)
 
     results = []
     for label, _method, sigma in methods:
         for case in cfg.cases:
-            slot = by_key[(label, case)]
-            mean_rmse, std_rmse = _aggregate(slot["rmse"])
-            mean_time, std_time = _aggregate(slot["time"])
-            entry = {
-                "method": label,
-                "case": case,
-                "case_label": CASE_LABELS[case],
-                "mean_rmse": mean_rmse,
-                "std_rmse": std_rmse,
-                "mean_time_s": mean_time,
-                "std_time_s": std_time,
-                "runs": len(slot["rmse"]),
-                "failures": slot["failures"],
-                "nonconverged": slot["nonconverged"],
-            }
+            entry = {"method": label, "case": case, "case_label": CASE_LABELS[case],
+                     **tallies[(label, case)].row()}
             if sigma is not None:
                 entry["mcc_sigma"] = sigma
             results.append(entry)
@@ -310,11 +322,31 @@ class DataBenchConfig(_BenchConfig):
             canonical_method(m)
 
 
-def _feature_builder(cfg: DataBenchConfig, input_dim: int, rep: int):
+def _feature_map(cfg: DataBenchConfig | FitCmdConfig, input_dim: int, seed: int) -> dict:
+    """The `cfg.model` feature map as a JSON-ready dict: an ELM layer of
+    `cfg.hidden` nodes drawn from `seed`, or the linear features."""
     if cfg.model == "elm":
-        spec = init_elm(input_dim, cfg.hidden, seed=cfg.seed + _ELM_SEED_OFFSET + rep)
-        return lambda x: elm_features(spec, x)
-    return lambda x: build_linear_features(x, bias_column=cfg.bias_column)
+        layer = init_elm(input_dim, cfg.hidden, seed=seed)
+        return {
+            "kind": "elm",
+            "input_dim": input_dim,
+            "hidden": cfg.hidden,
+            "seed": seed,
+            "input_weights": layer.input_weights.tolist(),
+            "biases": layer.biases.tolist(),
+        }
+    return {"kind": "linear", "input_dim": input_dim, "bias_column": cfg.bias_column}
+
+
+def _features(spec: dict, x) -> np.ndarray:
+    """Design matrix of inputs `x` under a `_feature_map` dict."""
+    if spec["kind"] == "elm":
+        layer = HiddenLayerSpec(
+            input_weights=np.asarray(spec["input_weights"], dtype=float),
+            biases=np.asarray(spec["biases"], dtype=float),
+        )
+        return elm_features(layer, x)
+    return build_linear_features(x, bias_column=spec["bias_column"])
 
 
 def _candidate_list(method: str, cfg: DataBenchConfig):
@@ -328,12 +360,6 @@ def _candidate_list(method: str, cfg: DataBenchConfig):
     return [{"lambda_prime": lp} for lp in cfg.lambda_grid]
 
 
-def _fit_candidate(method: str, candidate: dict, H, targets, cfg: DataBenchConfig):
-    """Fit one hyperparameter candidate; returns (beta, fixed-point result)."""
-    sigma = candidate.get("sigma")
-    return _fit(method, H, targets, candidate["lambda_prime"], sigma, cfg.vc_grid, cfg)
-
-
 def _cross_validate(method: str, H, targets, folds, cfg: DataBenchConfig):
     """Mean validation RMSE per candidate; returns the best candidate or None."""
     best_score, best_candidate = np.inf, None
@@ -341,8 +367,9 @@ def _cross_validate(method: str, H, targets, folds, cfg: DataBenchConfig):
         scores = []
         try:
             for train_idx, val_idx in folds:
-                beta, result = _fit_candidate(
-                    method, candidate, H[train_idx], targets[train_idx], cfg
+                beta, result = _fit(
+                    method, H[train_idx], targets[train_idx], candidate["lambda_prime"],
+                    candidate.get("sigma"), cfg.vc_grid, cfg,
                 )
                 scores.append(
                     rmse_predictions(
@@ -362,18 +389,11 @@ def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict
     if cfg.norm_scope == "full":
         data = apply_minmax(minmax_record(data), data)
 
-    per_method: dict[str, dict] = {
-        label: {
-            "train_rmse": [],
-            "test_rmse": [],
-            "fit_time": [],
-            "select_time": [],
-            "selected": [],
-            "failures": 0,
-            "nonconverged": 0,
-        }
+    tallies = {
+        label: _Tally(("train_rmse", "test_rmse"), ("fit_time_s", "select_time_s"))
         for label in cfg.methods
     }
+    selected: dict[str, list[dict]] = {label: [] for label in cfg.methods}
 
     for rep in range(cfg.runs):
         split_seed = cfg.seed + rep
@@ -384,64 +404,43 @@ def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict
             record = minmax_record(train)
             train, test = apply_minmax(record, train), apply_minmax(record, test)
 
-        features = _feature_builder(cfg, data.n_features, rep)
-        H_train, H_test = features(train.features), features(test.features)
+        spec = _feature_map(cfg, data.n_features, cfg.seed + _ELM_SEED_OFFSET + rep)
+        H_train, H_test = _features(spec, train.features), _features(spec, test.features)
         folds = kfold_indices(train.n_rows, cfg.folds, split_seed)
 
         for label in cfg.methods:
             method = canonical_method(label)
-            slot = per_method[label]
+            tally = tallies[label]
             t0 = time.perf_counter()
             candidate = _cross_validate(method, H_train, train.targets, folds, cfg)
             select_time = time.perf_counter() - t0
             if candidate is None:
-                slot["failures"] += 1
+                tally.failures += 1
                 continue
             t0 = time.perf_counter()
             try:
-                beta, result = _fit_candidate(
-                    method, candidate, H_train, train.targets, cfg
+                beta, result = _fit(
+                    method, H_train, train.targets, candidate["lambda_prime"],
+                    candidate.get("sigma"), cfg.vc_grid, cfg,
                 )
             except SolverError:
-                slot["failures"] += 1
+                tally.failures += 1
                 continue
             fit_time = time.perf_counter() - t0
             offset = _offset(result)
-            if result is not None and not result.converged:
-                slot["nonconverged"] += 1
-            slot["train_rmse"].append(
-                rmse_predictions(predict(H_train, beta) + offset, train.targets)
+            tally.add(
+                result,
+                train_rmse=rmse_predictions(predict(H_train, beta) + offset, train.targets),
+                test_rmse=rmse_predictions(predict(H_test, beta) + offset, test.targets),
+                fit_time_s=fit_time,
+                select_time_s=select_time,
             )
-            slot["test_rmse"].append(
-                rmse_predictions(predict(H_test, beta) + offset, test.targets)
-            )
-            slot["fit_time"].append(fit_time)
-            slot["select_time"].append(select_time)
-            slot["selected"].append(candidate)
+            selected[label].append(candidate)
 
-    results = []
-    for label in cfg.methods:
-        slot = per_method[label]
-        mean_train, std_train = _aggregate(slot["train_rmse"])
-        mean_test, std_test = _aggregate(slot["test_rmse"])
-        mean_fit, _ = _aggregate(slot["fit_time"])
-        mean_select, _ = _aggregate(slot["select_time"])
-        results.append(
-            {
-                "method": label,
-                "dataset": name,
-                "mean_train_rmse": mean_train,
-                "std_train_rmse": std_train,
-                "mean_test_rmse": mean_test,
-                "std_test_rmse": std_test,
-                "mean_fit_time_s": mean_fit,
-                "mean_select_time_s": mean_select,
-                "runs": len(slot["train_rmse"]),
-                "failures": slot["failures"],
-                "nonconverged": slot["nonconverged"],
-                "selected": slot["selected"],
-            }
-        )
+    results = [
+        {"method": label, "dataset": name, **tallies[label].row(), "selected": selected[label]}
+        for label in cfg.methods
+    ]
     return {"dataset": name, "rows": data.n_rows, "results": results}
 
 
@@ -492,25 +491,8 @@ def run_fit(data: TabularDataset, cfg: FitCmdConfig) -> dict:
         fitted = apply_minmax(record, data)
 
     method = canonical_method(cfg.method)
-    if cfg.model == "elm":
-        spec = init_elm(data.n_features, cfg.hidden, seed=cfg.seed)
-        H = elm_features(spec, fitted.features)
-        model_spec = {
-            "kind": "elm",
-            "input_dim": data.n_features,
-            "hidden": cfg.hidden,
-            "seed": cfg.seed,
-            "input_weights": spec.input_weights.tolist(),
-            "biases": spec.biases.tolist(),
-        }
-    else:
-        H = build_linear_features(fitted.features, bias_column=cfg.bias_column)
-        model_spec = {
-            "kind": "linear",
-            "input_dim": data.n_features,
-            "bias_column": cfg.bias_column,
-        }
-
+    spec = _feature_map(cfg, data.n_features, cfg.seed)
+    H = _features(spec, fitted.features)
     beta, result = _fit(
         method, H, fitted.targets, cfg.lambda_prime, cfg.mcc_sigma, cfg.grid, cfg
     )
@@ -529,7 +511,7 @@ def run_fit(data: TabularDataset, cfg: FitCmdConfig) -> dict:
     model = {
         "command": "fit",
         "method": cfg.method,
-        "model": model_spec,
+        "model": spec,
         "normalization": None if record is None else record.to_dict(),
         "beta": [float(b) for b in beta],
         "kernel": kernel,
@@ -554,15 +536,7 @@ def predict_with_model(model: dict, features_raw) -> np.ndarray:
     if model["normalization"] is not None:
         record = MinMaxRecord.from_dict(model["normalization"])
         x = record.transform_features(x)
-    spec = model["model"]
-    if spec["kind"] == "elm":
-        layer = HiddenLayerSpec(
-            input_weights=np.asarray(spec["input_weights"], dtype=float),
-            biases=np.asarray(spec["biases"], dtype=float),
-        )
-        H = elm_features(layer, x)
-    else:
-        H = build_linear_features(x, bias_column=spec["bias_column"])
+    H = _features(model["model"], x)
     y = predict(H, np.asarray(model["beta"], dtype=float)) + model.get("prediction_offset", 0.0)
     return record.inverse_targets(y) if record is not None else y
 
@@ -661,4 +635,4 @@ def synth_case_design(
     inputs, targets = generate_linear_data(
         np.asarray(w_star, dtype=float), n_samples, noise, seed
     )
-    return build_linear_features(inputs), targets
+    return _features({"kind": "linear", "bias_column": False}, inputs), targets

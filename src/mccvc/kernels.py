@@ -214,17 +214,6 @@ def param_objective(errors, sigma: float, center: float) -> float:
     return 1.0 / (2.0 * SQRT_PI * sigma) - 2.0 * corr
 
 
-def center_from_rule(errors, rule: CenterRule) -> float:
-    """Data-driven center shortcut: mean or median of the error samples."""
-    e = as_error_vector(errors)
-    rule = CenterRule(rule)
-    if rule is CenterRule.MEAN_OF_ERRORS:
-        return float(np.mean(e))
-    if rule is CenterRule.MEDIAN_OF_ERRORS:
-        return float(np.median(e))
-    raise ValueError("the explicit-grid rule does not define a single center")
-
-
 def _exact_objectives(diff: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """(S, C) objectives of each width in `sigmas` at each row of the (C, N)
     center-minus-error table `diff`, in blocks of at most max(C*N, 2**16)
@@ -316,10 +305,14 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
     e = as_error_vector(errors)
     n = e.size
 
+    median = None
     if grid.center_rule is CenterRule.EXPLICIT_GRID:
         centers = np.asarray(grid.center_set, dtype=float)
+    elif grid.center_rule is CenterRule.MEAN_OF_ERRORS:
+        centers = np.array([np.mean(e)])
     else:
-        centers = np.array([center_from_rule(e, grid.center_rule)])
+        median = float(np.median(e))
+        centers = np.array([median])
 
     spread = float(np.std(e))
     floor = _SIGMA_FLOOR_FRAC * (spread if spread > 0.0 else 1.0)
@@ -360,7 +353,8 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
     rows, cols = rows[tied], cols[tied]
     pick = 0
     if rows.size > 1:
-        median = float(np.median(e))
+        if median is None:
+            median = float(np.median(e))
         keys = [(sigmas[i], abs(centers[j] - median), centers[j]) for i, j in zip(rows, cols)]
         pick = min(range(len(keys)), key=keys.__getitem__)
     i_sel, j_sel = rows[pick], cols[pick]

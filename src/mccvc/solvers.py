@@ -176,8 +176,8 @@ def _fixed_point_loop(
     trace: list[IterationRecord] = []
     converged = False
     iterations = 0
+    residuals = t - H @ beta
     for k in range(1, max_iterations + 1):
-        residuals = t - H @ beta
         params = choose_params(residuals)
         cost_prev = mcc_vc_cost(residuals, params, float(beta @ beta), lam)
         beta_next = weighted_ridge_step(H, t, params, lambda_prime, beta)
@@ -185,12 +185,13 @@ def _fixed_point_loop(
             raise DivergedError(
                 f"weight vector became non-finite at iteration {k}", iteration=k
             )
-        cost = mcc_vc_cost(t - H @ beta_next, params, float(beta_next @ beta_next), lam)
+        residuals_next = t - H @ beta_next
+        cost = mcc_vc_cost(residuals_next, params, float(beta_next @ beta_next), lam)
         max_delta = float(np.max(np.abs(beta_next - beta)))
         trace.append(IterationRecord(params.sigma, params.center, cost, max_delta))
         if on_iteration is not None:
             on_iteration(k, residuals, params, beta_next)
-        beta = beta_next
+        beta, residuals = beta_next, residuals_next
         iterations = k
         if abs(cost - cost_prev) < tolerance:
             converged = True

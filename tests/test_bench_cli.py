@@ -37,6 +37,12 @@ def _strip_timings(obj):
     return obj
 
 
+SYNTH_ROW_KEYS = [
+    "method", "case", "case_label", "mean_rmse", "std_rmse", "mean_time_s",
+    "std_time_s", "runs", "failures", "nonconverged",
+]
+
+
 def _small_synth_cfg(**overrides):
     defaults = dict(
         runs=2,
@@ -88,6 +94,13 @@ class TestSynthBench:
         assert [r["method"] for r in report["results"]] == ["mcc@1", "mcc@2"]
         assert [r["mcc_sigma"] for r in report["results"]] == [1.0, 2.0]
 
+    def test_row_keys_in_order(self):
+        row = run_synth_bench(_small_synth_cfg(methods=("mmse",)))["results"][0]
+        assert list(row) == SYNTH_ROW_KEYS
+        sweep = run_synth_bench(_small_synth_cfg(methods=("mcc",), mcc_sigmas=(1.0, 2.0)))
+        for row in sweep["results"]:
+            assert list(row) == SYNTH_ROW_KEYS + ["mcc_sigma"]
+
     def test_config_missing_jobs_takes_default(self):
         d = json.loads(json.dumps(_small_synth_cfg(jobs=3).to_dict()))
         del d["jobs"]
@@ -132,6 +145,14 @@ class TestSynthBench:
         with pytest.raises(ValueError):
             _small_synth_cfg(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"jobs": 0}, "jobs"), ({"jobs": -3}, "jobs"), ({"methods": ("mmse", "relm")}, "relm")],
+    )
+    def test_bad_jobs_and_methods_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            _small_synth_cfg(**overrides)
+
     def test_failed_replications_counted_not_fatal(self):
         # a kernel width this far below the residual scale underflows every
         # weight; with no regularization each replication aborts and must be
@@ -144,7 +165,9 @@ class TestSynthBench:
         assert row["failures"] == 3
         assert row["runs"] == 0
         assert row["mean_rmse"] is None
+        assert row["std_rmse"] == 0.0
         assert row["runs"] + row["failures"] == cfg.runs
+        assert list(row) == SYNTH_ROW_KEYS + ["mcc_sigma"]
 
 
 class TestDataBench:
@@ -171,6 +194,14 @@ class TestDataBench:
             assert row["runs"] == 2
             assert row["failures"] == 0
             assert len(row["selected"]) == 2
+
+    def test_row_keys_in_order(self, small_dataset):
+        row = bench_dataset("demo", small_dataset, self._cfg(methods=("elm-mcc",)))["results"][0]
+        assert list(row) == [
+            "method", "dataset", "mean_train_rmse", "std_train_rmse", "mean_test_rmse",
+            "std_test_rmse", "mean_fit_time_s", "mean_select_time_s", "runs", "failures",
+            "nonconverged", "selected",
+        ]
 
     def test_rerun_from_embedded_config(self, small_dataset):
         report = run_data_bench([("demo", small_dataset)], self._cfg(runs=1))
@@ -335,6 +366,7 @@ class TestCli:
         ["data-bench", "--lambda-prime", "1", "--runs", "1"],
         ["data-bench", "--methods", "", "--runs", "1"],
         ["data-bench", "--lambda-grid", "", "--runs", "1"],
+        ["synth-bench", "--jobs", "0"],
     ])
     def test_bad_settings_are_one_line_usage_errors(self, tmp_path, capsys, argv):
         path = tmp_path / "d.csv"

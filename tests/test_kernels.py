@@ -20,7 +20,6 @@ from mccvc.kernels import (
     CenterRule,
     KernelParams,
     ParamGrid,
-    center_from_rule,
     default_param_grid,
     empirical_correntropy,
     gaussian_kde,
@@ -171,23 +170,6 @@ class TestParamObjective:
             assert -1.0 / sigma < value < 0.0
 
 
-class TestCenterFromRule:
-    def test_mean(self):
-        assert center_from_rule([1.0, 2.0, 3.0], CenterRule.MEAN_OF_ERRORS) == 2.0
-
-    def test_median_ignores_outlier(self):
-        value = center_from_rule([1.0, 2.0, 3.0, 100.0], CenterRule.MEDIAN_OF_ERRORS)
-        assert value == 2.5
-
-    def test_single_sample(self):
-        assert center_from_rule([5.0], CenterRule.MEAN_OF_ERRORS) == 5.0
-        assert center_from_rule([5.0], CenterRule.MEDIAN_OF_ERRORS) == 5.0
-
-    def test_grid_rule_is_a_contract_violation(self):
-        with pytest.raises(ValueError):
-            center_from_rule([1.0], CenterRule.EXPLICIT_GRID)
-
-
 class TestOptimizeParams:
     def test_exact_center_match_dominates(self):
         grid = ParamGrid(np.array([1.0]), np.array([0.0, 3.0]))
@@ -331,8 +313,10 @@ def _reference_optimize_params(errors, grid):
     e = kernels.as_error_vector(errors)
     if grid.center_rule is CenterRule.EXPLICIT_GRID:
         centers = np.asarray(grid.center_set, dtype=float)
+    elif grid.center_rule is CenterRule.MEAN_OF_ERRORS:
+        centers = np.array([np.mean(e)])
     else:
-        centers = np.array([center_from_rule(e, grid.center_rule)])
+        centers = np.array([np.median(e)])
     spread = float(np.std(e))
     floor = kernels._SIGMA_FLOOR_FRAC * (spread if spread > 0.0 else 1.0)
     sigmas = np.maximum(np.asarray(grid.sigma_set, dtype=float), floor)
@@ -427,6 +411,9 @@ class TestScreenedSearch:
         rng = np.random.default_rng(35)
         _assert_same_search(rng.standard_t(2, 400), grid)
         _assert_same_search(large_residuals[0], grid)
+        _assert_same_search(np.array([5.0]), grid)
+        center = optimize_params(np.array([1.0, 2.0, 3.0, 100.0]), grid)[0].center
+        assert center == (26.5 if rule is CenterRule.MEAN_OF_ERRORS else 2.5)
 
     def test_large_search_stays_below_one_difference_table(self, large_residuals):
         tracemalloc.start()

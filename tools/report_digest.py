@@ -1,0 +1,131 @@
+"""Print one SHA-256 per CLI report, with every timing key stripped.
+
+Run it against a checkout's package to compare two trees:
+
+    PYTHONPATH=<checkout>/src python3 tools/report_digest.py
+
+It writes a fixed list of `synth-bench`, `data-bench`, `fit` and
+`kernel-trace` reports through `mccvc.cli.main` into a temporary directory,
+drops every JSON key that contains "time" (wall-clock fields), and prints
+`<name> <sha256>` per report.  Two trees that print the same lines write the
+same reports byte for byte, key order included.  The `fit` models are also
+reloaded through `mccvc.bench.predict_with_model`, and the predictions get a
+line of their own.  The data-bench argv of the elm-sinc-cv workload are taken
+from `perfbench.workloads.ElmSincCV`, which is only read.  It takes about
+15 s on 2 CPUs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+# Import perfbench from this tree without writing bytecode into it.
+sys.dont_write_bytecode = True
+sys.path.append(str(Path(__file__).resolve().parents[1]))
+
+import numpy as np  # noqa: E402
+
+from mccvc import bench, cli  # noqa: E402
+from perfbench.workloads import ElmSincCV  # noqa: E402
+
+SPLIT_SEEDS = (42, 43)
+
+SYNTH = {
+    "synth-n200": ["--runs", "10", "--samples", "200", "--seed", "5"],
+    "synth-sweep-jobs2": ["--runs", "6", "--samples", "200", "--methods", "mcc,mcc-vc",
+                          "--mcc-sigma", "1,4", "--jobs", "2"],
+    "synth-all-failed": ["--runs", "2", "--samples", "100", "--methods", "mmse,mcc",
+                         "--mcc-sigma", "1e-300", "--lambda-prime", "0"],
+    "synth-mean-rule": ["--runs", "2", "--samples", "200", "--methods", "mcc-vc",
+                        "--center-rule", "mean"],
+    "synth-n20000": ["--runs", "2", "--samples", "20000", "--cases", "2,4",
+                     "--methods", "mcc-vc"],
+}
+
+
+def _strip_timings(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_timings(v) for k, v in obj.items() if "time" not in k}
+    if isinstance(obj, list):
+        return [_strip_timings(v) for v in obj]
+    return obj
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json_digest(path: Path) -> str:
+    report = _strip_timings(json.loads(path.read_text()))
+    return _sha(json.dumps(report, indent=2).encode())
+
+
+def _run(argv: list[str]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"exit {code}: {' '.join(argv)}")
+
+
+def _write_csv(path: Path, rows: np.ndarray):
+    path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+
+
+def digests(workdir: Path) -> list[tuple[str, str]]:
+    out = []
+
+    for name, flags in SYNTH.items():
+        path = workdir / f"{name}.json"
+        _run(["synth-bench", *flags, "--out", str(path)])
+        out.append((name, _json_digest(path)))
+
+    sinc = ElmSincCV()
+    sinc.setup(SPLIT_SEEDS[0], workdir / "sinc")
+    for seed in SPLIT_SEEDS:
+        for _kind, method in sinc.METHODS:
+            path = workdir / f"data-{method}-s{seed}.json"
+            _run(sinc.argv(method, seed, path))
+            out.append((f"data-{method}-s{seed}", _json_digest(path)))
+    path = workdir / "data-linear-max-iter-1.json"
+    _run(["data-bench", "--csv", str(sinc.csv), "--no-header", "--runs", "2", "--folds", "3",
+          "--model", "linear", "--max-iter", "1", "--out", str(path)])
+    out.append(("data-linear-max-iter-1", _json_digest(path)))
+
+    small = workdir / "small.csv"
+    rows = ElmSincCV.dataset(11, 300)
+    _write_csv(small, rows)
+    fits = {
+        "fit-elm": ["--method", "mcc-vc", "--model", "elm", "--hidden", "20", "--seed", "3"],
+        "fit-linear-mcc": ["--method", "mcc", "--model", "linear", "--mcc-sigma", "0.5",
+                           "--bias-column", "true"],
+    }
+    for name, flags in fits.items():
+        path = workdir / f"{name}.json"
+        _run(["fit", "--csv", str(small), "--no-header", *flags, "--out", str(path)])
+        out.append((name, _json_digest(path)))
+        predictions = bench.predict_with_model(json.loads(path.read_text()), rows[:, :-1])
+        out.append((f"{name}.predictions", _sha(np.ascontiguousarray(predictions).tobytes())))
+
+    for suffix in ("json", "csv"):
+        path = workdir / f"kernel-trace.{suffix}"
+        _run(["kernel-trace", "--case", "3", "--samples", "300", "--iterations", "1,2",
+              "--out", str(path)])
+        digest = _json_digest(path) if suffix == "json" else _sha(path.read_bytes())
+        out.append((f"kernel-trace-{suffix}", digest))
+    return out
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, digest in digests(Path(tmp)):
+            print(f"{name:<26} {digest}")
+
+
+if __name__ == "__main__":
+    main()
