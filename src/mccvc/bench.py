@@ -17,6 +17,7 @@ converging (`nonconverged`, always 0 for mmse).
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ from .features import (
     predict,
 )
 from .kernels import CenterRule, ParamGrid, default_param_grid, gaussian_kernel
-from .solvers import FitConfig, FitResult, fit_mcc, fit_mcc_vc, ridge_solve
+from .solvers import FitConfig, FitResult, _check_loop_settings, fit_mcc, fit_mcc_vc, ridge_solve
 
 CASE_LABELS = {
     1: "gaussian(0,2)",
@@ -78,6 +79,18 @@ class _BenchConfig(JsonRecord):
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "seeds": [self.seed + r for r in range(self.runs)]}
+
+
+def _check_fit_settings(cfg, lambdas, mcc_widths=()):
+    """Check each lambda' with `cfg`'s loop settings, and each frozen mcc width.
+
+    A positive width whose square underflows is accepted here: its fits fail
+    with DegenerateWeightsError and are reported as failed runs."""
+    for lambda_prime in lambdas:
+        _check_loop_settings(lambda_prime, cfg.max_iterations, cfg.tolerance)
+    for sigma in mcc_widths:
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"mcc widths must be positive finite reals, got {sigma!r}")
 
 
 def _fit(method: str, H, targets, lambda_prime: float, sigma, grid, cfg, on_iteration=None):
@@ -181,6 +194,9 @@ class SynthBenchConfig(_BenchConfig):
                 raise ValueError(f"unknown method {m!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+        _check_fit_settings(self, (self.lambda_prime,), self.mcc_sigmas)
 
 
 def synth_fit(
@@ -320,6 +336,12 @@ class DataBenchConfig(_BenchConfig):
                 raise ValueError(f"{name} must not be empty")
         for m in self.methods:
             canonical_method(m)
+        if self.hidden < 1:
+            raise ValueError("hidden must be at least 1")
+        if self.folds < 2:
+            raise ValueError("folds must be at least 2")
+        SplitSpec(train_fraction=self.train_fraction)
+        _check_fit_settings(self, self.lambda_grid, self.mcc_sigma_grid)
 
 
 def _feature_map(cfg: DataBenchConfig | FitCmdConfig, input_dim: int, seed: int) -> dict:
@@ -480,6 +502,9 @@ class FitCmdConfig(JsonRecord):
         if self.model not in ("linear", "elm"):
             raise ValueError(f"unknown model {self.model!r}")
         canonical_method(self.method)
+        if self.hidden < 1:
+            raise ValueError("hidden must be at least 1")
+        _check_fit_settings(self, (self.lambda_prime,), (self.mcc_sigma,))
 
 
 def run_fit(data: TabularDataset, cfg: FitCmdConfig) -> dict:
@@ -566,6 +591,7 @@ class KernelTraceConfig(JsonRecord):
         for k in self.iterations:
             if k < 1:
                 raise ValueError("iteration indices are 1-based")
+        _check_fit_settings(self, (self.lambda_prime,))
 
 
 def _histogram_range(residuals: np.ndarray, mode: str) -> tuple[float, float]:

@@ -62,7 +62,10 @@ def _parse_range(text: str) -> np.ndarray:
     if step <= 0 or end < start:
         raise argparse.ArgumentTypeError(f"grid {text!r} must ascend with step > 0")
     count = int(round((end - start) / step)) + 1
-    values = start + step * np.arange(count)
+    try:
+        values = start + step * np.arange(count)
+    except MemoryError:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has too many points ({count})") from None
     # Keep values up to `end` plus rounding slack, never a step beyond it.
     return values[values <= end + 1e-9 * step]
 
@@ -324,8 +327,8 @@ def _cmd_data_bench(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    name, data = _load_datasets(args)[0]
     cfg = _config(bench.FitCmdConfig, args)
+    name, data = _load_datasets(args)[0]
     model = bench.run_fit(data, cfg)
     out = args.out or Path("model.json")
     _write_json(model, out)

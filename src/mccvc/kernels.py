@@ -28,8 +28,6 @@ log = logging.getLogger(__name__)
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT_PI = math.sqrt(math.pi)
 
-# Relative slack under which two grid objectives count as tied.
-_TIE_RTOL = 1e-12
 # The smallest admissible kernel width, as a fraction of the residual spread.
 _SIGMA_FLOOR_FRAC = 1e-3
 # The explicit-grid screen (see `optimize_params`): lattice spacing in widths
@@ -265,9 +263,9 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
     The effective search space is sigma_set x center_set for the explicit-grid
     rule, and sigma_set x {mean-or-median of errors} otherwise.  Widths below
     1e-3 of the residual spread are clamped up so a single-sample spike cannot
-    dominate the downstream weighting matrix; ties (within 1e-12 relative) go
-    to the smaller width, then to the center closer to the sample median.
-    Returns the winning pair and its objective value.
+    dominate the downstream weighting matrix; exact ties go to the smaller
+    width, then to the center closer to the sample median, then to the
+    smaller center.  Returns the winning pair and its objective value.
 
     The result is bit for bit that of the full (S, C) table of objectives,
     though on a large explicit grid most of that table is only screened:
@@ -295,12 +293,11 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
       (2N + B + 48) eps to cover second-order terms.  The factor 2 is the
       objective's -2 in front of the mean.
     - Certified rescore.  With U the least screened objective plus its bound,
-      every point whose screened objective minus its bound exceeds U by more
-      than 4e-12 p_max is above the grid minimum and outside its 1e-12
-      relative tie band (|objective| <= 1.3 p), so it is dropped.  The kept
-      screened points are recomputed exactly, as table rows, which reduce
-      like the full table; the tie rule and its keys then see the same
-      minimum and the same tied set as on the full table.
+      every point whose screened objective minus its bound exceeds U is above
+      the grid minimum, so it is dropped.  The kept screened points are
+      recomputed exactly, as table rows, which reduce like the full table;
+      the tie rule and its keys then see the same minimum and the same tied
+      set as on the full table.
     """
     e = as_error_vector(errors)
     n = e.size
@@ -340,8 +337,7 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
         sorted_e = np.sort(e)
         for i in np.flatnonzero(screened):
             objective[i], bound[i] = _binned_objectives(sorted_e, centers, sigmas[i], int(counts[i]))
-        slack = 4.0 * _TIE_RTOL / (SQRT_2PI * sigmas[0])
-        keep = objective - bound <= (objective + bound).min() + slack
+        keep = objective - bound <= (objective + bound).min()
         for i in np.flatnonzero(screened & keep.any(axis=1)):
             kept = centers[keep[i]]
             objective[i, keep[i]] = _exact_objectives(kept[:, None] - e[None, :], sigmas[i:i + 1])[0]
@@ -349,7 +345,7 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
     rows, cols = np.nonzero(keep)
     values = objective[rows, cols]
     best = values.min()
-    tied = (values - best) <= np.maximum(np.abs(values), abs(best)) * _TIE_RTOL
+    tied = values == best
     rows, cols = rows[tied], cols[tied]
     pick = 0
     if rows.size > 1:

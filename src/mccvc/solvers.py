@@ -5,11 +5,16 @@ current residuals and solving a weighted ridge system
 (H' Lambda H + lambda' I) beta = H' Lambda (T - c), where Lambda holds the
 per-sample kernel weights.  The classical zero-center criterion is the same
 loop with the kernel frozen at (sigma, 0).
+
+Every normal-equation solve follows one rule: lambda' = 0 means
+unregularized, and a system whose Cholesky factorization fails has no unique
+solution, so it raises SingularSystemError for mmse, mcc and mcc-vc alike.
+Add regularization (lambda' > 0) to fit a rank-deficient design.
 """
 
 from __future__ import annotations
 
-import logging
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -26,10 +31,7 @@ from .kernels import (
     optimize_params,
 )
 
-log = logging.getLogger(__name__)
-
 _RESIDUAL_RTOL = 1e-8
-_JITTER_SCALE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,8 @@ class FitConfig:
 
 
 def _check_loop_settings(lambda_prime: float, max_iterations: int, tolerance: float):
-    if lambda_prime < 0.0:
-        raise ValueError("lambda_prime must be non-negative")
+    if not 0.0 <= lambda_prime < math.inf:
+        raise ValueError(f"lambda_prime must be a non-negative finite real, got {lambda_prime!r}")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     if not tolerance > 0.0:
@@ -85,32 +87,19 @@ def check_design(H, targets) -> tuple[np.ndarray, np.ndarray]:
     return H, t
 
 
-def _spd_solve(A: np.ndarray, b: np.ndarray, allow_jitter: bool) -> np.ndarray:
+def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A via Cholesky.
 
-    With `allow_jitter`, a failed factorization (semidefinite normal equations
-    with zero regularization) is retried once with a small diagonal bump.
-    The solve is verified against the system actually factorized.
+    A failed factorization (singular or indefinite normal equations, such as
+    a rank-deficient design with lambda' = 0) raises SingularSystemError.  A
+    solution whose residual exceeds 1e-8 (1 + max|b|) raises SolverError.
     """
-    A_used = A
     try:
-        factor = cho_factor(A_used, lower=True)
+        factor = cho_factor(A, lower=True)
     except LinAlgError:
-        if not allow_jitter:
-            raise SingularSystemError(
-                "normal equations are singular; add regularization"
-            ) from None
-        jitter = _JITTER_SCALE * float(np.trace(A)) / A.shape[0]
-        log.info("factorization failed; retrying with diagonal jitter %.3g", jitter)
-        A_used = A + jitter * np.eye(A.shape[0])
-        try:
-            factor = cho_factor(A_used, lower=True)
-        except LinAlgError:
-            raise SingularSystemError(
-                "normal equations remain singular after jitter retry"
-            ) from None
+        raise SingularSystemError("normal equations are singular; add regularization") from None
     x = cho_solve(factor, b)
-    residual = float(np.max(np.abs(A_used @ x - b)))
+    residual = float(np.max(np.abs(A @ x - b)))
     if residual > _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(b)))):
         raise SolverError(f"linear solve residual {residual:.3g} exceeds tolerance")
     return x
@@ -124,7 +113,7 @@ def ridge_solve(H, targets, lam: float) -> np.ndarray:
     A = H.T @ H
     A[np.diag_indices_from(A)] += lam
     b = H.T @ t
-    return _spd_solve(A, b, allow_jitter=False)
+    return _spd_solve(A, b)
 
 
 def weighted_ridge_step(
@@ -139,6 +128,8 @@ def weighted_ridge_step(
     W is the diagonal of kernel weights G_sigma(e_i - c) at the residuals of
     `beta_prev`.  All-zero weights with no regularization mean sigma is far
     too small for the current residuals and raise DegenerateWeightsError.
+    With lambda' = 0 a singular H'WH raises SingularSystemError, as in
+    `ridge_solve`.
     """
     H, t = check_design(H, targets)
     if lambda_prime < 0.0:
@@ -153,7 +144,7 @@ def weighted_ridge_step(
     A = H.T @ (w[:, None] * H)
     A[np.diag_indices_from(A)] += lambda_prime
     b = H.T @ (w * t_shift)
-    return _spd_solve(A, b, allow_jitter=True)
+    return _spd_solve(A, b)
 
 
 # Per-iteration hook: receives (k, residuals of beta_{k-1}, chosen params, beta_k).
@@ -245,7 +236,9 @@ def fit_mcc(
 
     The loop settings are checked as `FitConfig` checks them.  A positive
     width whose square underflows would zero every weight, so it raises
-    DegenerateWeightsError before the first iteration.
+    DegenerateWeightsError before the first iteration.  With lambda' = 0 a
+    design whose weighted normal equations are singular raises
+    SingularSystemError at the first iteration, as it does for `fit_mcc_vc`.
     """
     H, t = check_design(H, targets)
     _check_loop_settings(lambda_prime, max_iterations, tolerance)

@@ -203,6 +203,21 @@ class TestDataBench:
             "nonconverged", "selected",
         ]
 
+    def test_unregularized_candidates_drop_out_on_a_singular_elm_design(self):
+        # 30 sigmoid nodes on 2 inputs: cond(H) is 1e10-1e11, so every
+        # lambda' = 0 fit fails its factorization and the other candidates
+        # are selected, with no failed run.
+        rng = np.random.default_rng(7)
+        X = rng.uniform(-2, 2, (200, 2))
+        t = np.sinc(np.linalg.norm(X, axis=1)) + rng.normal(0, 0.05, 200)
+        cfg = self._cfg(
+            folds=3, hidden=30, lambda_grid=(0.0, 1e-4, 1e-2), mcc_sigma_grid=(0.1, 0.5),
+            vc_grid=ParamGrid(np.linspace(0.02, 0.5, 10), None, CenterRule.MEDIAN_OF_ERRORS),
+        )
+        for row in bench_dataset("sinc", TabularDataset(X, t), cfg)["results"]:
+            assert row["failures"] == 0
+            assert [c["lambda_prime"] > 0.0 for c in row["selected"]] == [True, True]
+
     def test_rerun_from_embedded_config(self, small_dataset):
         report = run_data_bench([("demo", small_dataset)], self._cfg(runs=1))
         config = json.loads(json.dumps(report["config"]))
@@ -367,15 +382,49 @@ class TestCli:
         ["data-bench", "--methods", "", "--runs", "1"],
         ["data-bench", "--lambda-grid", "", "--runs", "1"],
         ["synth-bench", "--jobs", "0"],
+        ["synth-bench", "--lambda-prime", "-1"],
+        ["synth-bench", "--samples", "0"],
+        ["synth-bench", "--mcc-sigma", "0"],
+        ["data-bench", "--lambda-grid", "0.1,-1", "--runs", "1"],
+        ["data-bench", "--mcc-sigma", "0", "--runs", "1"],
+        ["data-bench", "--hidden", "0", "--runs", "1"],
+        ["data-bench", "--folds", "1", "--runs", "1"],
+        ["data-bench", "--train-frac", "1.5", "--runs", "1"],
+        ["fit", "--lambda-prime", "-1"],
+        ["kernel-trace", "--lambda-prime", "-1"],
+        ["synth-bench", "--sigma-grid", "0.1:1e-13:1"],
     ])
     def test_bad_settings_are_one_line_usage_errors(self, tmp_path, capsys, argv):
         path = tmp_path / "d.csv"
         path.write_text("".join(f"{i},{i % 3},{2 * i}\n" for i in range(8)))
         if argv[0] in ("fit", "data-bench"):
-            argv = argv + ["--csv", str(path), "--no-header", "--hidden", "4"]
+            # The argv's own flags come last, so they override these.
+            argv = [argv[0], "--csv", str(path), "--no-header", "--hidden", "4", *argv[1:]]
         assert main(argv + ["--out", str(tmp_path / "o.json")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("mccvc: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cls, overrides", [
+        (SynthBenchConfig, {"lambda_prime": -1.0}),
+        (SynthBenchConfig, {"n_samples": 0}),
+        (SynthBenchConfig, {"mcc_sigmas": (0.0,)}),
+        (SynthBenchConfig, {"tolerance": 0.0}),
+        (DataBenchConfig, {"lambda_grid": (0.1, -1.0)}),
+        (DataBenchConfig, {"mcc_sigma_grid": (0.0,)}),
+        (DataBenchConfig, {"hidden": 0}),
+        (DataBenchConfig, {"folds": 1}),
+        (DataBenchConfig, {"train_fraction": 1.5}),
+        (DataBenchConfig, {"max_iterations": 0}),
+        (FitCmdConfig, {"lambda_prime": -1.0}),
+        (FitCmdConfig, {"lambda_prime": float("nan")}),
+        (DataBenchConfig, {"lambda_grid": (1e-4, float("inf"))}),
+        (FitCmdConfig, {"mcc_sigma": float("inf")}),
+        (FitCmdConfig, {"hidden": 0}),
+        (KernelTraceConfig, {"lambda_prime": -1.0}),
+    ])
+    def test_bad_settings_rejected_at_construction(self, cls, overrides):
+        with pytest.raises(ValueError):
+            cls(**overrides)
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         assert main(["data-bench", "--csv", str(tmp_path / "missing.csv"),

@@ -328,7 +328,7 @@ def _reference_optimize_params(errors, grid):
         objective[i, :] = 1.0 / (2.0 * kernels.SQRT_PI * s) - 2.0 * corr
 
     best = objective.min()
-    tied = (objective - best) <= np.maximum(np.abs(objective), abs(best)) * kernels._TIE_RTOL
+    tied = objective == best
     median = float(np.median(e))
     rows, cols = np.nonzero(tied)
     keys = [(sigmas[i], abs(centers[j] - median), centers[j]) for i, j in zip(rows, cols)]
@@ -404,6 +404,19 @@ class TestScreenedSearch:
 
     def test_exact_tie(self):
         _assert_same_search(np.array([-1.0, 1.0]), ParamGrid(np.array([1.0]), np.array([-1.0, 1.0])))
+
+    @pytest.mark.parametrize("errors, sigmas, centers", [
+        ([2.0, -1.0], [1.0], [0.0, 1e-14]),
+        ([0.0, 0.0, 4.0], [0.75], [0.0, 1e-8]),
+        ([0.0, 0.0, 0.0, 3.0, -1.0], [2.0], [0.0, 1e-10]),
+        ([1.0, 0.5, -2.0], [3.0], [0.0, 3.36e-14]),
+    ])
+    def test_near_tie_returns_the_grid_minimum(self, errors, sigmas, centers):
+        # Objectives a few ulps apart are not tied: criterion 10 needs the
+        # least one.
+        e = np.array(errors)
+        _, value = optimize_params(e, ParamGrid(np.array(sigmas), np.array(centers)))
+        assert value == min(param_objective(e, s, c) for s in sigmas for c in centers)
 
     @pytest.mark.parametrize("rule", [CenterRule.MEAN_OF_ERRORS, CenterRule.MEDIAN_OF_ERRORS])
     def test_one_center_rules(self, rule, large_residuals):

@@ -24,6 +24,10 @@ def _random_problem(rng, n=60, m=3, noise=0.1):
     return H, t, beta_true
 
 
+# Equal columns: H'WH is exactly singular for any weights.
+_DUPLICATED_COLUMN = (np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]), np.array([1.0, 2.0, 3.0]))
+
+
 class TestRidgeSolve:
     def test_identity_design_no_penalty(self):
         t = np.array([1.0, -2.0, 0.5])
@@ -93,15 +97,35 @@ class TestWeightedRidgeStep:
         with pytest.raises(DegenerateWeightsError):
             weighted_ridge_step(H, t, KernelParams(1.0, 0.0), 0.0, np.array([0.0]))
 
-    def test_jitter_retry_on_semidefinite_system(self, caplog):
-        # duplicated column makes H' W H exactly singular; the retry bumps the
-        # diagonal and still satisfies the solve-residual contract.
-        H = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        t = np.array([1.0, 2.0, 3.0])
-        with caplog.at_level("INFO", logger="mccvc.solvers"):
-            beta = weighted_ridge_step(H, t, KernelParams(5.0, 0.0), 0.0, np.zeros(2))
-        assert np.all(np.isfinite(beta))
-        assert any("jitter" in r.message for r in caplog.records)
+    def test_singular_system_needs_regularization(self):
+        # A duplicated column makes H' W H exactly singular: with lambda' = 0
+        # there is no unique step, and any positive lambda' restores one.
+        H, t = _DUPLICATED_COLUMN
+        with pytest.raises(SingularSystemError):
+            weighted_ridge_step(H, t, KernelParams(5.0, 0.0), 0.0, np.zeros(2))
+        beta = weighted_ridge_step(H, t, KernelParams(5.0, 0.0), 1e-4, np.zeros(2))
+        w = gaussian_kernel(t, 5.0)
+        A = H.T @ (w[:, None] * H) + 1e-4 * np.eye(2)
+        b = H.T @ (w * t)
+        assert np.max(np.abs(A @ beta - b)) <= 1e-8 * (1.0 + np.max(np.abs(b)))
+
+    @pytest.mark.parametrize("fit", ["mcc", "mcc-vc"])
+    def test_unregularized_singular_fit_fails_at_first_iteration(self, fit, caplog):
+        H, t = _DUPLICATED_COLUMN
+        steps = []
+
+        def hook(k, residuals, params, beta):
+            steps.append(k)
+
+        with caplog.at_level("DEBUG", logger="mccvc.solvers"):
+            with pytest.raises(SingularSystemError):
+                if fit == "mcc":
+                    fit_mcc(H, t, sigma=5.0, lambda_prime=0.0, on_iteration=hook)
+                else:
+                    grid = ParamGrid(np.array([1.0, 5.0]), np.array([-1.0, 0.0, 1.0]))
+                    fit_mcc_vc(H, t, FitConfig(grid=grid, lambda_prime=0.0), on_iteration=hook)
+        assert steps == []
+        assert not [r for r in caplog.records if r.name == "mccvc.solvers"]
 
 
 class TestFixedPointLoops:

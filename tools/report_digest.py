@@ -7,10 +7,11 @@ Run it against a checkout's package to compare two trees:
 It writes a fixed list of `synth-bench`, `data-bench`, `fit` and
 `kernel-trace` reports through `mccvc.cli.main` into a temporary directory,
 drops every JSON key that contains "time" (wall-clock fields), and prints
-`<name> <sha256>` per report.  Two trees that print the same lines write the
-same reports byte for byte, key order included.  The `fit` models are also
-reloaded through `mccvc.bench.predict_with_model`, and the predictions get a
-line of their own.  The data-bench argv of the elm-sinc-cv workload are taken
+`<name> <sha256>` per report, or `<name> exit <code>` for a run that exits
+non-zero.  Two trees that print the same lines write the same reports byte
+for byte, key order included.  The `fit` models are also reloaded through
+`mccvc.bench.predict_with_model`, and the predictions get a line of their
+own.  The data-bench argv of the elm-sinc-cv workload are taken
 from `perfbench.workloads.ElmSincCV`, which is only read.  It takes about
 15 s on 2 CPUs.
 """
@@ -66,11 +67,11 @@ def _json_digest(path: Path) -> str:
     return _sha(json.dumps(report, indent=2).encode())
 
 
-def _run(argv: list[str]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    if code != 0:
-        raise SystemExit(f"exit {code}: {' '.join(argv)}")
+def _run(argv: list[str], path: Path, digest=_json_digest) -> str:
+    """Run one CLI command that writes `path`; return its digest or `exit <code>`."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([*argv, "--out", str(path)])
+    return digest(path) if code == 0 else f"exit {code}"
 
 
 def _write_csv(path: Path, rows: np.ndarray):
@@ -81,21 +82,20 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
     out = []
 
     for name, flags in SYNTH.items():
-        path = workdir / f"{name}.json"
-        _run(["synth-bench", *flags, "--out", str(path)])
-        out.append((name, _json_digest(path)))
+        out.append((name, _run(["synth-bench", *flags], workdir / f"{name}.json")))
 
     sinc = ElmSincCV()
     sinc.setup(SPLIT_SEEDS[0], workdir / "sinc")
     for seed in SPLIT_SEEDS:
         for _kind, method in sinc.METHODS:
             path = workdir / f"data-{method}-s{seed}.json"
-            _run(sinc.argv(method, seed, path))
-            out.append((f"data-{method}-s{seed}", _json_digest(path)))
-    path = workdir / "data-linear-max-iter-1.json"
-    _run(["data-bench", "--csv", str(sinc.csv), "--no-header", "--runs", "2", "--folds", "3",
-          "--model", "linear", "--max-iter", "1", "--out", str(path)])
-    out.append(("data-linear-max-iter-1", _json_digest(path)))
+            # The workload argv already hold `--out path`; `_run` repeats it.
+            out.append((f"data-{method}-s{seed}", _run(sinc.argv(method, seed, path), path)))
+    out.append(("data-linear-max-iter-1", _run(
+        ["data-bench", "--csv", str(sinc.csv), "--no-header", "--runs", "2", "--folds", "3",
+         "--model", "linear", "--max-iter", "1"],
+        workdir / "data-linear-max-iter-1.json",
+    )))
 
     small = workdir / "small.csv"
     rows = ElmSincCV.dataset(11, 300)
@@ -107,17 +107,25 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
     }
     for name, flags in fits.items():
         path = workdir / f"{name}.json"
-        _run(["fit", "--csv", str(small), "--no-header", *flags, "--out", str(path)])
-        out.append((name, _json_digest(path)))
+        out.append((name, _run(["fit", "--csv", str(small), "--no-header", *flags], path)))
         predictions = bench.predict_with_model(json.loads(path.read_text()), rows[:, :-1])
         out.append((f"{name}.predictions", _sha(np.ascontiguousarray(predictions).tobytes())))
+    # lambda' = 0 on an ELM design with singular weighted normal equations.
+    for method in ("mcc", "mcc-vc"):
+        name = f"fit-elm-{method}-lambda0"
+        out.append((name, _run(
+            ["fit", "--csv", str(small), "--no-header", "--method", method, "--model", "elm",
+             "--hidden", "20", "--lambda-prime", "0"],
+            workdir / f"{name}.json",
+        )))
 
     for suffix in ("json", "csv"):
         path = workdir / f"kernel-trace.{suffix}"
-        _run(["kernel-trace", "--case", "3", "--samples", "300", "--iterations", "1,2",
-              "--out", str(path)])
-        digest = _json_digest(path) if suffix == "json" else _sha(path.read_bytes())
-        out.append((f"kernel-trace-{suffix}", digest))
+        digest = _json_digest if suffix == "json" else lambda p: _sha(p.read_bytes())
+        out.append((f"kernel-trace-{suffix}", _run(
+            ["kernel-trace", "--case", "3", "--samples", "300", "--iterations", "1,2"],
+            path, digest,
+        )))
     return out
 
 
