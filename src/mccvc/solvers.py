@@ -14,7 +14,6 @@ Add regularization (lambda' > 0) to fit a rank-deficient design.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -26,6 +25,7 @@ from .errors import DegenerateWeightsError, DivergedError, SingularSystemError, 
 from .kernels import (
     KernelParams,
     ParamGrid,
+    _check_non_negative,
     _kernel_values,
     mcc_vc_cost,
     optimize_params,
@@ -48,8 +48,7 @@ class FitConfig:
 
 
 def _check_loop_settings(lambda_prime: float, max_iterations: int, tolerance: float):
-    if not 0.0 <= lambda_prime < math.inf:
-        raise ValueError(f"lambda_prime must be a non-negative finite real, got {lambda_prime!r}")
+    _check_non_negative(lambda_prime, "lambda_prime")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     if not tolerance > 0.0:
@@ -108,8 +107,7 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def ridge_solve(H, targets, lam: float) -> np.ndarray:
     """Regularized least squares (H'H + lam I)^{-1} H'T via an SPD factorization."""
     H, t = check_design(H, targets)
-    if lam < 0.0:
-        raise ValueError("lam must be non-negative")
+    lam = _check_non_negative(lam, "lam")
     A = H.T @ H
     A[np.diag_indices_from(A)] += lam
     b = H.T @ t
@@ -132,8 +130,7 @@ def weighted_ridge_step(
     `ridge_solve`.
     """
     H, t = check_design(H, targets)
-    if lambda_prime < 0.0:
-        raise ValueError("lambda_prime must be non-negative")
+    lambda_prime = _check_non_negative(lambda_prime, "lambda_prime")
     e = t - H @ np.asarray(beta_prev, dtype=float)
     w = _kernel_values(e - params.center, params.sigma)
     if lambda_prime == 0.0 and not np.any(w > 0.0):
@@ -264,6 +261,7 @@ def mcc_vc_gradient(H, targets, beta, params: KernelParams, lam: float) -> np.nd
     with e = T - H beta.  Used to certify stationarity of converged fits.
     """
     H, t = check_design(H, targets)
+    lam = _check_non_negative(lam, "lam")
     beta = np.asarray(beta, dtype=float)
     u = (t - H @ beta) - params.center
     w = _kernel_values(u, params.sigma)

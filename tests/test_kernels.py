@@ -122,6 +122,15 @@ class TestEmpiricalCorrentropy:
                 e, c, sigma
             )
 
+    def test_kde_on_a_2d_grid_matches_scalar_calls(self):
+        rng = np.random.default_rng(12)
+        e = rng.normal(0.5, 2.0, 70)
+        x = np.linspace(-3.0, 4.0, 6).reshape(2, 3)
+        out = gaussian_kde(e, x, 0.7)
+        assert out.shape == (2, 3)
+        for idx in np.ndindex(x.shape):
+            assert out[idx] == gaussian_kde(e, float(x[idx]), 0.7)
+
     def test_translation_equivariance(self):
         rng = np.random.default_rng(5)
         e = rng.normal(2.0, 1.5, 150)
@@ -152,6 +161,17 @@ class TestCost:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             mcc_vc_cost([1.0], KernelParams(1.0, 0.0), 1.0, -0.1)
+
+    @pytest.mark.parametrize("weight_norm_sq, lam, name", [
+        (1.0, math.nan, "lam"),
+        (1.0, math.inf, "lam"),
+        (math.inf, 0.0, "weight_norm_sq"),
+        (math.nan, 0.1, "weight_norm_sq"),
+        (-1.0, 0.1, "weight_norm_sq"),
+    ])
+    def test_rejects_non_finite_regularizer(self, weight_norm_sq, lam, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative finite real"):
+            mcc_vc_cost([0.5, -1.0, 2.0], KernelParams(1.0, 0.0), weight_norm_sq, lam)
 
 
 class TestParamObjective:
@@ -385,9 +405,26 @@ class TestScreenedSearch:
             optimize_params(e, grid)
         assert sum("clamped" in r.message for r in caplog.records) == 1
 
-    def test_errors_beyond_the_reach_of_every_center(self):
-        e = np.random.default_rng(33).normal(100.0, 1.0, 4000)
+    def test_small_synthetic_residuals(self):
+        # At N=400 every default-grid width is a clipped row.
+        for case in (1, 2, 3, 4):
+            H, t = synth_case_design(case, 400, 18)
+            _assert_same_search(t - H @ ridge_solve(H, t, 1e-4), default_param_grid())
+
+    def test_winner_with_kernel_values_in_the_subnormal_band(self):
+        # Outliers about 38 widths from the winning pair: their exact kernel
+        # values are subnormal, and clipped rows put them at the reach.
+        rng = np.random.default_rng(37)
+        e = np.concatenate([rng.normal(0.0, 0.3, 380), 15.2 + rng.uniform(-0.08, 0.08, 20)])
         _assert_same_search(e, default_param_grid())
+        params, _ = optimize_params(e, default_param_grid())
+        arg = -((e - params.center) ** 2) / (2.0 * params.sigma**2)
+        assert np.count_nonzero((arg > -746.0) & (arg < -708.0)) == 20
+
+    def test_errors_beyond_the_reach_of_every_center(self):
+        for n in (4000, 400):
+            e = np.random.default_rng(33).normal(100.0, 1.0, n)
+            _assert_same_search(e, default_param_grid())
 
     def test_mirrored_modes_tie(self):
         # Modes at +/-4 of a mirrored sample: the two best centers (sigma 0.6,
@@ -397,10 +434,12 @@ class TestScreenedSearch:
 
     def test_centers_too_far_out_for_a_lattice(self):
         # Near 1e17 floats are 16 apart, more than a lattice step of 0.1 sigma:
-        # these widths stay exact instead of binning onto coincident nodes.
+        # these widths are clipped rows instead of binning onto coincident
+        # nodes (at N=400 the small N alone makes them clipped).
         centers = 1e17 + 16.0 * np.arange(8)
-        e = 1e17 + np.random.default_rng(36).normal(0.0, 100.0, 2000)
-        _assert_same_search(e, ParamGrid(np.array([50.0, 100.0]), centers))
+        for n in (2000, 400):
+            e = 1e17 + np.random.default_rng(36).normal(0.0, 100.0, n)
+            _assert_same_search(e, ParamGrid(np.array([50.0, 100.0]), centers))
 
     def test_exact_tie(self):
         _assert_same_search(np.array([-1.0, 1.0]), ParamGrid(np.array([1.0]), np.array([-1.0, 1.0])))
@@ -448,6 +487,8 @@ class TestScreenedSearch:
     centers=st.lists(st.floats(-10, 10), min_size=1, max_size=12, unique=True),
 )
 def test_screen_is_within_its_bound(n, seed, loc, scale, sigma, centers):
+    # Both screens of one width against its exact table row: the binned one,
+    # and the clipped one that every width gets at small N.
     rng = np.random.default_rng(seed)
     e = rng.normal(loc, scale, n)
     far = rng.random(n) < 0.1
@@ -455,5 +496,9 @@ def test_screen_is_within_its_bound(n, seed, loc, scale, sigma, centers):
     c = np.sort(np.array(centers))
     count = int(kernels._node_counts(c, np.array([sigma]))[0])
     screen, bound = kernels._binned_objectives(np.sort(e), c, sigma, count)
-    exact = kernels._exact_objectives(c[:, None] - e[None, :], np.array([sigma]))[0]
+    diff = c[:, None] - e[None, :]
+    exact = kernels._exact_objectives(diff, np.array([sigma]))[0]
     assert np.all(np.abs(screen - exact) <= bound)
+    sq = diff * diff
+    clipped, clipped_bound = kernels._clipped_objectives(sq, sigma)
+    assert np.all(np.abs(clipped - exact) <= clipped_bound)

@@ -53,6 +53,11 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.ones(2), -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_non_finite_penalty(self, lam):
+        with pytest.raises(ValueError, match="^lam must be a non-negative finite real"):
+            ridge_solve(np.eye(2), np.ones(2), lam)
+
     def test_matches_lstsq_on_random_problems(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -62,6 +67,12 @@ class TestRidgeSolve:
 
 
 class TestWeightedRidgeStep:
+    @pytest.mark.parametrize("lambda_prime", [-1e-4, math.nan, math.inf])
+    def test_rejects_bad_lambda_prime(self, lambda_prime):
+        H, t = np.eye(2), np.ones(2)
+        with pytest.raises(ValueError, match="^lambda_prime must be a non-negative finite real"):
+            weighted_ridge_step(H, t, KernelParams(1.0, 0.0), lambda_prime, np.zeros(2))
+
     def test_huge_width_recovers_ols(self):
         rng = np.random.default_rng(1)
         H, t, _ = _random_problem(rng)
@@ -259,3 +270,10 @@ class TestStationarity:
                 ) / (2.0 * h)
             denom = max(np.max(np.abs(g)), 1e-8)
             assert np.max(np.abs(fd - g)) / denom <= 1e-4
+
+    @pytest.mark.parametrize("lam", [-1e-3, math.nan, math.inf])
+    def test_gradient_rejects_bad_lambda(self, lam):
+        rng = np.random.default_rng(14)
+        H, t, _ = _random_problem(rng, n=20, m=3)
+        with pytest.raises(ValueError, match="^lam must be a non-negative finite real"):
+            mcc_vc_gradient(H, t, np.zeros(3), KernelParams(1.0, 0.0), lam)

@@ -47,6 +47,8 @@ SYNTH = {
                         "--center-rule", "mean"],
     "synth-n20000": ["--runs", "2", "--samples", "20000", "--cases", "2,4",
                      "--methods", "mcc-vc"],
+    # The synth-contam setting: every (sigma, c) search has N=400.
+    "synth-n400": ["--runs", "5", "--samples", "400", "--cases", "1,2,3,4"],
 }
 
 
