@@ -6,13 +6,12 @@ of a residual sample is the mean kernel value of (e_i - c), so the pair
 (sigma, c) controls both the width and the location of the low-cost region.
 `optimize_params` picks that pair by minimizing the integrated squared distance
 between the shifted kernel and the residual density, evaluated on a finite
-grid (the closed-form self-energy term is 1 / (2 sqrt(pi) sigma)).  The
-one-center (mean and median) rules compute every objective exactly.  On an
-explicit grid every width is first screened, by linearly binned kernel sums
-when N is large against the lattice and by kernel sums with differences
-clipped at a fixed reach otherwise; both screens have a proven error bound,
-and only the grid points that bound cannot rule out are recomputed exactly,
-so the search returns bit for bit what the full table of objectives would.
+grid (the closed-form self-energy term is 1 / (2 sqrt(pi) sigma)).  Every exact
+kernel sum is one mean, `_kernel_mean`.  On an explicit grid each width is first
+screened by one kernel sum over points with masses, the errors themselves or,
+when N is large against the lattice, their linear binning, under one proven
+error bound; only the grid points that bound cannot rule out are rescored
+exactly, so the search returns bit for bit what the full table would.
 """
 
 from __future__ import annotations
@@ -32,19 +31,29 @@ SQRT_PI = math.sqrt(math.pi)
 
 # The smallest admissible kernel width, as a fraction of the residual spread.
 _SIGMA_FLOOR_FRAC = 1e-3
-# The explicit-grid screens (see `optimize_params`): lattice spacing in widths
-# (rho), and the reach in widths beyond which an error leaves a center's binned
-# sum, or counts as at the reach in a clipped one (L).
+# The explicit-grid screen (see `optimize_params`): lattice spacing in widths
+# (rho), and the reach in widths at which a difference is clipped, and beyond
+# which an error leaves a binned row (L).
 _BIN_FRAC = 0.1
 _REACH = 10.0
-# A width is screened only when N is at least this many times its node count B
-# and there are at least this many centers.  Measured per width on 2 CPUs
-# (numpy 2.4, 1 BLAS thread, widths 0.2-5, centers spanning 10, 10% outliers),
-# exact row time over screened row time was 0.65-1.5 at N = B, and at N = 8B
-# 3.8-23 with 101 centers, 1.4-8.5 with 25 and 0.95-3.6 with 8.  Against a
-# clipped row (the alternative since) the ratio at N = 8B was 3.4-4.6 with 101
-# centers, 1.1-2.0 with 25 and 0.71-0.82 with 8.
-_SCREEN_RATIO = 8
+# A width is binned when its unbinned row, C N kernel values, would cost more:
+# binning costs, in such values (about 2.5 ns each), 8 per error, 2 per center
+# and node and 24000 per row, so never with 8 centers or fewer.  Least squares
+# on row times gave 7.9, 1.9 and 16000; the last is raised so that no width
+# below is binned where its unbinned row was faster.  Unbinned over binned row
+# time, the median of 3 sweeps of 15 rounds per width (2 CPUs, numpy 2.4.6, 1
+# BLAS thread, centers spanning 10, 10% outliers), over widths 0.2, 1 and 5
+# (1 and 5 at N = 64B, 5 at 128B):
+# N/B  8 centers 12        16        24        32        101
+#   2  0.25-0.33 0.29-0.44 0.33-0.49 0.42-0.60 0.47-0.68 0.71-0.86
+#   8  0.48-0.67 0.59-0.84 0.72-1.05 0.96-1.44 1.08-1.83 2.36-3.23
+#  16  0.54-0.84 0.78-1.24 0.89-1.60 1.43-2.29 1.76-2.87 4.31-5.01
+#  32  0.67-1.05 1.03-1.53 1.38-1.92 2.00-2.91 2.64-3.61 6.49-7.64
+#  64  0.81-0.92 1.29-1.47 1.70-1.92 2.65-3.04 3.55-3.69 8.48-9.48
+# 128  1.00      1.49      2.08      2.96      3.73      11.19
+_BIN_COST_PER_ERROR = 8
+_BIN_COST_PER_NODE = 2
+_BIN_COST_PER_ROW = 24000
 # Lattice nodes must be 2**20 ulps apart or more, so their rounding stays far
 # below a spacing (and two nodes never coincide).
 _RESOLUTION = 2.0**20 * sys.float_info.epsilon
@@ -168,6 +177,17 @@ def _kernel_values(u: np.ndarray, sigma: float) -> np.ndarray:
     return np.exp(-(u * u) / (2.0 * sigma * sigma)) * coef
 
 
+def _kernel_mean(u: np.ndarray, sigma) -> np.ndarray:
+    """Exact mean kernel value along the last axis of `u`, behind every exact sum:
+    a C-contiguous table's rows reduce bit for bit like 1-D vectors."""
+    return _kernel_values(u, sigma).mean(axis=-1)
+
+
+def _objective(corr, sigma):
+    # The closed-form self-energy 1/(2 sqrt(pi) sigma) minus twice the mean.
+    return 1.0 / (2.0 * SQRT_PI * sigma) - 2.0 * corr
+
+
 def gaussian_kernel(u, sigma: float):
     """Normalized Gaussian kernel exp(-u^2 / (2 sigma^2)) / (sqrt(2 pi) sigma).
 
@@ -186,7 +206,7 @@ def gaussian_kernel(u, sigma: float):
 def empirical_correntropy(errors, params: KernelParams) -> float:
     """Sample correntropy (1/N) sum_i G_sigma(e_i - c) of a residual vector."""
     e = as_error_vector(errors)
-    return float(_kernel_values(e - params.center, params.sigma).mean())
+    return float(_kernel_mean(e - params.center, params.sigma))
 
 
 def gaussian_kde(sample, x, bandwidth: float):
@@ -201,8 +221,7 @@ def gaussian_kde(sample, x, bandwidth: float):
     xs = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xs)):
         raise ValueError("evaluation points must be finite")
-    # Each row mean reduces along the contiguous axis, like the 1-D mean.
-    out = _kernel_values(xs.reshape(-1, 1) - s, bandwidth).mean(axis=1).reshape(xs.shape)
+    out = _kernel_mean(xs.reshape(-1, 1) - s, bandwidth).reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out
 
 
@@ -221,21 +240,18 @@ def param_objective(errors, sigma: float, center: float) -> float:
     """
     sigma = _check_width(sigma)
     e = as_error_vector(errors)
-    corr = float(_kernel_values(e - float(center), sigma).mean())
-    return 1.0 / (2.0 * SQRT_PI * sigma) - 2.0 * corr
+    return float(_objective(_kernel_mean(e - float(center), sigma), sigma))
 
 
-def _exact_objectives(diff: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """(S, C) objectives of each width in `sigmas` at each row of the (C, N)
-    center-minus-error table `diff`, in blocks of at most max(C*N, 2**16)
-    kernel values.  Every row mean reduces along the contiguous axis, so it
-    is bit for bit the 1-D mean in `param_objective`."""
+def _exact_objectives(e: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """(S, C) exact objectives of each width in `sigmas` at each center, in
+    blocks of at most max(C*N, 2**16) kernel values."""
+    diff = centers[:, None] - e
     per_block = max(1, (1 << 16) // diff.size)
-    out = np.empty((sigmas.size, diff.shape[0]))
+    out = np.empty((sigmas.size, centers.size))
     for start in range(0, sigmas.size, per_block):
         s = sigmas[start:start + per_block, None, None]
-        corr = _kernel_values(diff, s).mean(axis=2)
-        out[start:start + per_block] = 1.0 / (2.0 * SQRT_PI * s[:, :, 0]) - 2.0 * corr
+        out[start:start + per_block] = _objective(_kernel_mean(diff, s), s[:, :, 0])
     return out
 
 
@@ -246,10 +262,10 @@ def _node_counts(centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     return np.ceil(span / (_BIN_FRAC * sigmas)) + 2
 
 
-def _binned_objectives(sorted_e: np.ndarray, centers: np.ndarray, s, count: int):
-    """Screened objectives of width `s` at every center from `count` lattice
-    nodes, and the bound on their distance to the exact ones."""
-    n = sorted_e.size
+def _lattice(sorted_e: np.ndarray, centers: np.ndarray, s, count: int):
+    """Linear binning of the errors within L widths of the centers' range onto
+    B = `count` nodes 0.1 `s` apart: the (C, B) squared center-minus-node
+    table, the node masses, the largest node spacing and B."""
     h = _BIN_FRAC * s
     lo = centers[0] - _REACH * s
     first, stop = np.searchsorted(sorted_e, (lo, centers[-1] + _REACH * s))
@@ -259,29 +275,21 @@ def _binned_objectives(sorted_e: np.ndarray, centers: np.ndarray, s, count: int)
     left = nodes[k]
     t = (x - left) / (nodes[k + 1] - left)
     mass = np.bincount(k, 1.0 - t, count) + np.bincount(k + 1, t, count)
-    # Clipping the differences to the reach keeps exp off its slow underflow path.
-    u = centers[:, None] - nodes
-    np.clip(u, -_REACH * s, _REACH * s, out=u)
-    corr = (_kernel_values(u, s) @ mass) / n
-    spacing = float(np.max(np.diff(nodes)))
-    bound = 2.0 / (SQRT_2PI * s) * (
-        spacing * spacing / (8.0 * s * s) + _TAIL + (2 * n + count + 48) * sys.float_info.epsilon
-    )
-    return 1.0 / (2.0 * SQRT_PI * s) - 2.0 * corr, bound
+    return (centers[:, None] - nodes) ** 2, mass, float(np.max(np.diff(nodes))), count
 
 
-def _clipped_objectives(sq: np.ndarray, s):
-    """Clipped objectives of width `s` at every row of the (C, N) table `sq` of
-    squared center-minus-error differences, and the bound on their distance
-    to the exact ones."""
-    n = sq.shape[1]
-    # Differences beyond the reach count as at the reach, which keeps every
-    # exp argument in [-L^2/2, 0], off exp's slow underflow path.
+def _screened_objectives(sq: np.ndarray, s, mass: np.ndarray, n: int, h: float, nodes: int):
+    """Screened objectives of width `s` at each row of the (C, P) table `sq` of
+    squared center-minus-point differences over points of masses `mass` (B =
+    `nodes` nodes `h` apart, or h = B = 0 and N = `n` unit-mass errors), and
+    their bound (derived in `optimize_params`)."""
     arg = sq * (-1.0 / (2.0 * s * s))
     np.maximum(arg, -0.5 * _REACH * _REACH, out=arg)
-    corr = np.exp(arg, out=arg).mean(axis=1) / (SQRT_2PI * s)
-    bound = 2.0 / (SQRT_2PI * s) * (_TAIL + (2 * n + 48) * sys.float_info.epsilon)
-    return 1.0 / (2.0 * SQRT_PI * s) - 2.0 * corr, bound
+    corr = (np.exp(arg, out=arg) @ mass) / (n * SQRT_2PI * s)
+    bound = 2.0 / (SQRT_2PI * s) * (
+        h * h / (8.0 * s * s) + _TAIL + (2 * n + nodes + 48) * sys.float_info.epsilon
+    )
+    return _objective(corr, s), bound
 
 
 def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
@@ -292,64 +300,53 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
     1e-3 of the residual spread are clamped up so a single-sample spike cannot
     dominate the downstream weighting matrix; exact ties go to the smaller
     width, then to the center closer to the sample median, then to the
-    smaller center.  Returns the winning pair and its objective value.
+    smaller center.  Returns the winning pair and its objective value.  Errors
+    whose spread overflows (their squared deviations from their mean sum past
+    the largest float) raise ValueError.
 
-    The result is bit for bit that of the full (S, C) table of objectives,
-    though on an explicit grid that table is only screened, and each row is of
-    one of three kinds:
+    The result is bit for bit that of the full (S, C) table of objectives.
+    Every exact objective is a row of `_kernel_mean`, as in `param_objective`;
+    the mean and median rules (one center) compute their whole table so, in
+    one broadcast over blocks of widths.  An explicit grid is screened, and
+    only the points the screen cannot rule out are computed exactly:
 
-    - Exact rows.  The mean and median rules (one center) compute every width
-      exactly, in one broadcast over blocks of widths; so does the rescore
-      below.  An exact entry is bit for bit `param_objective` at its pair.
-    - Binned rows.  An explicit-grid width is binned when there are at least
-      8 centers and N is at least 8 times its node count B
-      (`_SCREEN_RATIO`), and its lattice is coarse enough for its floats.
-      The errors within L = 10 widths of the center range are linearly
-      binned onto nodes h = 0.1 sigma apart (Silverman 1982, AS 176; Wand
-      1994), and each center's kernel sum becomes one (C, B) matvec.  With
-      p = 1/(sqrt(2 pi) sigma) the kernel's peak, each binned objective is
-      within 2 p [h^2/(8 sigma^2) + exp(-(L-1)^2/2) + (2N + B + 48) eps] of
-      the exact table entry.  The first term is the linear-interpolation
-      error h^2/8 max|G''|, with max|G''| = p/sigma^2.  The second bounds a
-      kernel value beyond (L - 1) widths: errors outside the window are
-      dropped and node differences beyond L widths are clipped.  The third
-      is rounding: each kernel value is within 16u p (u = eps/2), and a sum
-      of m non-negative terms in any order within (m - 1)u of their total
-      (Higham 2002, sec. 4.2).  That puts the exact mean within (N + 16)u p
-      and the screen (bin masses from N weights, then a B-term matvec)
-      within (N + B + 24)u p; (2N + B + 42)u is charged twice over as
-      (2N + B + 48) eps to cover second-order terms.  The factor 2 is the
-      objective's -2 in front of the mean.
-    - Clipped rows.  Every other explicit-grid width (such as too few
-      centers, too small an N, a clamped tiny width or centers too far out
-      for a lattice) is screened from one (C, N) table of squared
-      differences (c_j - e_i)^2 shared by all such widths.  Each exp argument
-      is that square times -1/(2 sigma^2), a product rather than the exact
-      row's division, and is clipped at -L^2/2: a difference beyond L widths
-      counts as at L widths, which keeps every argument in [-50, 0], away
-      from exp's slow path below about -708.  The peak p multiplies the
-      row mean once instead of every value.  Each clipped objective is within
-      2 p [exp(-(L-1)^2/2) + (2N + 48) eps] of the exact table entry, the
-      binned bound with h = 0 and B = 0.  The first term covers the clip:
-      beyond L widths the exact and the clipped kernel value both lie in
-      [0, p exp(-L^2/2)] up to rounding, and charging them at L - 1 widths,
-      as the binned tail does, absorbs that rounding.  The second is
-      rounding, widened for the reordered arithmetic: the product argument
-      has a relative error of at most 4u, which moves exp(a) by at most
-      4u |a| exp(a) <= 4u/e, so each unscaled value is still within 16u of
-      its exact exp; their mean is within (N - 1)u + u more, and dividing it
-      by sqrt(2 pi) sigma adds 2u, so the clipped mean is within (N + 18)u p.
-      With the exact mean's (N + 16)u p that is (2N + 34)u, charged twice
-      over as (2N + 48) eps as above.
+    - Screened rows.  A width's row is the kernel sum (1/N) sum_k m_k
+      G(c - x_k) over points x_k with masses m_k, from (c - x_k)^2 times
+      -1/(2 sigma^2), clipped at -L^2/2 (L = 10: a difference beyond L widths
+      counts as at L widths, so exp stays off its slow path below about
+      -708), then exp and a matvec with the masses.  An unbinned row's points
+      are the errors with unit masses, in one (C, N) table shared by all such
+      widths.  A binned row's points are B nodes h = 0.1 sigma apart, onto
+      which the errors within L widths of the centers are linearly binned
+      (Silverman 1982, AS 176; Wand 1994).  A width is binned when that was
+      measured faster (`_BIN_COST_*`) and its nodes are 2**20 ulps apart.
+    - Bound.  With p = 1/(sqrt(2 pi) sigma) the kernel's peak, and h = B = 0
+      for an unbinned row, a screened objective is within
+      2 p [h^2/(8 sigma^2) + exp(-(L-1)^2/2) + (2N + B + 48) eps] of the
+      exact one; the 2 is the objective's -2.  Interpolation: h^2/8 max|G''|,
+      with max|G''| = p/sigma^2.  Tail: an error outside the window, or a
+      clipped difference, has its exact and its screened value in
+      [0, p exp(-L^2/2)] up to rounding; charging it at L - 1 widths absorbs
+      that rounding and that of the window ends.  Rounding (u = eps/2): each
+      kernel value is within 16u p, since an exp argument a off by a relative
+      d <= 6u moves exp(a) by at most d |a| exp(a) <= d/e, and a sum of m
+      non-negative terms in any order is within (m - 1)u (Higham 2002,
+      sec. 4.2).  So the exact mean is within (N + 16)u p and the screened
+      one within (N + B + 24)u p (bin masses from N weights then a B-term
+      matvec, or an N-term matvec, then the one division by N sqrt(2 pi)
+      sigma); their (2N + B + 40)u is charged twice over.
     - Certified rescore.  With U the least screened objective plus its bound,
-      every point whose screened objective minus its bound exceeds U is above
+      a point whose screened objective minus its bound exceeds U is above
       the grid minimum, so it is dropped.  The kept points are recomputed
-      exactly, as table rows, which reduce like the full table; the tie rule
-      and its keys then see the same minimum and the same tied set as on the
-      full table.
+      exactly, so the tie rule sees the full table's minimum and tied set.
     """
     e = as_error_vector(errors)
     n = e.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = float(np.std(e))
+    if not math.isfinite(spread):
+        raise ValueError("error spread overflows: the squared deviations from the mean "
+                         f"must sum to at most the largest float, {sys.float_info.max:.3g}")
 
     median = None
     if grid.center_rule is CenterRule.EXPLICIT_GRID:
@@ -360,7 +357,6 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
         median = float(np.median(e))
         centers = np.array([median])
 
-    spread = float(np.std(e))
     floor = _SIGMA_FLOOR_FRAC * (spread if spread > 0.0 else 1.0)
     sigmas = np.asarray(grid.sigma_set, dtype=float)
     n_clamped = int(np.count_nonzero(sigmas < floor))
@@ -372,36 +368,28 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
         sigmas = np.maximum(sigmas, floor)
 
     if grid.center_rule is not CenterRule.EXPLICIT_GRID:
-        objective = _exact_objectives(centers[:, None] - e[None, :], sigmas)
+        objective = _exact_objectives(e, centers, sigmas)
         keep = np.ones(objective.shape, dtype=bool)
     else:
+        c, counts = centers.size, _node_counts(centers, sigmas)
+        binned = (
+            (c * n >= _BIN_COST_PER_ERROR * n + _BIN_COST_PER_NODE * c * counts + _BIN_COST_PER_ROW)
+            & (_BIN_FRAC * sigmas >= _RESOLUTION * (np.max(np.abs(centers)) + _REACH * sigmas))
+        )
+        sorted_e = np.sort(e) if binned.any() else None
+        unbinned = None if binned.all() else ((centers[:, None] - e) ** 2, np.ones(n), 0.0, 0)
         objective = np.empty((sigmas.size, centers.size))
-        screened = np.zeros(sigmas.size, dtype=bool)
-        if centers.size >= _SCREEN_RATIO:
-            counts = _node_counts(centers, sigmas)
-            screened = (counts * _SCREEN_RATIO <= n) & (
-                _BIN_FRAC * sigmas >= _RESOLUTION * (np.max(np.abs(centers)) + _REACH * sigmas)
-            )
         bound = np.empty((sigmas.size, 1))
-        if screened.any():
-            sorted_e = np.sort(e)
-            for i in np.flatnonzero(screened):
-                objective[i], bound[i] = _binned_objectives(sorted_e, centers, sigmas[i], int(counts[i]))
-        if not screened.all():
-            sq = centers[:, None] - e[None, :]
-            sq *= sq
-            for i in np.flatnonzero(~screened):
-                objective[i], bound[i] = _clipped_objectives(sq, sigmas[i])
+        for i, s in enumerate(sigmas):
+            sq, mass, h, nodes = (
+                _lattice(sorted_e, centers, s, int(counts[i])) if binned[i] else unbinned
+            )
+            objective[i], bound[i] = _screened_objectives(sq, s, mass, n, h, nodes)
         keep = objective - bound <= (objective + bound).min()
         for i in np.flatnonzero(keep.any(axis=1)):
-            kept = centers[keep[i]]
-            objective[i, keep[i]] = _exact_objectives(kept[:, None] - e[None, :], sigmas[i:i + 1])[0]
+            objective[i, keep[i]] = _exact_objectives(e, centers[keep[i]], sigmas[i:i + 1])[0]
 
-    rows, cols = np.nonzero(keep)
-    values = objective[rows, cols]
-    best = values.min()
-    tied = values == best
-    rows, cols = rows[tied], cols[tied]
+    rows, cols = np.nonzero(keep & (objective == objective[keep].min()))
     pick = 0
     if rows.size > 1:
         if median is None:

@@ -86,6 +86,16 @@ def check_design(H, targets) -> tuple[np.ndarray, np.ndarray]:
     return H, t
 
 
+def _check_beta(beta, m: int) -> np.ndarray:
+    """Return a weight vector as a float array, 1-D of length m and finite."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (m,):
+        raise ValueError(f"beta must be 1-D of length {m}, got shape {beta.shape}")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("beta contains non-finite entries")
+    return beta
+
+
 def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A via Cholesky.
 
@@ -131,7 +141,7 @@ def weighted_ridge_step(
     """
     H, t = check_design(H, targets)
     lambda_prime = _check_non_negative(lambda_prime, "lambda_prime")
-    e = t - H @ np.asarray(beta_prev, dtype=float)
+    e = t - H @ _check_beta(beta_prev, H.shape[1])
     w = _kernel_values(e - params.center, params.sigma)
     if lambda_prime == 0.0 and not np.any(w > 0.0):
         raise DegenerateWeightsError(
@@ -262,7 +272,7 @@ def mcc_vc_gradient(H, targets, beta, params: KernelParams, lam: float) -> np.nd
     """
     H, t = check_design(H, targets)
     lam = _check_non_negative(lam, "lam")
-    beta = np.asarray(beta, dtype=float)
+    beta = _check_beta(beta, H.shape[1])
     u = (t - H @ beta) - params.center
     w = _kernel_values(u, params.sigma)
     scale = w * u / (params.sigma * params.sigma)

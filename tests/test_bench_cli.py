@@ -440,6 +440,18 @@ class TestCli:
                      "--normalize", "false", "--out", str(tmp_path / "m.json")])
         assert code == 3
 
+    def test_huge_target_is_a_one_line_usage_error(self, tmp_path, capsys):
+        # Without normalization the first residuals are the targets, and a
+        # 1e200 one would overflow the kernel search's spread.
+        path = tmp_path / "huge.csv"
+        path.write_text("1,0,2\n2,1,4\n3,0,1e200\n4,1,9\n")
+        code = main(["fit", "--csv", str(path), "--no-header", "--model", "linear",
+                     "--normalize", "false", "--center-rule", "median",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mccvc: error spread overflows") and err.count("\n") == 1
+
     def test_fit_and_model_output(self, tmp_path, capsys):
         path = tmp_path / "lin.csv"
         rng = np.random.default_rng(23)

@@ -406,14 +406,14 @@ class TestScreenedSearch:
         assert sum("clamped" in r.message for r in caplog.records) == 1
 
     def test_small_synthetic_residuals(self):
-        # At N=400 every default-grid width is a clipped row.
+        # At N=400 every default-grid width is an unbinned row.
         for case in (1, 2, 3, 4):
             H, t = synth_case_design(case, 400, 18)
             _assert_same_search(t - H @ ridge_solve(H, t, 1e-4), default_param_grid())
 
     def test_winner_with_kernel_values_in_the_subnormal_band(self):
         # Outliers about 38 widths from the winning pair: their exact kernel
-        # values are subnormal, and clipped rows put them at the reach.
+        # values are subnormal, and screened rows put them at the reach.
         rng = np.random.default_rng(37)
         e = np.concatenate([rng.normal(0.0, 0.3, 380), 15.2 + rng.uniform(-0.08, 0.08, 20)])
         _assert_same_search(e, default_param_grid())
@@ -428,18 +428,23 @@ class TestScreenedSearch:
 
     def test_mirrored_modes_tie(self):
         # Modes at +/-4 of a mirrored sample: the two best centers (sigma 0.6,
-        # a screened width) tie and the rule picks the smaller one.
+        # a binned width) tie and the rule picks the smaller one.
         x = np.random.default_rng(34).normal(4.0, 0.3, 4000)
         _assert_same_search(np.concatenate([x, -x]), default_param_grid())
 
-    def test_centers_too_far_out_for_a_lattice(self):
+    def test_centers_too_far_out_for_a_lattice(self, monkeypatch):
         # Near 1e17 floats are 16 apart, more than a lattice step of 0.1 sigma:
-        # these widths are clipped rows instead of binning onto coincident
-        # nodes (at N=400 the small N alone makes them clipped).
-        centers = 1e17 + 16.0 * np.arange(8)
-        for n in (2000, 400):
+        # these widths are unbinned rows instead of binning onto coincident
+        # nodes, though their row costs would bin them at N=4000 (at N=400
+        # the small N alone keeps them unbinned).
+        centers = 1e17 + 16.0 * np.arange(24)
+        calls = []
+        lattice = kernels._lattice
+        monkeypatch.setattr(kernels, "_lattice", lambda *args: calls.append(1) or lattice(*args))
+        for n in (4000, 400):
             e = 1e17 + np.random.default_rng(36).normal(0.0, 100.0, n)
             _assert_same_search(e, ParamGrid(np.array([50.0, 100.0]), centers))
+        assert not calls
 
     def test_exact_tie(self):
         _assert_same_search(np.array([-1.0, 1.0]), ParamGrid(np.array([1.0]), np.array([-1.0, 1.0])))
@@ -476,6 +481,35 @@ class TestScreenedSearch:
             tracemalloc.stop()
         assert peak < 101 * 20000 * 8
 
+    @pytest.mark.parametrize("n_centers, errors_per_node, binned", [
+        (1, 128, False), (8, 128, False), (12, 16, False), (12, 64, True),
+        (24, 4, False), (24, 16, True), (101, 2, False), (101, 4, True),
+    ])
+    def test_binned_only_where_cheaper(self, n_centers, errors_per_node, binned, monkeypatch):
+        # A width is binned only where its binned row was measured faster:
+        # never with 8 centers or fewer, and from fewer errors per node the
+        # more centers there are.
+        centers = np.linspace(-5.0, 5.0, n_centers)
+        sigmas = np.array([1.0])
+        n = errors_per_node * int(kernels._node_counts(centers, sigmas)[0])
+        e = np.random.default_rng(38).normal(0.5, 1.0, n)
+        calls = []
+        lattice = kernels._lattice
+        monkeypatch.setattr(kernels, "_lattice", lambda *args: calls.append(1) or lattice(*args))
+        _assert_same_search(e, ParamGrid(sigmas, centers))
+        assert len(calls) == binned
+
+    @pytest.mark.parametrize("rule", list(CenterRule))
+    def test_rejects_errors_whose_spread_overflows(self, rule):
+        grid = ParamGrid(np.array([0.5, 1.0]), np.array([-1.0, 0.0, 1.0]), rule)
+        for errors in ([0.0, 1e160, 1.0, 2.0], [1e153, -1e153]):
+            with pytest.raises(ValueError, match=r"^error spread overflows: .* 1\.8e\+308$"):
+                optimize_params(np.array(errors * 200), grid)
+        # A 1e154 error: its square and the spread are finite, so it is searched.
+        e = np.random.default_rng(39).normal(0.0, 1.0, 400)
+        e[7] = 1e154
+        _assert_same_search(e, grid)
+
 
 @settings(deadline=None, max_examples=60)
 @given(
@@ -487,18 +521,40 @@ class TestScreenedSearch:
     centers=st.lists(st.floats(-10, 10), min_size=1, max_size=12, unique=True),
 )
 def test_screen_is_within_its_bound(n, seed, loc, scale, sigma, centers):
-    # Both screens of one width against its exact table row: the binned one,
-    # and the clipped one that every width gets at small N.
+    # The binned and the unbinned row of one width against its exact row.
     rng = np.random.default_rng(seed)
     e = rng.normal(loc, scale, n)
     far = rng.random(n) < 0.1
     e[far] = rng.normal(0.0, 1e2, far.sum())
     c = np.sort(np.array(centers))
+    exact = kernels._exact_objectives(e, c, np.array([sigma]))[0]
     count = int(kernels._node_counts(c, np.array([sigma]))[0])
-    screen, bound = kernels._binned_objectives(np.sort(e), c, sigma, count)
-    diff = c[:, None] - e[None, :]
-    exact = kernels._exact_objectives(diff, np.array([sigma]))[0]
-    assert np.all(np.abs(screen - exact) <= bound)
-    sq = diff * diff
-    clipped, clipped_bound = kernels._clipped_objectives(sq, sigma)
-    assert np.all(np.abs(clipped - exact) <= clipped_bound)
+    binned = kernels._lattice(np.sort(e), c, sigma, count)
+    unbinned = ((c[:, None] - e) ** 2, np.ones(n), 0.0, 0)
+    for sq, mass, h, nodes in (binned, unbinned):
+        screen, bound = kernels._screened_objectives(sq, sigma, mass, n, h, nodes)
+        assert np.all(np.abs(screen - exact) <= bound)
+
+
+@settings(deadline=None, max_examples=1000)
+@given(
+    # Small samples tie often; N >= 2000 bins some widths of 24+ centers.
+    n=st.integers(1, 20) | st.integers(1, 6000) | st.integers(2000, 6000),
+    seed=st.integers(0, 2**32 - 1),
+    n_centers=st.integers(1, 120),
+    rule=st.sampled_from(list(CenterRule)),
+    rounded=st.booleans(),
+)
+def test_search_is_the_full_table_search(n, seed, n_centers, rule, rounded):
+    # Random grids, samples with 10% outliers up to 1e4, and (rounded to 0.1)
+    # samples and centers that make exact ties.
+    rng = np.random.default_rng(seed)
+    e = rng.normal(rng.uniform(-3, 3), rng.uniform(0.05, 2), n)
+    far = rng.random(n) < 0.1
+    e[far] = rng.uniform(-1e4, 1e4, far.sum())
+    sigmas = np.unique(rng.uniform(0.05, 3.0, rng.integers(1, 6)))
+    centers = rng.uniform(-5, 5, n_centers)
+    if rounded:
+        e, centers = np.round(e, 1), np.round(centers, 1)
+    grid = ParamGrid(sigmas, np.unique(centers), rule)
+    _assert_same_search(e, grid)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mccvc import solvers
 from mccvc.errors import DegenerateWeightsError, SingularSystemError
 from mccvc.kernels import CenterRule, KernelParams, ParamGrid, gaussian_kernel
 from mccvc.solvers import (
@@ -66,12 +67,27 @@ class TestRidgeSolve:
             np.testing.assert_allclose(ridge_solve(H, t, 0.0), expected, rtol=1e-9)
 
 
+# Weight vectors that do not fit a two-column design, and the error each raises.
+_BAD_BETAS = [
+    ([math.nan, 0.0], "^beta contains non-finite entries$"),
+    ([0.0, -math.inf], "^beta contains non-finite entries$"),
+    ([1.0, 2.0, 3.0], r"^beta must be 1-D of length 2, got shape \(3,\)$"),
+    ([[1.0], [2.0]], r"^beta must be 1-D of length 2, got shape \(2, 1\)$"),
+]
+
+
 class TestWeightedRidgeStep:
     @pytest.mark.parametrize("lambda_prime", [-1e-4, math.nan, math.inf])
     def test_rejects_bad_lambda_prime(self, lambda_prime):
         H, t = np.eye(2), np.ones(2)
         with pytest.raises(ValueError, match="^lambda_prime must be a non-negative finite real"):
             weighted_ridge_step(H, t, KernelParams(1.0, 0.0), lambda_prime, np.zeros(2))
+
+    @pytest.mark.parametrize("lambda_prime", [0.0, 1e-3])
+    @pytest.mark.parametrize("beta, message", _BAD_BETAS)
+    def test_rejects_bad_beta(self, lambda_prime, beta, message):
+        with pytest.raises(ValueError, match=message):
+            weighted_ridge_step(np.eye(2), np.array([1.0, 2.0]), KernelParams(1.0, 0.0), lambda_prime, beta)
 
     def test_huge_width_recovers_ols(self):
         rng = np.random.default_rng(1)
@@ -212,6 +228,17 @@ class TestFixedPointLoops:
         with pytest.raises(ValueError):
             fit_mcc(H, t, sigma=1.0, **settings)
 
+    def test_huge_residuals_are_rejected_before_the_first_solve(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("weighted_ridge_step was called")
+
+        monkeypatch.setattr(solvers, "weighted_ridge_step", solve)
+        H = np.ones((400, 1))
+        t = np.array([0.0, 1e160, 1.0, 2.0] * 100)
+        grid = ParamGrid(np.array([0.5, 1.0]), np.array([-1.0, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="^error spread overflows"):
+            fit_mcc_vc(H, t, FitConfig(grid=grid))
+
     def test_config_validation(self):
         grid = ParamGrid(np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
@@ -277,3 +304,8 @@ class TestStationarity:
         H, t, _ = _random_problem(rng, n=20, m=3)
         with pytest.raises(ValueError, match="^lam must be a non-negative finite real"):
             mcc_vc_gradient(H, t, np.zeros(3), KernelParams(1.0, 0.0), lam)
+
+    @pytest.mark.parametrize("beta, message", _BAD_BETAS)
+    def test_gradient_rejects_bad_beta(self, beta, message):
+        with pytest.raises(ValueError, match=message):
+            mcc_vc_gradient(np.eye(2), np.array([1.0, 2.0]), beta, KernelParams(1.0, 0.0), 0.0)

@@ -49,6 +49,9 @@ SYNTH = {
                      "--methods", "mcc-vc"],
     # The synth-contam setting: every (sigma, c) search has N=400.
     "synth-n400": ["--runs", "5", "--samples", "400", "--cases", "1,2,3,4"],
+    # Too few centers to bin, at an N that would bin a larger grid.
+    "synth-n20000-9-centers": ["--runs", "1", "--samples", "20000", "--cases", "2",
+                               "--methods", "mcc-vc", "--center-grid", "-1:0.25:1"],
 }
 
 
