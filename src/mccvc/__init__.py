@@ -3,7 +3,11 @@
 The package fits models y = h(x) beta under three criteria: regularized least
 squares, the classical zero-center correntropy criterion, and its
 variable-center extension whose kernel width and center are re-chosen from the
-residuals at every fixed-point iteration.  `bench` and the `mccvc` CLI wrap
+residuals at every fixed-point iteration.  The two correntropy fits share one
+contract, `fit_mcc(H, T, sigma, config)` and `fit_mcc_vc(H, T, grid, config)`,
+with one `FitConfig` of loop settings, and every linear solve passes one guard
+that raises a SolverError on a singular, inaccurate or non-finite solution
+rather than return a NaN.  `bench` and the `mccvc` CLI wrap
 the solvers in reproducible Monte Carlo benchmarks; every benchmark fits
 through one method dispatch, and each report row counts its failed runs and
 its fits that stopped at the iteration cap without converging
@@ -32,7 +36,6 @@ from .data import (
 from .errors import (
     DataError,
     DegenerateWeightsError,
-    DivergedError,
     MccvcError,
     SingularSystemError,
     SolverError,
@@ -74,7 +77,6 @@ __all__ = [
     "ChiSquare",
     "DataError",
     "DegenerateWeightsError",
-    "DivergedError",
     "FitConfig",
     "FitResult",
     "Gaussian",

@@ -2,12 +2,14 @@
 
 Every driver fits through one method dispatch, `_fit`, which runs
 `ridge_solve` (mmse), `fit_mcc` (mcc) or `fit_mcc_vc` (mcc-vc) and returns the
-weights with the fixed-point result.  Every feature matrix comes from one
-feature map, `_feature_map`, a JSON-ready dict (an ELM layer or linear
-features, the model file's "model" entry) applied by `_features`.  Reports are
-plain JSON-serializable dicts with a stable key order.  Every report embeds
-the fully resolved configuration and all replication seeds, so re-running from
-the embedded config reproduces it bit for bit (wall-clock fields excepted).
+weights with the fixed-point result.  Every config's loop settings default to
+those of `FitConfig`, and are checked by building one.  Every feature matrix
+comes from one feature map, `_feature_map`, a JSON-ready dict (an ELM layer or
+linear features, the model file's "model" entry) applied by `_features`.
+Reports are plain JSON-serializable dicts with a stable key order.  Every
+report embeds the fully resolved configuration and all replication seeds, so
+re-running from the embedded config reproduces it bit for bit (wall-clock
+fields excepted).
 Every `synth-bench` and `data-bench` result row is written by one `_Tally`:
 the mean (and, for some metrics, the sample std) of each metric over the
 successful runs, then `runs`, the runs that failed numerically (`failures`)
@@ -48,7 +50,7 @@ from .features import (
     predict,
 )
 from .kernels import CenterRule, ParamGrid, default_param_grid, gaussian_kernel
-from .solvers import FitConfig, FitResult, _check_loop_settings, fit_mcc, fit_mcc_vc, ridge_solve
+from .solvers import FitConfig, FitResult, fit_mcc, fit_mcc_vc, ridge_solve
 
 CASE_LABELS = {
     1: "gaussian(0,2)",
@@ -82,12 +84,13 @@ class _BenchConfig(JsonRecord):
 
 
 def _check_fit_settings(cfg, lambdas, mcc_widths=()):
-    """Check each lambda' with `cfg`'s loop settings, and each frozen mcc width.
+    """Check each lambda' with `cfg`'s loop settings by building its
+    `FitConfig`, and each frozen mcc width.
 
     A positive width whose square underflows is accepted here: its fits fail
     with DegenerateWeightsError and are reported as failed runs."""
     for lambda_prime in lambdas:
-        _check_loop_settings(lambda_prime, cfg.max_iterations, cfg.tolerance)
+        FitConfig(lambda_prime, cfg.max_iterations, cfg.tolerance)
     for sigma in mcc_widths:
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ValueError(f"mcc widths must be positive finite reals, got {sigma!r}")
@@ -97,29 +100,17 @@ def _fit(method: str, H, targets, lambda_prime: float, sigma, grid, cfg, on_iter
     """Fit one canonical method; returns (beta, fixed-point result or None).
 
     `sigma` is the frozen mcc width, `grid` the mcc-vc search grid, and `cfg`
-    supplies `max_iterations` and `tolerance`.  The solvers are looked up as
-    module globals at call time, so a profiler can swap them for wrappers.
+    supplies `max_iterations` and `tolerance`; both iterative solvers get the
+    one `FitConfig` they share.  The solvers are looked up as module globals
+    at call time, so a profiler can swap them for wrappers.
     """
     if method == "mmse":
         return ridge_solve(H, targets, lambda_prime), None
+    config = FitConfig(lambda_prime, cfg.max_iterations, cfg.tolerance)
     if method == "mcc":
-        result = fit_mcc(
-            H,
-            targets,
-            sigma=sigma,
-            lambda_prime=lambda_prime,
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-            on_iteration=on_iteration,
-        )
+        result = fit_mcc(H, targets, sigma, config, on_iteration)
     elif method == "mcc-vc":
-        config = FitConfig(
-            grid=grid,
-            lambda_prime=lambda_prime,
-            max_iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-        )
-        result = fit_mcc_vc(H, targets, config, on_iteration=on_iteration)
+        result = fit_mcc_vc(H, targets, grid, config, on_iteration)
     else:
         raise ValueError(f"unknown method {method!r}")
     return result.beta, result
@@ -177,11 +168,11 @@ class SynthBenchConfig(_BenchConfig):
     w_star: tuple[float, ...] = (1.0, 2.0)
     methods: tuple[str, ...] = ("mmse", "mcc", "mcc-vc")
     cases: tuple[int, ...] = (1, 2, 3, 4)
-    lambda_prime: float = 1e-4
+    lambda_prime: float = FitConfig.lambda_prime
     mcc_sigmas: tuple[float, ...] = (4.0,)
     grid: ParamGrid = field(default_factory=default_param_grid)
-    max_iterations: int = 100
-    tolerance: float = 1e-9
+    max_iterations: int = FitConfig.max_iterations
+    tolerance: float = FitConfig.tolerance
     jobs: int = 1
 
     def __post_init__(self):
@@ -321,8 +312,8 @@ class DataBenchConfig(_BenchConfig):
     lambda_grid: tuple[float, ...] = (0.0, 1e-6, 1e-4, 1e-2, 1.0)
     mcc_sigma_grid: tuple[float, ...] = (0.5, 1.0, 2.0, 5.0)
     vc_grid: ParamGrid = field(default_factory=databench_default_grid)
-    max_iterations: int = 100
-    tolerance: float = 1e-9
+    max_iterations: int = FitConfig.max_iterations
+    tolerance: float = FitConfig.tolerance
     norm_scope: str = "full"
 
     def __post_init__(self):
@@ -491,11 +482,11 @@ class FitCmdConfig(JsonRecord):
     hidden: int = 100
     bias_column: bool = False
     normalize: bool = True
-    lambda_prime: float = 1e-4
+    lambda_prime: float = FitConfig.lambda_prime
     mcc_sigma: float = 1.0
     grid: ParamGrid = field(default_factory=default_param_grid)
-    max_iterations: int = 100
-    tolerance: float = 1e-9
+    max_iterations: int = FitConfig.max_iterations
+    tolerance: float = FitConfig.tolerance
     seed: int = 42
 
     def __post_init__(self):
@@ -576,10 +567,10 @@ class KernelTraceConfig(JsonRecord):
     bins: int = 24
     hist_range: str = "robust"
     curve_points: int = 256
-    lambda_prime: float = 1e-4
+    lambda_prime: float = FitConfig.lambda_prime
     grid: ParamGrid = field(default_factory=default_param_grid)
-    max_iterations: int = 100
-    tolerance: float = 1e-9
+    max_iterations: int = FitConfig.max_iterations
+    tolerance: float = FitConfig.tolerance
 
     def __post_init__(self):
         if self.bins < 1:

@@ -155,7 +155,6 @@ def generate_linear_data(w_star, n: int, noise: NoiseModel, seed: int):
 class TabularDataset:
     features: np.ndarray
     targets: np.ndarray
-    column_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         x = np.asarray(self.features, dtype=float)
@@ -170,8 +169,6 @@ class TabularDataset:
         y.setflags(write=False)
         object.__setattr__(self, "features", x)
         object.__setattr__(self, "targets", y)
-        if self.column_names is not None:
-            object.__setattr__(self, "column_names", tuple(self.column_names))
 
     @property
     def n_rows(self) -> int:
@@ -182,9 +179,7 @@ class TabularDataset:
         return self.features.shape[1]
 
     def take(self, indices) -> "TabularDataset":
-        return TabularDataset(
-            self.features[indices], self.targets[indices], self.column_names
-        )
+        return TabularDataset(self.features[indices], self.targets[indices])
 
 
 def load_csv(path, has_header: bool, target_column) -> TabularDataset:
@@ -245,14 +240,7 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
     feature_idx = [j for j in range(width) if j != target_idx]
     if not feature_idx:
         raise DataError(f"{path}: no feature columns besides the target")
-    column_names = None
-    if names is not None:
-        column_names = tuple(names[j] for j in feature_idx) + (names[target_idx],)
-    return TabularDataset(
-        features=values[:, feature_idx],
-        targets=values[:, target_idx],
-        column_names=column_names,
-    )
+    return TabularDataset(features=values[:, feature_idx], targets=values[:, target_idx])
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +280,31 @@ class MinMaxRecord(JsonRecord):
 
 
 def minmax_record(data: TabularDataset) -> MinMaxRecord:
-    """Column minima/maxima of `data`, for [0, 1] scaling."""
-    return MinMaxRecord(
+    """Column minima/maxima of `data`, for [0, 1] scaling.
+
+    A column whose max - min overflows cannot be scaled and raises DataError.
+    """
+    record = MinMaxRecord(
         feature_min=data.features.min(axis=0),
         feature_max=data.features.max(axis=0),
         target_min=float(data.targets.min()),
         target_max=float(data.targets.max()),
     )
+    lo = np.append(record.feature_min, record.target_min)
+    hi = np.append(record.feature_max, record.target_max)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isinf(hi - lo))
+    if wide.size:
+        j = int(wide[0])
+        name = "target" if j == data.n_features else f"feature {j}"
+        raise DataError(f"{name} column spans [{lo[j]:g}, {hi[j]:g}], "
+                        "wider than the largest float; it cannot be min-max scaled")
+    return record
 
 
 def apply_minmax(record: MinMaxRecord, data: TabularDataset) -> TabularDataset:
     return TabularDataset(
-        record.transform_features(data.features),
-        record.transform_targets(data.targets),
-        data.column_names,
+        record.transform_features(data.features), record.transform_targets(data.targets)
     )
 
 

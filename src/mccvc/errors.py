@@ -23,10 +23,3 @@ class DegenerateWeightsError(SolverError):
     This signals a kernel width far smaller than the current residual scale.
     """
 
-
-class DivergedError(SolverError):
-    """A fixed-point iterate became non-finite."""
-
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
-        self.iteration = iteration

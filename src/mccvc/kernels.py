@@ -172,9 +172,12 @@ def as_error_vector(values) -> np.ndarray:
 
 def _kernel_values(u: np.ndarray, sigma: float) -> np.ndarray:
     # Shared elementwise expression; every public path must go through this so
-    # identical inputs produce bitwise identical kernel values.
+    # identical inputs produce bitwise identical kernel values.  A square or
+    # exp argument past the largest float is inf, whose kernel value is the
+    # exact 0, so that overflow is silenced.
     coef = 1.0 / (SQRT_2PI * sigma)
-    return np.exp(-(u * u) / (2.0 * sigma * sigma)) * coef
+    with np.errstate(over="ignore"):
+        return np.exp(-(u * u) / (2.0 * sigma * sigma)) * coef
 
 
 def _kernel_mean(u: np.ndarray, sigma) -> np.ndarray:
@@ -377,14 +380,17 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
             & (_BIN_FRAC * sigmas >= _RESOLUTION * (np.max(np.abs(centers)) + _REACH * sigmas))
         )
         sorted_e = np.sort(e) if binned.any() else None
-        unbinned = None if binned.all() else ((centers[:, None] - e) ** 2, np.ones(n), 0.0, 0)
         objective = np.empty((sigmas.size, centers.size))
         bound = np.empty((sigmas.size, 1))
-        for i, s in enumerate(sigmas):
-            sq, mass, h, nodes = (
-                _lattice(sorted_e, centers, s, int(counts[i])) if binned[i] else unbinned
-            )
-            objective[i], bound[i] = _screened_objectives(sq, s, mass, n, h, nodes)
+        # A square or exp argument past the largest float is inf, which
+        # screens as a clipped difference, so that overflow is silenced.
+        with np.errstate(over="ignore"):
+            unbinned = None if binned.all() else ((centers[:, None] - e) ** 2, np.ones(n), 0.0, 0)
+            for i, s in enumerate(sigmas):
+                sq, mass, h, nodes = (
+                    _lattice(sorted_e, centers, s, int(counts[i])) if binned[i] else unbinned
+                )
+                objective[i], bound[i] = _screened_objectives(sq, s, mass, n, h, nodes)
         keep = objective - bound <= (objective + bound).min()
         for i in np.flatnonzero(keep.any(axis=1)):
             objective[i, keep[i]] = _exact_objectives(e, centers[keep[i]], sigmas[i:i + 1])[0]

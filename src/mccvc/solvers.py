@@ -4,12 +4,18 @@ The fixed-point loop alternates between (re)choosing kernel parameters from the
 current residuals and solving a weighted ridge system
 (H' Lambda H + lambda' I) beta = H' Lambda (T - c), where Lambda holds the
 per-sample kernel weights.  The classical zero-center criterion is the same
-loop with the kernel frozen at (sigma, 0).
+loop with the kernel frozen at (sigma, 0).  Both solvers share one contract:
+`fit_mcc(H, T, sigma, config)` and `fit_mcc_vc(H, T, grid, config)` differ
+only in the kernel, and one `FitConfig` (lambda', the iteration cap and the
+cost-change tolerance) carries every loop setting, checked once when it is
+built.
 
-Every normal-equation solve follows one rule: lambda' = 0 means
-unregularized, and a system whose Cholesky factorization fails has no unique
-solution, so it raises SingularSystemError for mmse, mcc and mcc-vc alike.
-Add regularization (lambda' > 0) to fit a rank-deficient design.
+Every normal-equation solve goes through one guard, `_spd_solve`: lambda' = 0
+means unregularized, a system whose Cholesky factorization fails has no
+unique solution and raises SingularSystemError, and a solution that is not
+finite or not accurate (its residual is not within 1e-8 (1 + max|b|)) raises
+SolverError, for mmse, mcc and mcc-vc alike.  Add regularization
+(lambda' > 0) to fit a rank-deficient design.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import DegenerateWeightsError, DivergedError, SingularSystemError, SolverError
+from .errors import DegenerateWeightsError, SingularSystemError, SolverError
 from .kernels import (
     KernelParams,
     ParamGrid,
@@ -36,23 +42,19 @@ _RESIDUAL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Settings for the variable-center fixed-point solver."""
+    """Loop settings of both fixed-point solvers: the regularizer lambda', the
+    iteration cap and the cost-change tolerance."""
 
-    grid: ParamGrid
     lambda_prime: float = 1e-4
     max_iterations: int = 100
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        _check_loop_settings(self.lambda_prime, self.max_iterations, self.tolerance)
-
-
-def _check_loop_settings(lambda_prime: float, max_iterations: int, tolerance: float):
-    _check_non_negative(lambda_prime, "lambda_prime")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
+        _check_non_negative(self.lambda_prime, "lambda_prime")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if not self.tolerance > 0.0:
+            raise ValueError("tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,9 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A failed factorization (singular or indefinite normal equations, such as
     a rank-deficient design with lambda' = 0) raises SingularSystemError.  A
-    solution whose residual exceeds 1e-8 (1 + max|b|) raises SolverError.
+    solution is returned only if its residual is within 1e-8 (1 + max|b|);
+    otherwise, a NaN residual of a non-finite solution included, it raises
+    SolverError.
     """
     try:
         factor = cho_factor(A, lower=True)
@@ -109,7 +113,7 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise SingularSystemError("normal equations are singular; add regularization") from None
     x = cho_solve(factor, b)
     residual = float(np.max(np.abs(A @ x - b)))
-    if residual > _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(b)))):
+    if not residual <= _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(b)))):
         raise SolverError(f"linear solve residual {residual:.3g} exceeds tolerance")
     return x
 
@@ -162,27 +166,21 @@ def _fixed_point_loop(
     H: np.ndarray,
     t: np.ndarray,
     choose_params: Callable[[np.ndarray], KernelParams],
-    lambda_prime: float,
-    max_iterations: int,
-    tolerance: float,
+    config: FitConfig,
     on_iteration: IterationHook | None,
 ) -> FitResult:
     n, m = H.shape
     beta = np.zeros(m)
-    lam = lambda_prime / (2.0 * n)
+    lam = config.lambda_prime / (2.0 * n)
 
     trace: list[IterationRecord] = []
     converged = False
     iterations = 0
     residuals = t - H @ beta
-    for k in range(1, max_iterations + 1):
+    for k in range(1, config.max_iterations + 1):
         params = choose_params(residuals)
         cost_prev = mcc_vc_cost(residuals, params, float(beta @ beta), lam)
-        beta_next = weighted_ridge_step(H, t, params, lambda_prime, beta)
-        if not np.all(np.isfinite(beta_next)):
-            raise DivergedError(
-                f"weight vector became non-finite at iteration {k}", iteration=k
-            )
+        beta_next = weighted_ridge_step(H, t, params, config.lambda_prime, beta)
         residuals_next = t - H @ beta_next
         cost = mcc_vc_cost(residuals_next, params, float(beta_next @ beta_next), lam)
         max_delta = float(np.max(np.abs(beta_next - beta)))
@@ -191,7 +189,7 @@ def _fixed_point_loop(
             on_iteration(k, residuals, params, beta_next)
         beta, residuals = beta_next, residuals_next
         iterations = k
-        if abs(cost - cost_prev) < tolerance:
+        if abs(cost - cost_prev) < config.tolerance:
             converged = True
             break
     return FitResult(
@@ -202,66 +200,52 @@ def _fixed_point_loop(
 def fit_mcc_vc(
     H,
     targets,
-    config: FitConfig,
+    grid: ParamGrid,
+    config: FitConfig = FitConfig(),
     on_iteration: IterationHook | None = None,
 ) -> FitResult:
     """Fixed-point regression with kernel width and center re-chosen per iteration.
 
     Each iteration computes residuals of the previous iterate, picks
-    (sigma*, c*) by grid search on those residuals, forms the kernel weights,
-    and solves the weighted ridge system.  Iteration stops once the cost
-    change (evaluated at the iteration's own parameters) drops below the
-    configured tolerance, or after `max_iterations` steps.
+    (sigma*, c*) by searching `grid` on those residuals, forms the kernel
+    weights, and solves the weighted ridge system with `config.lambda_prime`.
+    Iteration stops once the cost change (evaluated at the iteration's own
+    parameters) drops below `config.tolerance`, or after
+    `config.max_iterations` steps.  A singular (lambda' = 0), inaccurate or
+    non-finite solve raises a SolverError, as in `fit_mcc`.
     """
     H, t = check_design(H, targets)
 
     def choose(residuals: np.ndarray) -> KernelParams:
-        params, _ = optimize_params(residuals, config.grid)
+        params, _ = optimize_params(residuals, grid)
         return params
 
-    return _fixed_point_loop(
-        H,
-        t,
-        choose,
-        config.lambda_prime,
-        config.max_iterations,
-        config.tolerance,
-        on_iteration,
-    )
+    return _fixed_point_loop(H, t, choose, config, on_iteration)
 
 
 def fit_mcc(
     H,
     targets,
     sigma: float,
-    lambda_prime: float = 1e-4,
-    max_iterations: int = 100,
-    tolerance: float = 1e-9,
+    config: FitConfig = FitConfig(),
     on_iteration: IterationHook | None = None,
 ) -> FitResult:
-    """Classical zero-center baseline: the same loop with (sigma, 0) frozen.
+    """Classical zero-center baseline: the `fit_mcc_vc` loop with (sigma, 0) frozen.
 
-    The loop settings are checked as `FitConfig` checks them.  A positive
-    width whose square underflows would zero every weight, so it raises
-    DegenerateWeightsError before the first iteration.  With lambda' = 0 a
-    design whose weighted normal equations are singular raises
+    It takes the same `config` as `fit_mcc_vc`; only the kernel differs, so
+    `fit_mcc_vc` on the one-point grid {sigma} x {0} (a width the search does
+    not clamp) gives this fit bit for bit.  A
+    positive width whose square underflows would zero every weight, so it
+    raises DegenerateWeightsError before the first iteration.  With
+    lambda' = 0 a design whose weighted normal equations are singular raises
     SingularSystemError at the first iteration, as it does for `fit_mcc_vc`.
     """
     H, t = check_design(H, targets)
-    _check_loop_settings(lambda_prime, max_iterations, tolerance)
     sigma = float(sigma)
     if 0.0 < sigma and sigma * sigma < sys.float_info.min:
         raise DegenerateWeightsError(f"kernel width {sigma!r} underflows every weight")
     frozen = KernelParams(sigma=sigma, center=0.0)
-    return _fixed_point_loop(
-        H,
-        t,
-        lambda residuals: frozen,
-        lambda_prime,
-        max_iterations,
-        tolerance,
-        on_iteration,
-    )
+    return _fixed_point_loop(H, t, lambda residuals: frozen, config, on_iteration)
 
 
 def mcc_vc_gradient(H, targets, beta, params: KernelParams, lam: float) -> np.ndarray:

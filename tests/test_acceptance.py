@@ -181,17 +181,15 @@ def test_criterion_06_exact_reduction_to_fixed_center():
         vc = fit_mcc_vc(
             H,
             t,
-            FitConfig(
-                grid=ParamGrid(np.array([sigma]), np.array([0.0])),
-                lambda_prime=lam_prime,
-            ),
+            ParamGrid(np.array([sigma]), np.array([0.0])),
+            FitConfig(lambda_prime=lam_prime),
             on_iteration=lambda k, e, p, b: vc_betas.append(b.copy()),
         )
         base = fit_mcc(
             H,
             t,
-            sigma=sigma,
-            lambda_prime=lam_prime,
+            sigma,
+            FitConfig(lambda_prime=lam_prime),
             on_iteration=lambda k, e, p, b: base_betas.append(b.copy()),
         )
         assert vc.iterations_run == base.iterations_run
@@ -211,7 +209,7 @@ def test_criterion_07_large_width_limit_is_least_squares():
         n, m = 120, int(rng.integers(2, 6))
         H = rng.normal(size=(n, m)) + rng.uniform(-0.5, 0.5, size=(1, m))
         t = H @ rng.normal(size=m) + rng.normal(0.0, 1.0, n)
-        res = fit_mcc(H, t, sigma=1e6, lambda_prime=0.0)
+        res = fit_mcc(H, t, 1e6, FitConfig(lambda_prime=0.0))
         ols = ridge_solve(H, t, 0.0)
         rel = np.max(np.abs(res.beta - ols)) / np.max(np.abs(ols))
         worst = max(worst, rel)

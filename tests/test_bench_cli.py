@@ -452,6 +452,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("mccvc: error spread overflows") and err.count("\n") == 1
 
+    def test_target_wider_than_the_largest_float_is_a_one_line_data_error(self, tmp_path, capsys):
+        # Every entry is finite, but max - min of the target overflows, so the
+        # default min-max scaling cannot map it into [0, 1].
+        path = tmp_path / "wide.csv"
+        path.write_text("1,1e308\n2,-1e308\n3,1e308\n4,-1e308\n")
+        code = main(["fit", "--csv", str(path), "--no-header", "--model", "linear",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == ("mccvc: data error: target column spans [-1e+308, 1e+308], wider than "
+                       "the largest float; it cannot be min-max scaled\n")
+
     def test_fit_and_model_output(self, tmp_path, capsys):
         path = tmp_path / "lin.csv"
         rng = np.random.default_rng(23)

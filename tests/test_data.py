@@ -153,7 +153,6 @@ class TestLoadCsv:
         by_index = load_csv(path, has_header=True, target_column=2)
         assert np.array_equal(by_name.features, by_index.features)
         assert np.array_equal(by_name.targets, by_index.targets)
-        assert by_name.column_names == ("a", "b", "y")
 
     def test_parse_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -225,6 +224,17 @@ class TestNormalize:
         assert np.all(out.features >= 0.0) and np.all(out.features <= 1.0)
         assert np.allclose(out.features.min(axis=0), 0.0)
         assert np.allclose(out.features.max(axis=0), 1.0)
+
+    @pytest.mark.parametrize("column, name", [(0, "feature 0"), (1, "feature 1"), (2, "target")])
+    def test_column_wider_than_the_largest_float_is_rejected(self, column, name):
+        values = np.ones((3, 3))
+        values[0, column], values[1, column] = 1e308, -1e308
+        with pytest.raises(DataError, match=rf"^{name} column spans \[-1e\+308, 1e\+308\], wider"):
+            minmax_record(TabularDataset(values[:, :2], values[:, 2]))
+        # A span just below the largest float is scaled.
+        values[1, column] = -7e307
+        out, _ = _normalized(TabularDataset(values[:, :2], values[:, 2]))
+        assert out.features.max() <= 1.0 and out.targets.min() >= 0.0
 
     def test_record_serialization_round_trip(self):
         from mccvc.data import MinMaxRecord
@@ -341,9 +351,7 @@ class TestTabularDataset:
         with pytest.raises(ValueError):
             TabularDataset(np.array([[np.nan, 1.0]]), np.array([1.0]))
 
-    def test_take_preserves_names(self):
-        data = TabularDataset(np.arange(6.0).reshape(3, 2), np.arange(3.0),
-                              column_names=("a", "b", "y"))
+    def test_take_selects_rows(self):
+        data = TabularDataset(np.arange(6.0).reshape(3, 2), np.arange(3.0))
         sub = data.take([2, 0])
-        assert sub.column_names == ("a", "b", "y")
         assert np.array_equal(sub.targets, [2.0, 0.0])

@@ -89,6 +89,16 @@ class TestGaussianKernel:
     def test_far_tail_underflows_to_zero(self):
         assert gaussian_kernel(1e6, 1.0) == 0.0
 
+    def test_difference_whose_square_overflows_weighs_exactly_zero(self):
+        # The suite turns a RuntimeWarning into a failure, so these are also
+        # checks that no overflow warning is raised.
+        assert gaussian_kernel(1e200, 1.0) == 0.0
+        assert gaussian_kernel(1e150, 1e-10) == 0.0  # a finite square, over 2 sigma^2
+        assert empirical_correntropy([1e308, -1e308], KernelParams(1.0, 0.0)) == 0.0
+        assert gaussian_kde([0.0], 1e300, 1.0) == 0.0
+        cost = mcc_vc_cost([1e308, 0.0], KernelParams(1.0, 0.0), 0.0, 0.0)
+        assert cost == pytest.approx(-G_0_1 / 2)
+
 
 class TestEmpiricalCorrentropy:
     def test_all_residuals_at_center(self):
@@ -425,6 +435,16 @@ class TestScreenedSearch:
         for n in (4000, 400):
             e = np.random.default_rng(33).normal(100.0, 1.0, n)
             _assert_same_search(e, default_param_grid())
+
+    def test_centers_whose_squared_distance_overflows(self):
+        grid = ParamGrid(np.array([1.0]), np.array([-1e155, 0.0]))
+        expected = (KernelParams(1.0, 0.0), param_objective(np.zeros(4), 1.0, 0.0))
+        assert optimize_params(np.zeros(4), grid) == expected
+        e = np.random.default_rng(41).normal(0.0, 1.0, 400)
+        centers = np.array([-1e200, -1.0, 0.0, 1.0, 1e155])
+        _assert_same_search(e, ParamGrid(np.array([0.5, 1.0]), centers))
+        # A finite square times -1/(2 sigma^2) at a clamped width of 1e-3.
+        _assert_same_search(e, ParamGrid(np.array([1e-3, 1.0]), np.array([-1e152, 0.0])))
 
     def test_mirrored_modes_tie(self):
         # Modes at +/-4 of a mirrored sample: the two best centers (sigma 0.6,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mccvc import solvers
-from mccvc.errors import DegenerateWeightsError, SingularSystemError
+from mccvc.errors import DegenerateWeightsError, SingularSystemError, SolverError
 from mccvc.kernels import CenterRule, KernelParams, ParamGrid, gaussian_kernel
 from mccvc.solvers import (
     FitConfig,
@@ -58,6 +58,11 @@ class TestRidgeSolve:
     def test_rejects_non_finite_penalty(self, lam):
         with pytest.raises(ValueError, match="^lam must be a non-negative finite real"):
             ridge_solve(np.eye(2), np.ones(2), lam)
+
+    def test_non_finite_solution_raises(self):
+        # Cholesky succeeds but the solve returns NaN, whose residual is NaN.
+        with pytest.raises(SolverError, match="^linear solve residual nan exceeds tolerance$"):
+            solvers._spd_solve(np.diag([1e-300, 1.0]), np.array([1e300, 1.0]))
 
     def test_matches_lstsq_on_random_problems(self):
         rng = np.random.default_rng(0)
@@ -147,10 +152,10 @@ class TestWeightedRidgeStep:
         with caplog.at_level("DEBUG", logger="mccvc.solvers"):
             with pytest.raises(SingularSystemError):
                 if fit == "mcc":
-                    fit_mcc(H, t, sigma=5.0, lambda_prime=0.0, on_iteration=hook)
+                    fit_mcc(H, t, 5.0, FitConfig(lambda_prime=0.0), on_iteration=hook)
                 else:
                     grid = ParamGrid(np.array([1.0, 5.0]), np.array([-1.0, 0.0, 1.0]))
-                    fit_mcc_vc(H, t, FitConfig(grid=grid, lambda_prime=0.0), on_iteration=hook)
+                    fit_mcc_vc(H, t, grid, FitConfig(lambda_prime=0.0), on_iteration=hook)
         assert steps == []
         assert not [r for r in caplog.records if r.name == "mccvc.solvers"]
 
@@ -161,7 +166,7 @@ class TestFixedPointLoops:
         H, _, beta_true = _random_problem(rng, n=80, m=4, noise=0.0)
         t = H @ beta_true
         grid = ParamGrid(np.linspace(0.2, 5.0, 25), np.linspace(-5, 5, 101))
-        res = fit_mcc_vc(H, t, FitConfig(grid=grid, lambda_prime=0.0))
+        res = fit_mcc_vc(H, t, grid, FitConfig(lambda_prime=0.0))
         assert np.max(np.abs(res.beta - beta_true)) <= 1e-6
         assert res.iterations_run <= 100
 
@@ -172,7 +177,7 @@ class TestFixedPointLoops:
         grid = ParamGrid(
             np.linspace(0.2, 5.0, 25), None, CenterRule.MEDIAN_OF_ERRORS
         )
-        res = fit_mcc_vc(H, t, FitConfig(grid=grid, lambda_prime=0.0))
+        res = fit_mcc_vc(H, t, grid, FitConfig(lambda_prime=0.0))
         assert np.max(np.abs(res.beta - beta_true)) <= 1e-6
 
     def test_singleton_grid_reduces_to_fixed_center_loop(self):
@@ -180,8 +185,8 @@ class TestFixedPointLoops:
         H, t, _ = _random_problem(rng, noise=1.0)
         sigma = 1.3
         grid = ParamGrid(np.array([sigma]), np.array([0.0]))
-        vc = fit_mcc_vc(H, t, FitConfig(grid=grid, lambda_prime=1e-4))
-        base = fit_mcc(H, t, sigma=sigma, lambda_prime=1e-4)
+        vc = fit_mcc_vc(H, t, grid, FitConfig(lambda_prime=1e-4))
+        base = fit_mcc(H, t, sigma, FitConfig(lambda_prime=1e-4))
         assert vc.iterations_run == base.iterations_run
         assert vc.converged == base.converged
         assert np.array_equal(vc.beta, base.beta)
@@ -193,16 +198,16 @@ class TestFixedPointLoops:
     def test_fit_is_deterministic(self):
         rng = np.random.default_rng(7)
         H, t, _ = _random_problem(rng, noise=2.0)
-        cfg = FitConfig(grid=ParamGrid(np.linspace(0.2, 3.0, 8), np.linspace(-2, 2, 11)))
-        a = fit_mcc_vc(H, t, cfg)
-        b = fit_mcc_vc(H, t, cfg)
+        grid = ParamGrid(np.linspace(0.2, 3.0, 8), np.linspace(-2, 2, 11))
+        a = fit_mcc_vc(H, t, grid)
+        b = fit_mcc_vc(H, t, grid)
         assert np.array_equal(a.beta, b.beta)
         assert a.trace == b.trace
 
     def test_large_width_matches_ols_in_one_step(self):
         rng = np.random.default_rng(8)
         H, t, _ = _random_problem(rng, noise=0.5)
-        res = fit_mcc(H, t, sigma=1e6, lambda_prime=0.0)
+        res = fit_mcc(H, t, 1e6, FitConfig(lambda_prime=0.0))
         np.testing.assert_allclose(res.beta, ridge_solve(H, t, 0.0), rtol=1e-6)
         assert res.converged
 
@@ -217,7 +222,7 @@ class TestFixedPointLoops:
     def test_fit_mcc_rejects_width_whose_square_underflows(self):
         H, t, _ = _random_problem(np.random.default_rng(4))
         with pytest.raises(DegenerateWeightsError):
-            fit_mcc(H, t, sigma=1e-300, lambda_prime=1e-4)
+            fit_mcc(H, t, 1e-300, FitConfig(lambda_prime=1e-4))
 
     @pytest.mark.parametrize(
         "settings",
@@ -226,7 +231,7 @@ class TestFixedPointLoops:
     def test_fit_mcc_checks_loop_settings_like_fit_config(self, settings):
         H, t, _ = _random_problem(np.random.default_rng(10))
         with pytest.raises(ValueError):
-            fit_mcc(H, t, sigma=1.0, **settings)
+            fit_mcc(H, t, 1.0, FitConfig(**settings))
 
     def test_huge_residuals_are_rejected_before_the_first_solve(self, monkeypatch):
         def solve(*args):
@@ -237,16 +242,15 @@ class TestFixedPointLoops:
         t = np.array([0.0, 1e160, 1.0, 2.0] * 100)
         grid = ParamGrid(np.array([0.5, 1.0]), np.array([-1.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="^error spread overflows"):
-            fit_mcc_vc(H, t, FitConfig(grid=grid))
+            fit_mcc_vc(H, t, grid)
 
     def test_config_validation(self):
-        grid = ParamGrid(np.array([1.0]), np.array([0.0]))
         with pytest.raises(ValueError):
-            FitConfig(grid=grid, lambda_prime=-1.0)
+            FitConfig(lambda_prime=-1.0)
         with pytest.raises(ValueError):
-            FitConfig(grid=grid, max_iterations=0)
+            FitConfig(max_iterations=0)
         with pytest.raises(ValueError):
-            FitConfig(grid=grid, tolerance=0.0)
+            FitConfig(tolerance=0.0)
 
 
 class TestStationarity:
@@ -255,9 +259,8 @@ class TestStationarity:
         H, t, _ = _random_problem(rng, n=200, m=3, noise=1.0)
         lam_prime = 1e-4
         res = fit_mcc_vc(
-            H, t, FitConfig(grid=ParamGrid(np.linspace(0.2, 5.0, 25),
-                                           np.linspace(-5, 5, 101)),
-                            lambda_prime=lam_prime)
+            H, t, ParamGrid(np.linspace(0.2, 5.0, 25), np.linspace(-5, 5, 101)),
+            FitConfig(lambda_prime=lam_prime)
         )
         assert res.converged
         last = res.trace[-1]
@@ -269,7 +272,7 @@ class TestStationarity:
         rng = np.random.default_rng(12)
         H, t, _ = _random_problem(rng, n=200, m=3, noise=1.0)
         tol = 1e-9
-        res = fit_mcc(H, t, sigma=2.0, lambda_prime=1e-4, tolerance=tol)
+        res = fit_mcc(H, t, 2.0, FitConfig(lambda_prime=1e-4, tolerance=tol))
         assert res.converged
         extra = weighted_ridge_step(H, t, KernelParams(2.0, 0.0), 1e-4, res.beta)
         bound = 10.0 * math.sqrt(tol) * (1.0 + np.max(np.abs(res.beta)))

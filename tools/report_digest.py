@@ -123,6 +123,13 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
              "--hidden", "20", "--lambda-prime", "0"],
             workdir / f"{name}.json",
         )))
+    # Finite targets whose max - min overflows, so min-max scaling cannot map them.
+    huge = workdir / "huge-target.csv"
+    _write_csv(huge, np.array([[1.0, 1e308], [2.0, -1e308], [3.0, 1e308], [4.0, -1e308]]))
+    out.append(("fit-huge-target", _run(
+        ["fit", "--csv", str(huge), "--no-header", "--model", "linear"],
+        workdir / "fit-huge-target.json",
+    )))
 
     for suffix in ("json", "csv"):
         path = workdir / f"kernel-trace.{suffix}"
