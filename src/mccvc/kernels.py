@@ -228,11 +228,15 @@ def gaussian_kde(sample, x, bandwidth: float):
     return float(out) if xs.ndim == 0 else out
 
 
-def mcc_vc_cost(errors, params: KernelParams, weight_norm_sq: float, lam: float) -> float:
-    """Regularized correntropy cost -V(e; sigma, c) + lam * ||beta||^2."""
-    lam = _check_non_negative(lam, "lam")
+def mcc_vc_cost(errors, params: KernelParams, weight_norm_sq: float, lambda_prime: float) -> float:
+    """Cost J = -V(e; sigma, c) + lambda ||beta||^2 with lambda = lambda' / (2 N sigma^2),
+    N = errors.size: -V has gradient -H'W(e - c) / (N sigma^2), so J is stationary
+    exactly where the update (H'WH + lambda' I) beta = H'W(T - c) holds."""
+    lambda_prime = _check_non_negative(lambda_prime, "lambda_prime")
     weight_norm_sq = _check_non_negative(weight_norm_sq, "weight_norm_sq")
-    return -empirical_correntropy(errors, params) + lam * weight_norm_sq
+    e = as_error_vector(errors)
+    penalty = lambda_prime * weight_norm_sq / (2.0 * e.size * params.sigma * params.sigma)
+    return -float(_kernel_mean(e - params.center, params.sigma)) + penalty
 
 
 def param_objective(errors, sigma: float, center: float) -> float:

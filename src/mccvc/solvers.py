@@ -10,12 +10,17 @@ only in the kernel, and one `FitConfig` (lambda', the iteration cap and the
 cost-change tolerance) carries every loop setting, checked once when it is
 built.
 
-Every normal-equation solve goes through one guard, `_spd_solve`: lambda' = 0
-means unregularized, a system whose Cholesky factorization fails has no
-unique solution and raises SingularSystemError, and a solution that is not
-finite or not accurate (its residual is not within 1e-8 (1 + max|b|)) raises
-SolverError, for mmse, mcc and mcc-vc alike.  Add regularization
-(lambda' > 0) to fit a rank-deficient design.
+lambda' is the one regularizer every function here takes.  The update is the
+stationary point of J = -V(e; sigma, c) + lambda ||beta||^2 only for
+lambda = lambda' / (2 N sigma^2), which only `mcc_vc_cost` and
+`mcc_vc_gradient` compute.  At a fixed (sigma, c) the update is a
+half-quadratic step and never raises J; the (sigma, c) choice minimizes the
+density fit, not J, and may raise it, so the loop stops on the change of J
+across one step at one (sigma, c).
+
+Every normal-equation system is assembled by `_normal_solve` and solved by
+`_spd_solve`, whose guards raise a SolverError for mmse, mcc and mcc-vc alike.
+Add regularization (lambda' > 0) to fit a rank-deficient design.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ _RESIDUAL_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Loop settings of both fixed-point solvers: the regularizer lambda', the
-    iteration cap and the cost-change tolerance."""
+    """Loop settings of both fixed-point solvers: the update's regularizer lambda'
+    (the cost's lambda' / (2 N sigma^2)), the iteration cap and the tolerance."""
 
     lambda_prime: float = 1e-4
     max_iterations: int = 100
@@ -104,28 +109,36 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     A failed factorization (singular or indefinite normal equations, such as
     a rank-deficient design with lambda' = 0) raises SingularSystemError.  A
     solution is returned only if its residual is within 1e-8 (1 + max|b|);
-    otherwise, a NaN residual of a non-finite solution included, it raises
-    SolverError.
+    otherwise, a NaN residual of a non-finite solution or input included, it
+    raises SolverError.
     """
     try:
-        factor = cho_factor(A, lower=True)
+        factor = cho_factor(A, lower=True, check_finite=False)
     except LinAlgError:
         raise SingularSystemError("normal equations are singular; add regularization") from None
-    x = cho_solve(factor, b)
+    x = cho_solve(factor, b, check_finite=False)
     residual = float(np.max(np.abs(A @ x - b)))
     if not residual <= _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(b)))):
         raise SolverError(f"linear solve residual {residual:.3g} exceeds tolerance")
     return x
 
 
-def ridge_solve(H, targets, lam: float) -> np.ndarray:
-    """Regularized least squares (H'H + lam I)^{-1} H'T via an SPD factorization."""
-    H, t = check_design(H, targets)
-    lam = _check_non_negative(lam, "lam")
-    A = H.T @ H
-    A[np.diag_indices_from(A)] += lam
-    b = H.T @ t
+def _normal_solve(H: np.ndarray, r: np.ndarray, lambda_prime: float, w=None) -> np.ndarray:
+    """Solve (H'WH + lambda' I) beta = H'W r, W = diag(w) or I; raise on overflow."""
+    lambda_prime = _check_non_negative(lambda_prime, "lambda_prime")
+    with np.errstate(over="ignore"):
+        WH, Wr = (H, r) if w is None else (w[:, None] * H, w * r)
+        A, b = H.T @ WH, H.T @ Wr
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise SolverError("normal equations overflow; rescale the design or targets")
+    A[np.diag_indices_from(A)] += lambda_prime
     return _spd_solve(A, b)
+
+
+def ridge_solve(H, targets, lambda_prime: float) -> np.ndarray:
+    """Regularized least squares (H'H + lambda' I)^{-1} H'T via an SPD factorization."""
+    H, t = check_design(H, targets)
+    return _normal_solve(H, t, lambda_prime)
 
 
 def weighted_ridge_step(
@@ -138,24 +151,19 @@ def weighted_ridge_step(
     """One fixed-point update (H'WH + lambda' I)^{-1} H'W(T - c).
 
     W is the diagonal of kernel weights G_sigma(e_i - c) at the residuals of
-    `beta_prev`.  All-zero weights with no regularization mean sigma is far
-    too small for the current residuals and raise DegenerateWeightsError.
-    With lambda' = 0 a singular H'WH raises SingularSystemError, as in
-    `ridge_solve`.
+    `beta_prev`; at that (sigma, c) the step never raises `mcc_vc_cost` at
+    the same lambda'.  All-zero weights with no regularization mean sigma is
+    far too small for the current residuals and raise DegenerateWeightsError.
+    With lambda' = 0 a singular H'WH raises SingularSystemError.
     """
     H, t = check_design(H, targets)
-    lambda_prime = _check_non_negative(lambda_prime, "lambda_prime")
     e = t - H @ _check_beta(beta_prev, H.shape[1])
     w = _kernel_values(e - params.center, params.sigma)
     if lambda_prime == 0.0 and not np.any(w > 0.0):
         raise DegenerateWeightsError(
             "all kernel weights underflowed to zero with no regularization"
         )
-    t_shift = t - params.center
-    A = H.T @ (w[:, None] * H)
-    A[np.diag_indices_from(A)] += lambda_prime
-    b = H.T @ (w * t_shift)
-    return _spd_solve(A, b)
+    return _normal_solve(H, t - params.center, lambda_prime, w)
 
 
 # Per-iteration hook: receives (k, residuals of beta_{k-1}, chosen params, beta_k).
@@ -169,32 +177,27 @@ def _fixed_point_loop(
     config: FitConfig,
     on_iteration: IterationHook | None,
 ) -> FitResult:
-    n, m = H.shape
-    beta = np.zeros(m)
-    lam = config.lambda_prime / (2.0 * n)
+    beta = np.zeros(H.shape[1])
+    lambda_prime = config.lambda_prime
 
     trace: list[IterationRecord] = []
     converged = False
-    iterations = 0
     residuals = t - H @ beta
     for k in range(1, config.max_iterations + 1):
         params = choose_params(residuals)
-        cost_prev = mcc_vc_cost(residuals, params, float(beta @ beta), lam)
-        beta_next = weighted_ridge_step(H, t, params, config.lambda_prime, beta)
+        cost_prev = mcc_vc_cost(residuals, params, float(beta @ beta), lambda_prime)
+        beta_next = weighted_ridge_step(H, t, params, lambda_prime, beta)
         residuals_next = t - H @ beta_next
-        cost = mcc_vc_cost(residuals_next, params, float(beta_next @ beta_next), lam)
+        cost = mcc_vc_cost(residuals_next, params, float(beta_next @ beta_next), lambda_prime)
         max_delta = float(np.max(np.abs(beta_next - beta)))
         trace.append(IterationRecord(params.sigma, params.center, cost, max_delta))
         if on_iteration is not None:
             on_iteration(k, residuals, params, beta_next)
         beta, residuals = beta_next, residuals_next
-        iterations = k
         if abs(cost - cost_prev) < config.tolerance:
             converged = True
             break
-    return FitResult(
-        beta=beta, iterations_run=iterations, converged=converged, trace=tuple(trace)
-    )
+    return FitResult(beta, len(trace), converged, tuple(trace))
 
 
 def fit_mcc_vc(
@@ -211,16 +214,10 @@ def fit_mcc_vc(
     weights, and solves the weighted ridge system with `config.lambda_prime`.
     Iteration stops once the cost change (evaluated at the iteration's own
     parameters) drops below `config.tolerance`, or after
-    `config.max_iterations` steps.  A singular (lambda' = 0), inaccurate or
-    non-finite solve raises a SolverError, as in `fit_mcc`.
+    `config.max_iterations` steps.
     """
     H, t = check_design(H, targets)
-
-    def choose(residuals: np.ndarray) -> KernelParams:
-        params, _ = optimize_params(residuals, grid)
-        return params
-
-    return _fixed_point_loop(H, t, choose, config, on_iteration)
+    return _fixed_point_loop(H, t, lambda e: optimize_params(e, grid)[0], config, on_iteration)
 
 
 def fit_mcc(
@@ -234,11 +231,9 @@ def fit_mcc(
 
     It takes the same `config` as `fit_mcc_vc`; only the kernel differs, so
     `fit_mcc_vc` on the one-point grid {sigma} x {0} (a width the search does
-    not clamp) gives this fit bit for bit.  A
-    positive width whose square underflows would zero every weight, so it
-    raises DegenerateWeightsError before the first iteration.  With
-    lambda' = 0 a design whose weighted normal equations are singular raises
-    SingularSystemError at the first iteration, as it does for `fit_mcc_vc`.
+    not clamp) gives this fit bit for bit.  A positive width whose square
+    underflows would zero every weight, so it raises DegenerateWeightsError
+    before the first iteration.
     """
     H, t = check_design(H, targets)
     sigma = float(sigma)
@@ -248,16 +243,17 @@ def fit_mcc(
     return _fixed_point_loop(H, t, lambda residuals: frozen, config, on_iteration)
 
 
-def mcc_vc_gradient(H, targets, beta, params: KernelParams, lam: float) -> np.ndarray:
-    """Analytic gradient of the regularized correntropy cost at `beta`.
+def mcc_vc_gradient(H, targets, beta, params: KernelParams, lambda_prime: float) -> np.ndarray:
+    """Analytic gradient of `mcc_vc_cost` at `beta`, for the same lambda'.
 
-    g = -(1/N) sum_i G_sigma(e_i - c) (e_i - c) / sigma^2 * h_i + 2 lam beta,
-    with e = T - H beta.  Used to certify stationarity of converged fits.
+    g = -(1/N) sum_i G_sigma(e_i - c) (e_i - c) / sigma^2 * h_i + 2 lambda beta,
+    e = T - H beta, lambda = lambda' / (2 N sigma^2): g = 0 where the update's
+    (H'WH + lambda' I) beta = H'W(T - c) holds, as at a converged fit.
     """
     H, t = check_design(H, targets)
-    lam = _check_non_negative(lam, "lam")
+    lambda_prime = _check_non_negative(lambda_prime, "lambda_prime")
     beta = _check_beta(beta, H.shape[1])
     u = (t - H @ beta) - params.center
     w = _kernel_values(u, params.sigma)
-    scale = w * u / (params.sigma * params.sigma)
-    return -(H.T @ scale) / t.size + 2.0 * lam * beta
+    sigma_sq = params.sigma * params.sigma
+    return -(H.T @ (w * u / sigma_sq)) / t.size + (lambda_prime / (t.size * sigma_sq)) * beta

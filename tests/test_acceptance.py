@@ -63,7 +63,6 @@ def _criterion(num: int, ok: bool, detail: str):
 @pytest.fixture(scope="module")
 def contamination_benchmark():
     cfg = SynthBenchConfig()  # library defaults: 100 runs, N=400, seeds 42+r
-    lam = cfg.lambda_prime / (2.0 * cfg.n_samples)
     rmse = {case: {} for case in cfg.cases}
     grad_ratios = []
     unconverged = 0
@@ -84,7 +83,7 @@ def contamination_benchmark():
                     continue
                 last = result.trace[-1]
                 g = mcc_vc_gradient(
-                    H, t, beta, KernelParams(last.sigma, last.center), lam
+                    H, t, beta, KernelParams(last.sigma, last.center), cfg.lambda_prime
                 )
                 ratio = np.max(np.abs(g)) / (1e-5 * (1.0 + np.max(np.abs(beta))))
                 grad_ratios.append(ratio)
@@ -230,17 +229,17 @@ def test_criterion_08_stationarity(contamination_benchmark):
         H = rng.normal(size=(n, m))
         t = H @ rng.normal(size=m) + rng.normal(0.0, 1.0, n)
         params = KernelParams(float(rng.uniform(0.5, 3.0)), float(rng.uniform(-2, 2)))
-        lam = float(rng.uniform(0.0, 1e-2))
+        lambda_prime = float(rng.uniform(0.0, 10.0))
         beta = rng.normal(size=m)
-        g = mcc_vc_gradient(H, t, beta, params, lam)
+        g = mcc_vc_gradient(H, t, beta, params, lambda_prime)
         fd = np.empty(m)
         for j in range(m):
             up, dn = beta.copy(), beta.copy()
             up[j] += h
             dn[j] -= h
             fd[j] = (
-                mcc_vc_cost(t - H @ up, params, float(up @ up), lam)
-                - mcc_vc_cost(t - H @ dn, params, float(dn @ dn), lam)
+                mcc_vc_cost(t - H @ up, params, float(up @ up), lambda_prime)
+                - mcc_vc_cost(t - H @ dn, params, float(dn @ dn), lambda_prime)
             ) / (2.0 * h)
         rel = np.max(np.abs(fd - g)) / max(np.max(np.abs(g)), 1e-8)
         worst_fd = max(worst_fd, rel)

@@ -25,7 +25,7 @@ from mccvc.bench import (
     synth_case_design,
 )
 from mccvc.cli import _parse_range, main
-from mccvc.data import TabularDataset
+from mccvc.data import SplitSpec, TabularDataset, apply_minmax, minmax_record, split
 from mccvc.kernels import CenterRule, ParamGrid
 
 
@@ -225,6 +225,20 @@ class TestDataBench:
         assert json.dumps(clone.to_dict()) == json.dumps(report["config"])
         rerun = run_data_bench([("demo", small_dataset)], clone)
         assert _strip_timings(rerun) == _strip_timings(report)
+
+    def test_train_scope_is_none_on_data_scaled_by_the_training_rows(self, small_dataset):
+        cfg = self._cfg(runs=1)
+        train, _ = split(small_dataset, SplitSpec(cfg.train_fraction, cfg.seed))
+        scaled = apply_minmax(minmax_record(train), small_dataset)
+        a = bench_dataset("demo", small_dataset, self._cfg(runs=1, norm_scope="train"))
+        b = bench_dataset("demo", scaled, self._cfg(runs=1, norm_scope="none"))
+        assert _strip_timings(a) == _strip_timings(b)
+
+    def test_full_scope_is_none_on_data_scaled_in_full(self, small_dataset):
+        scaled = apply_minmax(minmax_record(small_dataset), small_dataset)
+        a = bench_dataset("demo", scaled, self._cfg(norm_scope="full"))
+        b = bench_dataset("demo", scaled, self._cfg(norm_scope="none"))
+        assert _strip_timings(a) == _strip_timings(b)
 
     def test_nonconverged_counts_fits_stopped_at_the_cap(self, small_dataset):
         section = bench_dataset("demo", small_dataset, self._cfg(max_iterations=1))
@@ -451,6 +465,19 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("mccvc: error spread overflows") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["mmse", "mcc", "mcc-vc"])
+    def test_overflowing_design_is_a_one_line_numerical_error(self, tmp_path, capsys, method):
+        # Every entry is finite, but the normal equations H'WH overflow.
+        path = tmp_path / "huge-feature.csv"
+        path.write_text("1e200,0,2\n2,1,4\n3,0,1\n4,1,9\n")
+        code = main(["fit", "--csv", str(path), "--no-header", "--model", "linear",
+                     "--normalize", "false", "--method", method,
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == ("mccvc: numerical failure: normal equations overflow; "
+                       "rescale the design or targets\n")
 
     def test_target_wider_than_the_largest_float_is_a_one_line_data_error(self, tmp_path, capsys):
         # Every entry is finite, but max - min of the target overflows, so the

@@ -37,6 +37,8 @@ G_1_1 = 0.24197072451914335
 CORR_SYM3 = 0.29429457647990646      # mean of G at [-1, 0, 1], sigma 1, c 0
 OBJ_AT_CENTER = -0.51578976902898721  # 1/(2 sqrt(pi)) - 2/sqrt(2 pi)
 OBJ_SYM3 = -0.30649436118593477
+# -V at [-1, 0, 1], sigma 2, c 0, plus lambda' ||beta||^2 / (2 N sigma^2), 0.1 * 4 / 24
+COST_SYM3_SIGMA2 = -0.16717882232167193891
 
 
 class TestGaussianKernel:
@@ -165,23 +167,23 @@ class TestCost:
         assert value == pytest.approx(-G_0_1, rel=1e-14)
 
     def test_with_penalty_oracle(self):
-        value = mcc_vc_cost([-1.0, 0.0, 1.0], KernelParams(1.0, 0.0), 4.0, 0.1)
-        assert value == pytest.approx(-CORR_SYM3 + 0.4, rel=1e-12)
+        value = mcc_vc_cost([-1.0, 0.0, 1.0], KernelParams(2.0, 0.0), 4.0, 0.1)
+        assert value == pytest.approx(COST_SYM3_SIGMA2, rel=1e-12)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             mcc_vc_cost([1.0], KernelParams(1.0, 0.0), 1.0, -0.1)
 
-    @pytest.mark.parametrize("weight_norm_sq, lam, name", [
-        (1.0, math.nan, "lam"),
-        (1.0, math.inf, "lam"),
+    @pytest.mark.parametrize("weight_norm_sq, lambda_prime, name", [
+        (1.0, math.nan, "lambda_prime"),
+        (1.0, math.inf, "lambda_prime"),
         (math.inf, 0.0, "weight_norm_sq"),
         (math.nan, 0.1, "weight_norm_sq"),
         (-1.0, 0.1, "weight_norm_sq"),
     ])
-    def test_rejects_non_finite_regularizer(self, weight_norm_sq, lam, name):
+    def test_rejects_non_finite_regularizer(self, weight_norm_sq, lambda_prime, name):
         with pytest.raises(ValueError, match=f"^{name} must be a non-negative finite real"):
-            mcc_vc_cost([0.5, -1.0, 2.0], KernelParams(1.0, 0.0), weight_norm_sq, lam)
+            mcc_vc_cost([0.5, -1.0, 2.0], KernelParams(1.0, 0.0), weight_norm_sq, lambda_prime)
 
 
 class TestParamObjective:

@@ -7,7 +7,7 @@ import pytest
 
 from mccvc import solvers
 from mccvc.errors import DegenerateWeightsError, SingularSystemError, SolverError
-from mccvc.kernels import CenterRule, KernelParams, ParamGrid, gaussian_kernel
+from mccvc.kernels import CenterRule, KernelParams, ParamGrid, gaussian_kernel, mcc_vc_cost
 from mccvc.solvers import (
     FitConfig,
     fit_mcc,
@@ -54,10 +54,21 @@ class TestRidgeSolve:
         with pytest.raises(ValueError):
             ridge_solve(np.eye(2), np.ones(2), -1.0)
 
-    @pytest.mark.parametrize("lam", [math.nan, math.inf])
-    def test_rejects_non_finite_penalty(self, lam):
-        with pytest.raises(ValueError, match="^lam must be a non-negative finite real"):
-            ridge_solve(np.eye(2), np.ones(2), lam)
+    @pytest.mark.parametrize("lambda_prime", [math.nan, math.inf])
+    def test_rejects_non_finite_penalty(self, lambda_prime):
+        with pytest.raises(ValueError, match="^lambda_prime must be a non-negative finite real"):
+            ridge_solve(np.eye(2), np.ones(2), lambda_prime)
+
+    @pytest.mark.parametrize("solve", ["ridge", "weighted"])
+    def test_overflowing_normal_equations_raise(self, solve):
+        # Every entry is finite, but H'H (and H'W H) overflow to inf.
+        H = np.array([[1e200, 1.0], [1.0, 2.0], [3.0, 1.0]])
+        t = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(SolverError, match="^normal equations overflow"):
+            if solve == "ridge":
+                ridge_solve(H, t, 1e-4)
+            else:
+                weighted_ridge_step(H, t, KernelParams(5.0, 0.0), 1e-4, np.zeros(2))
 
     def test_non_finite_solution_raises(self):
         # Cholesky succeeds but the solve returns NaN, whose residual is NaN.
@@ -253,20 +264,55 @@ class TestFixedPointLoops:
             FitConfig(tolerance=0.0)
 
 
+class TestHalfQuadraticDescent:
+    def test_step_never_raises_the_cost_at_its_kernel(self):
+        # At a fixed (sigma, c) the update minimizes a quadratic majorizer of
+        # the cost, so the cost at the same lambda' cannot rise.
+        rng = np.random.default_rng(15)
+        n, m = 60, 3
+        rises = []
+        for _ in range(500):
+            H = rng.normal(size=(n, m))
+            t = H @ rng.normal(size=m) + rng.normal(0.0, 0.5, n)
+            outliers = rng.choice(n, n // 10, replace=False)
+            t[outliers] += rng.normal(8.0, 4.0, outliers.size)
+            params = KernelParams(float(rng.uniform(0.2, 3.0)), float(rng.uniform(-1.0, 1.0)))
+            lambda_prime = float(np.exp(rng.uniform(np.log(1e-2), np.log(30.0))))
+            beta = rng.normal(size=m)
+            step = weighted_ridge_step(H, t, params, lambda_prime, beta)
+            before = mcc_vc_cost(t - H @ beta, params, float(beta @ beta), lambda_prime)
+            after = mcc_vc_cost(t - H @ step, params, float(step @ step), lambda_prime)
+            if after > before + 1e-12 * (1.0 + abs(before)):
+                rises.append((after - before, params, lambda_prime))
+        assert rises == []
+
+
+def _assert_stationary(H, t, res, lambda_prime):
+    assert res.converged
+    last = res.trace[-1]
+    g = mcc_vc_gradient(H, t, res.beta, KernelParams(last.sigma, last.center), lambda_prime)
+    assert np.max(np.abs(g)) <= 1e-5 * (1.0 + np.max(np.abs(res.beta)))
+
+
 class TestStationarity:
     def test_gradient_small_at_convergence(self):
         rng = np.random.default_rng(11)
         H, t, _ = _random_problem(rng, n=200, m=3, noise=1.0)
-        lam_prime = 1e-4
-        res = fit_mcc_vc(
-            H, t, ParamGrid(np.linspace(0.2, 5.0, 25), np.linspace(-5, 5, 101)),
-            FitConfig(lambda_prime=lam_prime)
-        )
-        assert res.converged
-        last = res.trace[-1]
-        lam = lam_prime / (2.0 * len(t))
-        g = mcc_vc_gradient(H, t, res.beta, KernelParams(last.sigma, last.center), lam)
-        assert np.max(np.abs(g)) <= 1e-5 * (1.0 + np.max(np.abs(res.beta)))
+        grid = ParamGrid(np.linspace(0.2, 5.0, 25), np.linspace(-5, 5, 101))
+        _assert_stationary(H, t, fit_mcc_vc(H, t, grid, FitConfig(lambda_prime=1e-4)), 1e-4)
+
+    @pytest.mark.parametrize("fit, sigma, lambda_prime", [("mcc", 0.5, 1.0), ("mcc-vc", 2.0, 0.1)])
+    def test_gradient_small_at_convergence_with_large_lambda_prime(self, fit, sigma, lambda_prime):
+        # At sigma != 1 and lambda' >= 0.1 a cost whose lambda is not
+        # lambda' / (2 N sigma^2) has a gradient far above the bound here.
+        H, t, _ = _random_problem(np.random.default_rng(11), n=200, m=3, noise=1.0)
+        config = FitConfig(lambda_prime=lambda_prime)
+        if fit == "mcc":
+            res = fit_mcc(H, t, sigma, config)
+        else:
+            res = fit_mcc_vc(H, t, ParamGrid(np.array([sigma]), np.array([0.0])), config)
+        assert res.trace[-1].sigma == sigma
+        _assert_stationary(H, t, res, lambda_prime)
 
     def test_one_extra_step_barely_moves_beta(self):
         rng = np.random.default_rng(12)
@@ -279,34 +325,32 @@ class TestStationarity:
         assert np.max(np.abs(extra - res.beta)) <= bound
 
     def test_gradient_matches_finite_differences(self):
-        from mccvc.kernels import mcc_vc_cost
-
         rng = np.random.default_rng(13)
         H, t, _ = _random_problem(rng, n=50, m=4, noise=1.0)
         params = KernelParams(1.4, 0.6)
-        lam = 1e-3
+        lambda_prime = 1.0
         h = 1e-6
         for _ in range(5):
             beta = rng.normal(size=4)
-            g = mcc_vc_gradient(H, t, beta, params, lam)
+            g = mcc_vc_gradient(H, t, beta, params, lambda_prime)
             fd = np.empty_like(g)
             for j in range(4):
                 up, dn = beta.copy(), beta.copy()
                 up[j] += h
                 dn[j] -= h
                 fd[j] = (
-                    mcc_vc_cost(t - H @ up, params, float(up @ up), lam)
-                    - mcc_vc_cost(t - H @ dn, params, float(dn @ dn), lam)
+                    mcc_vc_cost(t - H @ up, params, float(up @ up), lambda_prime)
+                    - mcc_vc_cost(t - H @ dn, params, float(dn @ dn), lambda_prime)
                 ) / (2.0 * h)
             denom = max(np.max(np.abs(g)), 1e-8)
             assert np.max(np.abs(fd - g)) / denom <= 1e-4
 
-    @pytest.mark.parametrize("lam", [-1e-3, math.nan, math.inf])
-    def test_gradient_rejects_bad_lambda(self, lam):
+    @pytest.mark.parametrize("lambda_prime", [-1e-3, math.nan, math.inf])
+    def test_gradient_rejects_bad_lambda(self, lambda_prime):
         rng = np.random.default_rng(14)
         H, t, _ = _random_problem(rng, n=20, m=3)
-        with pytest.raises(ValueError, match="^lam must be a non-negative finite real"):
-            mcc_vc_gradient(H, t, np.zeros(3), KernelParams(1.0, 0.0), lam)
+        with pytest.raises(ValueError, match="^lambda_prime must be a non-negative finite real"):
+            mcc_vc_gradient(H, t, np.zeros(3), KernelParams(1.0, 0.0), lambda_prime)
 
     @pytest.mark.parametrize("beta, message", _BAD_BETAS)
     def test_gradient_rejects_bad_beta(self, beta, message):

@@ -130,6 +130,15 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
         ["fit", "--csv", str(huge), "--no-header", "--model", "linear"],
         workdir / "fit-huge-target.json",
     )))
+    # A finite design whose normal equations H'H overflow.
+    huge = workdir / "huge-feature.csv"
+    _write_csv(huge, np.array([[1e200, 0.0, 2.0], [2.0, 1.0, 4.0], [3.0, 0.0, 1.0],
+                               [4.0, 1.0, 9.0]]))
+    out.append(("fit-overflow-design", _run(
+        ["fit", "--csv", str(huge), "--no-header", "--model", "linear", "--normalize", "false",
+         "--method", "mmse"],
+        workdir / "fit-overflow-design.json",
+    )))
 
     for suffix in ("json", "csv"):
         path = workdir / f"kernel-trace.{suffix}"
