@@ -3,8 +3,11 @@
 The package fits models y = h(x) beta under three criteria: regularized least
 squares, the classical zero-center correntropy criterion, and its
 variable-center extension whose kernel width and center are re-chosen from the
-residuals at every fixed-point iteration.  The two correntropy fits share one
-contract, `fit_mcc(H, T, sigma, config)` and `fit_mcc_vc(H, T, grid, config)`,
+residuals at every fixed-point iteration (on a design that spans the constant
+vector the center is not identifiable, so the first one is kept).  Both loops
+stop on a cost change relative to max(1, |cost|).  The two correntropy fits
+share one contract, `fit_mcc(H, T, sigma, config)` and
+`fit_mcc_vc(H, T, grid, config)`,
 with one `FitConfig` of loop settings, and every linear solve passes one guard
 that raises a SolverError on a singular, inaccurate or non-finite solution
 rather than return a NaN.  `bench` and the `mccvc` CLI wrap

@@ -99,7 +99,8 @@ def _add_loop_flags(p: argparse.ArgumentParser):
     p.add_argument("--max-iter", dest="max_iterations", type=int,
                    help="fixed-point iteration cap (default %(default)s)")
     p.add_argument("--tol", dest="tolerance", type=float,
-                   help="cost-change stopping tolerance (default %(default)s)")
+                   help="stop once a step changes the cost by less than this times "
+                        "max(1, |cost|) (default %(default)s)")
 
 
 def _add_lambda_flag(p: argparse.ArgumentParser):

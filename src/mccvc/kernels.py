@@ -7,8 +7,9 @@ of a residual sample is the mean kernel value of (e_i - c), so the pair
 `optimize_params` picks that pair by minimizing the integrated squared distance
 between the shifted kernel and the residual density, evaluated on a finite
 grid (the closed-form self-energy term is 1 / (2 sqrt(pi) sigma)).  Every exact
-kernel sum is one mean, `_kernel_mean`.  On an explicit grid each width is first
-screened by one kernel sum over points with masses, the errors themselves or,
+kernel sum is one mean, `_kernel_mean`, and a one-center search is one exact
+table.  On an explicit grid of more centers each width is first screened by
+one kernel sum over points with masses, the errors themselves or,
 when N is large against the lattice, their linear binning, under one proven
 error bound; only the grid points that bound cannot rule out are rescored
 exactly, so the search returns bit for bit what the full table would.
@@ -313,9 +314,10 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
 
     The result is bit for bit that of the full (S, C) table of objectives.
     Every exact objective is a row of `_kernel_mean`, as in `param_objective`;
-    the mean and median rules (one center) compute their whole table so, in
-    one broadcast over blocks of widths.  An explicit grid is screened, and
-    only the points the screen cannot rule out are computed exactly:
+    every one-center search (the mean and median rules, or an explicit grid
+    of one center) computes its whole table so, in one broadcast over blocks
+    of widths.  An explicit grid of more centers is screened, and only the
+    points the screen cannot rule out are computed exactly:
 
     - Screened rows.  A width's row is the kernel sum (1/N) sum_k m_k
       G(c - x_k) over points x_k with masses m_k, from (c - x_k)^2 times
@@ -374,7 +376,7 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
         )
         sigmas = np.maximum(sigmas, floor)
 
-    if grid.center_rule is not CenterRule.EXPLICIT_GRID:
+    if centers.size == 1:
         objective = _exact_objectives(e, centers, sigmas)
         keep = np.ones(objective.shape, dtype=bool)
     else:

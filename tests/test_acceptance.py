@@ -331,13 +331,16 @@ def test_criterion_11_synthetic_elm_ordering():
     mcc = by_method["elm-mcc"]["mean_test_rmse"]
     vc = by_method["elm-mcc-vc"]["mean_test_rmse"]
     failures = sum(row["failures"] for row in section["results"])
+    # The ELM features span the constant vector, so only a frozen center lets
+    # every elm-mcc-vc fit converge.
+    vc_nonconverged = by_method["elm-mcc-vc"]["nonconverged"]
     elapsed = time.perf_counter() - t0
-    ok = vc <= mcc <= relm and failures == 0 and elapsed < 300.0
+    ok = vc <= mcc <= relm and failures == 0 and vc_nonconverged == 0 and elapsed < 60.0
     _criterion(
         11,
         ok,
         f"mean test rmse: vc={vc:.6f} <= mcc={mcc:.6f} <= relm={relm:.6f}; "
-        f"{elapsed:.0f}s",
+        f"elm-mcc-vc nonconverged={vc_nonconverged}; {elapsed:.0f}s",
     )
 
 

@@ -479,6 +479,20 @@ class TestCli:
         assert err == ("mccvc: numerical failure: normal equations overflow; "
                        "rescale the design or targets\n")
 
+    @pytest.mark.parametrize("method", ["mcc", "mcc-vc"])
+    def test_overflowing_weights_are_a_one_line_numerical_error(self, tmp_path, capsys, method):
+        # The normal equations are finite, but beta near 1e160 squares past
+        # the largest float in the cost's ||beta||^2.
+        path = tmp_path / "tiny-feature.csv"
+        path.write_text("1e-160,1\n2e-160,2\n3e-160,3\n4e-160,5\n")
+        code = main(["fit", "--csv", str(path), "--no-header", "--model", "linear",
+                     "--normalize", "false", "--method", method, "--lambda-prime", "0",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == ("mccvc: numerical failure: weights overflow: ||beta||^2 is not finite; "
+                       "rescale the design or targets\n")
+
     def test_target_wider_than_the_largest_float_is_a_one_line_data_error(self, tmp_path, capsys):
         # Every entry is finite, but max - min of the target overflows, so the
         # default min-max scaling cannot map it into [0, 1].

@@ -7,6 +7,7 @@ import pytest
 
 from mccvc import solvers
 from mccvc.errors import DegenerateWeightsError, SingularSystemError, SolverError
+from mccvc.features import elm_features, init_elm
 from mccvc.kernels import CenterRule, KernelParams, ParamGrid, gaussian_kernel, mcc_vc_cost
 from mccvc.solvers import (
     FitConfig,
@@ -262,6 +263,91 @@ class TestFixedPointLoops:
             FitConfig(max_iterations=0)
         with pytest.raises(ValueError):
             FitConfig(tolerance=0.0)
+
+
+def _elm_problem():
+    """Sigmoid ELM features (m=50) of a noisy sinc with outliers: the features
+    span the constant vector, so the center and beta's intercept are confounded."""
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0.0, 1.0, (200, 2))
+    t = 0.5 * np.sinc(4.0 * np.linalg.norm(X - 0.5, axis=1)) + 0.3 + 0.01 * rng.normal(size=200)
+    outliers = rng.random(200) < 0.1
+    t[outliers] += rng.normal(0.0, 0.5, outliers.sum())
+    return elm_features(init_elm(2, 50, 1), X), t
+
+
+_MEDIAN_GRID = ParamGrid(np.linspace(0.005, 0.25, 50), None, CenterRule.MEDIAN_OF_ERRORS)
+
+
+class TestCenterFreeze:
+    DELTA = 0.37
+
+    def test_spans_constant(self):
+        rng = np.random.default_rng(12)
+        H = rng.normal(size=(50, 3))
+        assert not solvers._spans_constant(H)
+        assert solvers._spans_constant(np.column_stack([np.ones(50), H]))
+        assert solvers._spans_constant(_elm_problem()[0])
+
+    def test_shifted_targets_move_only_the_center_without_an_intercept(self):
+        rng = np.random.default_rng(13)
+        H = rng.normal(size=(120, 3))
+        t = H @ [1.0, -2.0, 0.5] + 0.1 * rng.normal(size=120) + 0.2
+        t[:12] += 5.0
+        grid = ParamGrid(np.linspace(0.05, 2.0, 40), None, CenterRule.MEDIAN_OF_ERRORS)
+        base = fit_mcc_vc(H, t, grid)
+        shifted = fit_mcc_vc(H, t + self.DELTA, grid)
+        assert base.converged and shifted.iterations_run == base.iterations_run
+        # The center is re-chosen at every step, not frozen.
+        assert len({r.center for r in base.trace}) == base.iterations_run
+        for a, b in zip(base.trace, shifted.trace):
+            assert a.sigma == b.sigma
+            assert abs(b.center - a.center - self.DELTA) <= 1e-12
+        assert np.max(np.abs(shifted.beta - base.beta)) <= 1e-12
+
+    def test_confounded_center_is_frozen_and_predictions_shift(self):
+        H, t = _elm_problem()
+        config = FitConfig(lambda_prime=1e-4)
+        base = fit_mcc_vc(H, t, _MEDIAN_GRID, config)
+        shifted = fit_mcc_vc(H, t + self.DELTA, _MEDIAN_GRID, config)
+        for res in (base, shifted):
+            assert res.converged and res.iterations_run < config.max_iterations
+            assert all(r.center == res.trace[0].center for r in res.trace[1:])
+        assert len({r.sigma for r in base.trace}) > 1  # sigma is still re-chosen
+        predict = lambda res: H @ res.beta + res.trace[-1].center  # noqa: E731
+        assert np.max(np.abs(predict(shifted) - predict(base) - self.DELTA)) <= 1e-8
+
+    def test_frozen_search_is_a_one_center_explicit_grid(self, monkeypatch):
+        grids, optimize = [], solvers.optimize_params
+
+        def search(e, grid):
+            grids.append(grid)
+            return optimize(e, grid)
+
+        monkeypatch.setattr(solvers, "optimize_params", search)
+        H, t = _elm_problem()
+        res = fit_mcc_vc(H, t, _MEDIAN_GRID)
+        assert len(grids) == res.iterations_run and grids[0] is _MEDIAN_GRID
+        for grid in grids[1:]:
+            assert grid.center_rule is CenterRule.EXPLICIT_GRID
+            assert list(grid.center_set) == [res.trace[0].center]
+            assert np.array_equal(grid.sigma_set, _MEDIAN_GRID.sigma_set)
+
+
+class TestRelativeStop:
+    def test_stops_at_the_first_step_within_the_relative_tolerance(self):
+        # A width of 0.05 makes |J| about 4.7, so the relative rule stops
+        # where the cost still changes by more than the tolerance itself.
+        H, t = _elm_problem()
+        config = FitConfig(lambda_prime=1e-4, tolerance=1e-6)
+        res = fit_mcc(H, t, 0.05, config)
+        assert res.converged and res.iterations_run < config.max_iterations
+        params = KernelParams(0.05, 0.0)
+        costs = [mcc_vc_cost(t, params, 0.0, config.lambda_prime)] + [r.cost for r in res.trace]
+        changes = [abs(b - a) / max(1.0, abs(a)) for a, b in zip(costs, costs[1:])]
+        assert all(c >= config.tolerance for c in changes[:-1])
+        assert changes[-1] < config.tolerance
+        assert abs(costs[-1] - costs[-2]) >= config.tolerance
 
 
 class TestHalfQuadraticDescent:

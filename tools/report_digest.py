@@ -139,6 +139,14 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
          "--method", "mmse"],
         workdir / "fit-overflow-design.json",
     )))
+    # Finite normal equations whose solution's ||beta||^2 overflows.
+    tiny = workdir / "tiny-feature.csv"
+    _write_csv(tiny, np.array([[1e-160, 1.0], [2e-160, 2.0], [3e-160, 3.0], [4e-160, 5.0]]))
+    out.append(("fit-overflow-weights", _run(
+        ["fit", "--csv", str(tiny), "--no-header", "--model", "linear", "--normalize", "false",
+         "--method", "mcc-vc", "--lambda-prime", "0"],
+        workdir / "fit-overflow-weights.json",
+    )))
 
     for suffix in ("json", "csv"):
         path = workdir / f"kernel-trace.{suffix}"
