@@ -12,7 +12,11 @@ table.  On an explicit grid of more centers each width is first screened by
 one kernel sum over points with masses, the errors themselves or,
 when N is large against the lattice, their linear binning, under one proven
 error bound; only the grid points that bound cannot rule out are rescored
-exactly, so the search returns bit for bit what the full table would.
+exactly, so the search returns bit for bit what the full table would.  A
+fit's successive searches share one `RowBounds`: each width carries an
+interval holding its least exact objective, widened between searches by the
+kernel's bounded slope, and only the widths whose interval can still reach the
+grid minimum are screened again.
 """
 
 from __future__ import annotations
@@ -300,7 +304,41 @@ def _screened_objectives(sq: np.ndarray, s, mass: np.ndarray, n: int, h: float, 
     return _objective(corr, s), bound
 
 
-def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
+@dataclass
+class RowBounds:
+    """What one fit's explicit-grid searches carry from one call to the next
+    (see `optimize_params`): the grid and the residuals of the last call, its
+    clamped widths, and per width an interval [lo, hi] that holds the least
+    exact objective of that width's row at those residuals.  A new state holds
+    none, so its first search screens every width."""
+
+    grid: ParamGrid | None = None
+    errors: np.ndarray | None = None
+    sigmas: np.ndarray | None = None
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+
+    def intervals(self, e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray):
+        """Each width's interval at the residuals `e`: the carried one widened by
+        its drift bound, or (-inf, inf) for a width whose clamp moved and for
+        every width of a new state, of another grid or of another N."""
+        lo, hi = np.full(sigmas.size, -np.inf), np.full(sigmas.size, np.inf)
+        if self.grid is not grid or self.errors.shape != e.shape:
+            return lo, hi
+        n, eps = e.size, sys.float_info.epsilon
+        # An overflowing drift is inf, which screens every width.
+        with np.errstate(over="ignore"):
+            step = float(np.mean(np.abs(e - self.errors))) * (1.0 + (n + 8) * eps)
+            drift = 2.0 / SQRT_2PI * (step / math.sqrt(math.e) / sigmas + (n + 16) * eps) / sigmas
+            same = sigmas == self.sigmas
+            lo[same] = self.lo[same] - drift[same]
+            hi[same] = self.hi[same] + drift[same]
+        return lo, hi
+
+
+def optimize_params(
+    errors, grid: ParamGrid, state: RowBounds | None = None
+) -> tuple[KernelParams, float]:
     """Minimize `param_objective` over the effective (sigma, center) grid.
 
     The effective search space is sigma_set x center_set for the explicit-grid
@@ -312,7 +350,9 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
     whose spread overflows (their squared deviations from their mean sum past
     the largest float) raise ValueError.
 
-    The result is bit for bit that of the full (S, C) table of objectives.
+    The result is bit for bit that of the full (S, C) table of objectives,
+    with or without `state`, one `RowBounds` that a fit passes to each of its
+    searches so that they share what bounds the last one proved.
     Every exact objective is a row of `_kernel_mean`, as in `param_objective`;
     every one-center search (the mean and median rules, or an explicit grid
     of one center) computes its whole table so, in one broadcast over blocks
@@ -344,10 +384,34 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
       one within (N + B + 24)u p (bin masses from N weights then a B-term
       matvec, or an N-term matvec, then the one division by N sqrt(2 pi)
       sigma); their (2N + B + 40)u is charged twice over.
-    - Certified rescore.  With U the least screened objective plus its bound,
-      a point whose screened objective minus its bound exceeds U is above
-      the grid minimum, so it is dropped.  The kept points are recomputed
-      exactly, so the tie rule sees the full table's minimum and tied set.
+    - Carried intervals.  `state` (one `RowBounds` per fit, or none) holds,
+      per width, an interval [lo, hi] around its row's least exact objective
+      at the last call's residuals e'.  Each interval is widened by the
+      width's drift bound to e; U is the least hi, and only the widths with
+      lo <= U are screened (all centers of each), and their intervals are
+      refreshed to the least screened objective minus and plus its bound.  A
+      width whose clamped value moved since e' gets (-inf, inf), as do all of
+      a new state, so a search without a state screens every width.
+    - Drift bound.  The objective's e-dependent part is -2 (1/N) sum_i
+      G(e_i - c), and |G'(u)| = p |u|/sigma^2 exp(-u^2/(2 sigma^2)) is at
+      most p/(sigma sqrt(e)), at |u| = sigma.  So an exact objective moves
+      by at most 2 p mean|e - e'|/(sigma sqrt(e)) from e' to e, and so does a
+      row's least one.  The intervals hold computed exact objectives, each
+      within 2(N + 16)u p of its true value (above), so the bound adds that
+      once per residual vector, 2 p (N + 16) eps in all, and raises the
+      computed mean|e - e'| by (N + 8) eps relative for its own rounding (a
+      difference, an N-term sum and a division) and that of the drift's
+      product.  A chain of widenings needs the rounding charge of its two
+      ends only, so each further widening's charge absorbs the rounding of
+      lo - drift and hi + drift; the first one's falls within the slack of
+      the screened bound.  The mean|e - e'| is computed with overflow
+      ignored: an infinite drift widens every interval to (-inf, inf).
+    - Certified rescore.  With the cut the least of U and of the screened
+      objectives plus their bound, a point whose screened objective minus
+      its bound exceeds the cut is above the grid minimum, so it is dropped;
+      so is every point of a width whose lo exceeds U.  The kept points are
+      recomputed exactly, so the tie rule sees the full table's minimum and
+      tied set.
     """
     e = as_error_vector(errors)
     n = e.size
@@ -380,11 +444,15 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
         objective = _exact_objectives(e, centers, sigmas)
         keep = np.ones(objective.shape, dtype=bool)
     else:
+        state = RowBounds() if state is None else state
+        lo, hi = state.intervals(e, grid, sigmas)
+        cut = hi.min()
+        rows = np.flatnonzero(lo <= cut)
         c, counts = centers.size, _node_counts(centers, sigmas)
         binned = (
             (c * n >= _BIN_COST_PER_ERROR * n + _BIN_COST_PER_NODE * c * counts + _BIN_COST_PER_ROW)
             & (_BIN_FRAC * sigmas >= _RESOLUTION * (np.max(np.abs(centers)) + _REACH * sigmas))
-        )
+        )[rows]
         sorted_e = np.sort(e) if binned.any() else None
         objective = np.empty((sigmas.size, centers.size))
         bound = np.empty((sigmas.size, 1))
@@ -392,14 +460,19 @@ def optimize_params(errors, grid: ParamGrid) -> tuple[KernelParams, float]:
         # screens as a clipped difference, so that overflow is silenced.
         with np.errstate(over="ignore"):
             unbinned = None if binned.all() else ((centers[:, None] - e) ** 2, np.ones(n), 0.0, 0)
-            for i, s in enumerate(sigmas):
+            for i, is_binned in zip(rows, binned):
+                s = sigmas[i]
                 sq, mass, h, nodes = (
-                    _lattice(sorted_e, centers, s, int(counts[i])) if binned[i] else unbinned
+                    _lattice(sorted_e, centers, s, int(counts[i])) if is_binned else unbinned
                 )
                 objective[i], bound[i] = _screened_objectives(sq, s, mass, n, h, nodes)
-        keep = objective - bound <= (objective + bound).min()
+        low = objective[rows] - bound[rows]
+        lo[rows], hi[rows] = low.min(axis=1), (objective[rows] + bound[rows]).min(axis=1)
+        keep = np.zeros(objective.shape, dtype=bool)
+        keep[rows] = low <= min(cut, hi[rows].min())
         for i in np.flatnonzero(keep.any(axis=1)):
             objective[i, keep[i]] = _exact_objectives(e, centers[keep[i]], sigmas[i:i + 1])[0]
+        state.grid, state.errors, state.sigmas, state.lo, state.hi = grid, e.copy(), sigmas, lo, hi
 
     rows, cols = np.nonzero(keep & (objective == objective[keep].min()))
     pick = 0

@@ -26,7 +26,9 @@ shift of c is absorbed by the intercept direction of beta, the predictions
 H beta + c do not move, and the median rule lets c drift by a little at
 every step so the loop never stops.  `fit_mcc_vc` therefore tests once per
 fit whether 1 is in span(H) and, if it is, keeps the first iteration's c* and
-re-chooses only sigma on the one-center grid {c*}.
+re-chooses only sigma on the one-center grid {c*}.  The (sigma, c) searches of
+one fit share a `kernels.RowBounds`, which lets each explicit-grid search skip
+the widths that the last one and the residuals' drift since it rule out.
 
 Every normal-equation system is assembled by `_normal_solve` and solved by
 `_spd_solve`, whose guards raise a SolverError for mmse, mcc and mcc-vc alike.
@@ -47,6 +49,7 @@ from .kernels import (
     CenterRule,
     KernelParams,
     ParamGrid,
+    RowBounds,
     _check_non_negative,
     _kernel_values,
     mcc_vc_cost,
@@ -254,14 +257,19 @@ def fit_mcc_vc(
     the same predictions H beta + c once beta absorbs it, so c is not
     identifiable.  The fit then keeps the first iteration's c* and searches
     only the widths, on the one-center explicit grid sigma_set x {c*}.
+
+    The searches of one fit share one `RowBounds`, so a search on an
+    explicit grid of several centers screens only the widths that the
+    previous residuals and the drift since them leave in contention; each
+    pick is still bit for bit that of a search without it.
     """
     H, t = check_design(H, targets)
     confounded = _spans_constant(H)
-    search = grid
+    search, state = grid, RowBounds()
 
     def choose(e: np.ndarray) -> KernelParams:
         nonlocal search
-        params = optimize_params(e, search)[0]
+        params = optimize_params(e, search, state)[0]
         if confounded and search is grid:
             search = ParamGrid(grid.sigma_set, [params.center], CenterRule.EXPLICIT_GRID)
         return params

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mccvc import kernels
+from mccvc import kernels, solvers
 from mccvc.bench import synth_case_design
 from mccvc.kernels import (
     CenterRule,
@@ -28,7 +28,7 @@ from mccvc.kernels import (
     optimize_params,
     param_objective,
 )
-from mccvc.solvers import ridge_solve
+from mccvc.solvers import fit_mcc_vc, ridge_solve
 
 # oracle: 1/sqrt(2 pi) and friends, mpmath dps=30
 G_0_1 = 0.39894228040143268
@@ -580,3 +580,95 @@ def test_search_is_the_full_table_search(n, seed, n_centers, rule, rounded):
         e, centers = np.round(e, 1), np.round(centers, 1)
     grid = ParamGrid(sigmas, np.unique(centers), rule)
     _assert_same_search(e, grid)
+
+
+def _fit_searches(case, n, grid):
+    """The residuals of every (sigma, c) search of one MCC-VC fit (seed 0),
+    which passes one `RowBounds` to all of them."""
+    searches, states, optimize = [], set(), solvers.optimize_params
+
+    def search(e, grid, state):
+        searches.append(np.array(e))
+        states.add(id(state))
+        return optimize(e, grid, state)
+
+    H, t = synth_case_design(case, n, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "optimize_params", search)
+        fit_mcc_vc(H, t, grid)
+    assert len(states) == 1
+    return searches
+
+
+def _warm_searches(searches, grid):
+    """Replay `searches` through one `RowBounds`, asserting each (params, value)
+    equals a search without it; return the widths each call screened."""
+    state, screened, screen = kernels.RowBounds(), [], kernels._screened_objectives
+    for e in searches:
+        fresh = optimize_params(e, grid)
+        widths = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_screened_objectives",
+                       lambda sq, s, *args: widths.append(s) or screen(sq, s, *args))
+            assert optimize_params(e, grid, state) == fresh
+        screened.append(widths)
+    return screened
+
+
+class TestCarriedBounds:
+    """Searches sharing a `RowBounds` return what searches without one do, bit
+    for bit, and screen only the widths that can still hold the minimum."""
+
+    def test_replayed_fits_at_n400(self):
+        grid = default_param_grid()
+        screened = []
+        for case in (1, 2, 3, 4):
+            screened += _warm_searches(_fit_searches(case, 400, grid), grid)
+        # The first search of a fit screens all 25 widths; the rest few.
+        assert sum(map(len, screened)) <= 0.5 * grid.sigma_set.size * len(screened)
+
+    def test_replayed_fits_at_n20000(self):
+        grid = default_param_grid()
+        for case in (2, 4):
+            screened = [len(w) for w in _warm_searches(_fit_searches(case, 20000, grid), grid)]
+            assert screened[0] == grid.sigma_set.size > min(screened)
+
+    def test_best_width_moves_between_calls(self):
+        # A sample, its contraction by 10 and the sample again: the best width
+        # moves from the middle of the grid to its narrowest end and back, so
+        # the carried intervals must widen by the drift to let it.
+        e = np.random.default_rng(40).normal(0.3, 2.0, 400)
+        grid = default_param_grid()
+        searches = [e, 0.1 * e, e]
+        assert len({optimize_params(x, grid)[0].sigma for x in searches}) == 2
+        _warm_searches(searches, grid)
+
+    def test_state_of_another_grid_starts_fresh(self):
+        e = np.random.default_rng(42).normal(0.0, 0.4, 400)
+        far = ParamGrid(np.linspace(0.2, 5.0, 25), np.linspace(-5.0, -4.0, 11))
+        near = ParamGrid(np.linspace(0.2, 5.0, 25), np.linspace(-0.5, 0.5, 11))
+        state = kernels.RowBounds()
+        optimize_params(e, far, state)
+        assert optimize_params(e, near, state) == optimize_params(e, near)
+
+    def test_clamped_widths_reset_their_rows_only(self, caplog):
+        # The 0.01 width sits below 1e-3 of every residual spread of the fit,
+        # and its floor moves at every search: its row starts afresh each
+        # time, while the other widths keep their intervals.
+        grid = ParamGrid(np.linspace(0.01, 4.81, 25), np.linspace(-5.0, 5.0, 101))
+        searches = _fit_searches(2, 400, grid)
+        floors = [1e-3 * float(np.std(e)) for e in searches]
+        assert min(floors) > 0.01 and len(set(floors)) == len(searches)
+        with caplog.at_level(logging.INFO, logger="mccvc.kernels"):
+            screened = _warm_searches(searches, grid)
+        # One clamp record per search, with and without a state.
+        assert sum("clamped" in r.message for r in caplog.records) == 2 * len(searches)
+        assert [w[0] for w in screened] == floors
+        assert sum(map(len, screened)) <= 0.5 * grid.sigma_set.size * len(searches)
+
+    def test_overflowing_drift_screens_every_width(self):
+        # Two one-error samples whose difference overflows: the drift is inf,
+        # with no RuntimeWarning, and every width is screened.
+        grid = default_param_grid()
+        screened = _warm_searches([np.array([1.7e308]), np.array([-1.7e308])], grid)
+        assert [len(w) for w in screened] == [grid.sigma_set.size] * 2

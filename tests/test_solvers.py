@@ -320,9 +320,9 @@ class TestCenterFreeze:
     def test_frozen_search_is_a_one_center_explicit_grid(self, monkeypatch):
         grids, optimize = [], solvers.optimize_params
 
-        def search(e, grid):
+        def search(e, grid, state):
             grids.append(grid)
-            return optimize(e, grid)
+            return optimize(e, grid, state)
 
         monkeypatch.setattr(solvers, "optimize_params", search)
         H, t = _elm_problem()

@@ -49,6 +49,10 @@ SYNTH = {
                      "--methods", "mcc-vc"],
     # The synth-contam setting: every (sigma, c) search has N=400.
     "synth-n400": ["--runs", "5", "--samples", "400", "--cases", "1,2,3,4"],
+    # A 0.01 width below 1e-3 of every residual spread: it is clamped to a
+    # floor that moves at every (sigma, c) search of a fit.
+    "synth-n400-clamped": ["--runs", "2", "--samples", "400", "--cases", "1,2,3,4",
+                           "--sigma-grid", "0.01:0.2:4.81"],
     # Too few centers to bin, at an N that would bin a larger grid.
     "synth-n20000-9-centers": ["--runs", "1", "--samples", "20000", "--cases", "2",
                                "--methods", "mcc-vc", "--center-grid", "-1:0.25:1"],
