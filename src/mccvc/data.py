@@ -137,7 +137,7 @@ def inner_noise_presets() -> list[NoiseModel]:
 def generate_linear_data(w_star, n: int, noise: NoiseModel, seed: int):
     """Inputs uniform on [-2, 2]^d and targets X w* + mixture noise."""
     w = np.asarray(w_star, dtype=float)
-    if w.ndim != 1 or w.size == 0 or not np.all(np.isfinite(w)):
+    if w.ndim != 1 or w.size == 0 or not np.isfinite(w).all():
         raise ValueError("w_star must be a finite non-empty vector")
     if n < 1:
         raise ValueError("n must be positive")
@@ -163,7 +163,7 @@ class TabularDataset:
             raise ValueError(f"inconsistent dataset shapes: {x.shape} vs {y.shape}")
         if x.shape[0] < 1 or x.shape[1] < 1:
             raise ValueError("dataset must contain at least one row and one feature")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("dataset contains non-finite entries")
         x.setflags(write=False)
         y.setflags(write=False)

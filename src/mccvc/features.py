@@ -26,7 +26,7 @@ class HiddenLayerSpec:
             raise ValueError(
                 f"inconsistent hidden layer shapes: weights {w.shape}, biases {b.shape}"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValueError("hidden layer parameters must be finite")
         w.setflags(write=False)
         b.setflags(write=False)
@@ -42,7 +42,7 @@ def _check_inputs(inputs) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"inputs must be a non-empty 2-D matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("inputs contain non-finite entries")
     return x
 

@@ -127,7 +127,7 @@ class ParamGrid:
         sigmas = np.asarray(self.sigma_set, dtype=float)
         if sigmas.ndim != 1 or sigmas.size == 0:
             raise ValueError("sigma_set must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(sigmas)) or np.any(sigmas <= 0.0):
+        if not np.isfinite(sigmas).all() or np.any(sigmas <= 0.0):
             raise ValueError("sigma_set entries must be positive finite reals")
         if np.any(np.diff(sigmas) <= 0.0):
             raise ValueError("sigma_set must be strictly increasing")
@@ -144,7 +144,7 @@ class ParamGrid:
             centers = np.asarray(centers, dtype=float)
             if centers.ndim != 1 or centers.size == 0:
                 raise ValueError("center_set must be a non-empty 1-D sequence")
-            if not np.all(np.isfinite(centers)):
+            if not np.isfinite(centers).all():
                 raise ValueError("center_set entries must be finite")
             if np.any(np.diff(centers) <= 0.0):
                 raise ValueError("center_set must be strictly increasing")
@@ -170,7 +170,7 @@ def as_error_vector(values) -> np.ndarray:
     e = np.asarray(values, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise ValueError("error vector must be 1-D and non-empty")
-    if not np.all(np.isfinite(e)):
+    if not np.isfinite(e).all():
         raise ValueError("error vector contains non-finite entries")
     return e
 
@@ -205,7 +205,7 @@ def gaussian_kernel(u, sigma: float):
     """
     sigma = _check_width(sigma)
     arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("kernel argument must be finite")
     out = _kernel_values(arr, sigma)
     return float(out) if np.isscalar(u) or arr.ndim == 0 else out
@@ -227,7 +227,7 @@ def gaussian_kde(sample, x, bandwidth: float):
     s = as_error_vector(sample)
     bandwidth = _check_width(bandwidth, "bandwidth")
     xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise ValueError("evaluation points must be finite")
     out = _kernel_mean(xs.reshape(-1, 1) - s, bandwidth).reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out

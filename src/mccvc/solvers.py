@@ -30,6 +30,15 @@ re-chooses only sigma on the one-center grid {c*}.  The (sigma, c) searches of
 one fit share a `kernels.RowBounds`, which lets each explicit-grid search skip
 the widths that the last one and the residuals' drift since it rule out.
 
+Each step of the loop calls the module globals `weighted_ridge_step` (once),
+`mcc_vc_cost` and, in `fit_mcc_vc`, `optimize_params` (once) by name, so a
+wrapper set on this module (a tracer, a test's counter) sees every step.  The
+cost before a step is the last step's cost when the kernel is unchanged, as
+at every `fit_mcc` step after the first: it is taken at the same residuals,
+||beta||^2 and (sigma, c), so it is reused bit for bit.  So `mcc_vc_cost`
+runs once after every step, and once before the first step and each step
+whose kernel moved.
+
 Every normal-equation system is assembled by `_normal_solve` and solved by
 `_spd_solve`, whose guards raise a SolverError for mmse, mcc and mcc-vc alike.
 Add regularization (lambda' > 0) to fit a rank-deficient design.
@@ -37,12 +46,13 @@ Add regularization (lambda' > 0) to fit a rank-deficient design.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lstsq
+from scipy.linalg import get_lapack_funcs, lstsq
 
 from .errors import DegenerateWeightsError, SingularSystemError, SolverError
 from .kernels import (
@@ -108,7 +118,7 @@ def check_design(H, targets) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"design shape mismatch: H {H.shape} vs targets {t.shape}")
     if H.shape[0] < 1 or H.shape[1] < 1:
         raise ValueError("design matrix must be non-empty")
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(t))):
+    if not (np.isfinite(H).all() and np.isfinite(t).all()):
         raise ValueError("design contains non-finite entries")
     return H, t
 
@@ -118,27 +128,29 @@ def _check_beta(beta, m: int) -> np.ndarray:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (m,):
         raise ValueError(f"beta must be 1-D of length {m}, got shape {beta.shape}")
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise ValueError("beta contains non-finite entries")
     return beta
 
 
 def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A via Cholesky.
+    """Solve A x = b for symmetric positive-definite A via Cholesky: LAPACK's
+    potrf factors a copy of A's lower triangle and potrs solves with it, the
+    calls (and so the bits) of scipy's cho_factor(lower=True) and cho_solve.
 
     A failed factorization (singular or indefinite normal equations, such as
     a rank-deficient design with lambda' = 0) raises SingularSystemError.  A
-    solution is returned only if its residual is within 1e-8 (1 + max|b|);
-    otherwise, a NaN residual of a non-finite solution or input included, it
-    raises SolverError.
+    is left as it was, and a solution is returned only if its residual on A
+    is within 1e-8 (1 + max|b|); otherwise, a NaN residual of a non-finite
+    solution or input included, it raises SolverError.
     """
-    try:
-        factor = cho_factor(A, lower=True, check_finite=False)
-    except LinAlgError:
-        raise SingularSystemError("normal equations are singular; add regularization") from None
-    x = cho_solve(factor, b, check_finite=False)
-    residual = float(np.max(np.abs(A @ x - b)))
-    if not residual <= _RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(b)))):
+    potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+    factor, info = potrf(A, lower=1, clean=0)
+    if info > 0:
+        raise SingularSystemError("normal equations are singular; add regularization")
+    x = potrs(factor, b, lower=1)[0]
+    residual = float(np.abs(A @ x - b).max())
+    if not residual <= _RESIDUAL_RTOL * (1.0 + float(np.abs(b).max())):
         raise SolverError(f"linear solve residual {residual:.3g} exceeds tolerance")
     return x
 
@@ -151,7 +163,7 @@ def _normal_solve(H: np.ndarray, r: np.ndarray, lambda_prime: float, w=None) -> 
         A, b = H.T @ WH, H.T @ Wr
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise SolverError("normal equations overflow; rescale the design or targets")
-    A[np.diag_indices_from(A)] += lambda_prime
+    A.flat[::A.shape[0] + 1] += lambda_prime
     return _spd_solve(A, b)
 
 
@@ -197,6 +209,9 @@ def _fixed_point_loop(
     config: FitConfig,
     on_iteration: IterationHook | None,
 ) -> FitResult:
+    # Every step calls `weighted_ridge_step` and `mcc_vc_cost` by their module
+    # names (see the module docstring).  At an unchanged kernel the pre-step
+    # cost is the last step's cost: same residuals, ||beta||^2 and (sigma, c).
     beta = np.zeros(H.shape[1])
     norm_sq = 0.0
     lambda_prime = config.lambda_prime
@@ -204,23 +219,27 @@ def _fixed_point_loop(
     trace: list[IterationRecord] = []
     converged = False
     residuals = t - H @ beta
+    params_prev = cost = None
     for k in range(1, config.max_iterations + 1):
         params = choose_params(residuals)
-        cost_prev = mcc_vc_cost(residuals, params, norm_sq, lambda_prime)
+        if params == params_prev:
+            cost_prev = cost
+        else:
+            cost_prev = mcc_vc_cost(residuals, params, norm_sq, lambda_prime)
         beta_next = weighted_ridge_step(H, t, params, lambda_prime, beta)
         residuals_next = t - H @ beta_next
         with np.errstate(over="ignore"):
             norm_sq = float(beta_next @ beta_next)
-        if not np.isfinite(norm_sq):
+        if not math.isfinite(norm_sq):
             raise SolverError(
                 "weights overflow: ||beta||^2 is not finite; rescale the design or targets"
             )
         cost = mcc_vc_cost(residuals_next, params, norm_sq, lambda_prime)
-        max_delta = float(np.max(np.abs(beta_next - beta)))
+        max_delta = float(np.abs(beta_next - beta).max())
         trace.append(IterationRecord(params.sigma, params.center, cost, max_delta))
         if on_iteration is not None:
             on_iteration(k, residuals, params, beta_next)
-        beta, residuals = beta_next, residuals_next
+        beta, residuals, params_prev = beta_next, residuals_next, params
         if abs(cost - cost_prev) < config.tolerance * max(1.0, abs(cost_prev)):
             converged = True
             break

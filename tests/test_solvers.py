@@ -4,11 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from mccvc import solvers
+from mccvc.bench import synth_case_design
 from mccvc.errors import DegenerateWeightsError, SingularSystemError, SolverError
 from mccvc.features import elm_features, init_elm
-from mccvc.kernels import CenterRule, KernelParams, ParamGrid, gaussian_kernel, mcc_vc_cost
+from mccvc.kernels import (
+    CenterRule,
+    KernelParams,
+    ParamGrid,
+    default_param_grid,
+    gaussian_kernel,
+    mcc_vc_cost,
+)
 from mccvc.solvers import (
     FitConfig,
     fit_mcc,
@@ -82,6 +91,49 @@ class TestRidgeSolve:
             H, t, _ = _random_problem(rng)
             expected = np.linalg.lstsq(H, t, rcond=None)[0]
             np.testing.assert_allclose(ridge_solve(H, t, 0.0), expected, rtol=1e-9)
+
+
+class TestSpdSolve:
+    """`_spd_solve` against scipy's cho_factor + cho_solve, a test-only oracle."""
+
+    @pytest.mark.parametrize("m", [1, 2, 50])
+    def test_matches_scipy_cholesky_bit_for_bit(self, m):
+        rng = np.random.default_rng(100 + m)
+        for _ in range(300):
+            # A weighted normal-equation matrix, as `_normal_solve` builds it.
+            H = rng.normal(size=(2 * m + 3, m))
+            w = rng.uniform(0.0, 1.0, H.shape[0])
+            A = H.T @ (w[:, None] * H)
+            A.flat[::m + 1] += float(np.exp(rng.uniform(np.log(1e-8), 0.0)))
+            b = H.T @ (w * rng.normal(size=H.shape[0]))
+            original = A.copy()
+            x = solvers._spd_solve(A, b)
+            expected = cho_solve(cho_factor(A, lower=True, check_finite=False), b, check_finite=False)
+            assert np.array_equal(x, expected)
+            # The residual guard read A itself: the factorization left it alone.
+            assert np.array_equal(A, original)
+
+    def test_indefinite_matrix_raises_singular(self):
+        A = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(SingularSystemError, match="^normal equations are singular; add regularization$"):
+            solvers._spd_solve(A, np.ones(2))
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0), "b"])
+    def test_nan_input_raises(self, where):
+        A, b = np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
+        if where == "b":
+            b[1] = math.nan
+        else:
+            A[where] = math.nan
+        with pytest.raises(SolverError):
+            solvers._spd_solve(A, b)
+
+    def test_guard_reads_the_triangle_the_factorization_skips(self):
+        # The factorization reads only the lower triangle, so it succeeds;
+        # the residual on the original A is NaN.
+        A = np.array([[4.0, math.nan], [1.0, 3.0]])
+        with pytest.raises(SolverError, match="^linear solve residual nan exceeds tolerance$"):
+            solvers._spd_solve(A, np.array([1.0, 2.0]))
 
 
 # Weight vectors that do not fit a two-column design, and the error each raises.
@@ -348,6 +400,97 @@ class TestRelativeStop:
         assert all(c >= config.tolerance for c in changes[:-1])
         assert changes[-1] < config.tolerance
         assert abs(costs[-1] - costs[-2]) >= config.tolerance
+
+
+def _replay_stop_rule(H, t, fit, config):
+    """Run `fit(hook)` and recompute each step's costs with the public
+    `mcc_vc_cost` at the step's own (sigma, c): before the step from the
+    hook's residuals and the previous beta's ||beta||^2, after it from the
+    new beta.  The fit must stop at exactly the first step whose change is
+    within tolerance * max(1, |J before|)."""
+    steps = []
+    res = fit(lambda k, e, params, beta: steps.append((e.copy(), params, beta.copy())))
+    assert len(steps) == res.iterations_run
+    norm_sq, stops = 0.0, []
+    for (e, params, beta), record in zip(steps, res.trace):
+        before = mcc_vc_cost(e, params, norm_sq, config.lambda_prime)
+        norm_sq = float(beta @ beta)
+        after = mcc_vc_cost(t - H @ beta, params, norm_sq, config.lambda_prime)
+        assert after == record.cost
+        stops.append(abs(after - before) < config.tolerance * max(1.0, abs(before)))
+    assert res.converged and stops.index(True) == res.iterations_run - 1
+    return res
+
+
+class TestStopRuleReplay:
+    CONFIG = FitConfig()
+
+    def test_fit_mcc(self):
+        H, t = _elm_problem()
+        _replay_stop_rule(H, t, lambda hook: fit_mcc(H, t, 0.05, self.CONFIG, hook), self.CONFIG)
+
+    def test_fit_mcc_vc_with_a_moving_kernel(self):
+        H, t = synth_case_design(2, 400, 0)
+        grid = default_param_grid()
+        res = _replay_stop_rule(H, t, lambda hook: fit_mcc_vc(H, t, grid, self.CONFIG, hook), self.CONFIG)
+        assert len({(r.sigma, r.center) for r in res.trace}) > 1
+
+    def test_fit_mcc_vc_with_a_frozen_center(self):
+        H, t = _elm_problem()
+        res = _replay_stop_rule(H, t, lambda hook: fit_mcc_vc(H, t, _MEDIAN_GRID, self.CONFIG, hook), self.CONFIG)
+        assert len({r.center for r in res.trace}) == 1 and len({r.sigma for r in res.trace}) > 1
+
+    def test_fit_mcc_vc_stopping_at_a_kernel_change(self):
+        # Nearly noise-free: beta barely moves after the first step, so the
+        # fit stops at a step whose median center differs from the last
+        # step's, where the last step's cost is not this step's pre-step cost.
+        H, t, _ = _random_problem(np.random.default_rng(0), n=200, m=3, noise=1e-6)
+        grid = ParamGrid(np.linspace(0.5, 5.0, 10), None, CenterRule.MEDIAN_OF_ERRORS)
+        res = _replay_stop_rule(H, t, lambda hook: fit_mcc_vc(H, t, grid, self.CONFIG, hook), self.CONFIG)
+        assert res.trace[-1].center != res.trace[-2].center
+
+
+class TestTracedNames:
+    """The loop calls, by name, the module globals that a tracer wraps."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = dict.fromkeys(("weighted_ridge_step", "optimize_params", "mcc_vc_cost"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(solvers, name)):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(solvers, name, counted)
+        return counts
+
+    def test_fit_mcc(self, calls):
+        H, t = _elm_problem()
+        res = fit_mcc(H, t, 0.05)
+        assert res.iterations_run > 1
+        assert calls == {
+            "weighted_ridge_step": res.iterations_run,
+            "optimize_params": 0,
+            "mcc_vc_cost": res.iterations_run + 1,
+        }
+
+    @pytest.mark.parametrize("problem", ["linear", "elm"])
+    def test_fit_mcc_vc(self, calls, problem):
+        if problem == "linear":
+            H, t = synth_case_design(2, 400, 0)
+            res = fit_mcc_vc(H, t, default_param_grid())
+        else:
+            H, t = _elm_problem()
+            res = fit_mcc_vc(H, t, _MEDIAN_GRID)
+        kernels = [(r.sigma, r.center) for r in res.trace]
+        changes = sum(a != b for a, b in zip(kernels, kernels[1:]))
+        assert 0 < changes < res.iterations_run - 1
+        # One cost after every step, and one before each step whose kernel moved.
+        assert calls == {
+            "weighted_ridge_step": res.iterations_run,
+            "optimize_params": res.iterations_run,
+            "mcc_vc_cost": res.iterations_run + 1 + changes,
+        }
 
 
 class TestHalfQuadraticDescent:
