@@ -19,7 +19,6 @@ converging (`nonconverged`, always 0 for mmse).
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -49,7 +48,7 @@ from .features import (
     init_elm,
     predict,
 )
-from .kernels import CenterRule, ParamGrid, default_param_grid, gaussian_kernel
+from .kernels import CenterRule, ParamGrid, _check_width, default_param_grid, gaussian_kernel
 from .solvers import FitConfig, FitResult, fit_mcc, fit_mcc_vc, ridge_solve
 
 CASE_LABELS = {
@@ -85,15 +84,20 @@ class _BenchConfig(JsonRecord):
 
 def _check_fit_settings(cfg, lambdas, mcc_widths=()):
     """Check each lambda' with `cfg`'s loop settings by building its
-    `FitConfig`, and each frozen mcc width.
-
-    A positive width whose square underflows is accepted here: its fits fail
-    with DegenerateWeightsError and are reported as failed runs."""
+    `FitConfig`, and each frozen mcc width by `kernels._check_width`."""
     for lambda_prime in lambdas:
         FitConfig(lambda_prime, cfg.max_iterations, cfg.tolerance)
     for sigma in mcc_widths:
-        if not (math.isfinite(sigma) and sigma > 0.0):
-            raise ValueError(f"mcc widths must be positive finite reals, got {sigma!r}")
+        _check_width(sigma, "mcc width")
+
+
+def _check_distinct(cfg, names):
+    """Reject each tuple setting of `cfg` in `names` that is empty or repeats
+    an entry (whose fits would run, and count, twice)."""
+    for name in names:
+        values = getattr(cfg, name)
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"{name} must be non-empty and distinct, got {values!r}")
 
 
 def _fit(method: str, H, targets, lambda_prime: float, sigma, grid, cfg, on_iteration=None):
@@ -177,12 +181,12 @@ class SynthBenchConfig(_BenchConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("methods", "cases", "mcc_sigmas"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
+        _check_distinct(self, ("methods", "cases", "mcc_sigmas"))
         for m in self.methods:
             if m not in ("mmse", "mcc", "mcc-vc"):
                 raise ValueError(f"unknown method {m!r}")
+        if not set(self.cases) <= CASE_LABELS.keys():
+            raise ValueError(f"cases must be among {sorted(CASE_LABELS)}, got {self.cases!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.n_samples < 1:
@@ -322,9 +326,7 @@ class DataBenchConfig(_BenchConfig):
             raise ValueError(f"unknown model {self.model!r}")
         if self.norm_scope not in ("full", "train", "none"):
             raise ValueError(f"unknown normalization scope {self.norm_scope!r}")
-        for name in ("methods", "lambda_grid", "mcc_sigma_grid"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must not be empty")
+        _check_distinct(self, ("methods", "lambda_grid", "mcc_sigma_grid"))
         for m in self.methods:
             canonical_method(m)
         if self.hidden < 1:
@@ -579,6 +581,7 @@ class KernelTraceConfig(JsonRecord):
             raise ValueError("curve must be sampled at 200 or more points")
         if self.hist_range not in ("robust", "full"):
             raise ValueError(f"unknown histogram range mode {self.hist_range!r}")
+        _check_distinct(self, ("iterations",))
         for k in self.iterations:
             if k < 1:
                 raise ValueError("iteration indices are 1-based")

@@ -186,8 +186,8 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
     """Read a numeric CSV into features and a target column.
 
     `target_column` is a 0-based column index (negative counts from the end)
-    or, when `has_header`, a column name.  Parse failures report the 1-based
-    file row and column of the offending cell.
+    or, when `has_header`, a column name.  A cell that is not a finite number
+    ('abc', 'nan', '1e309') is a DataError naming its 1-based row and column.
     """
     path = Path(path)
     try:
@@ -220,10 +220,10 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
             try:
                 values[i, j] = float(cell)
             except ValueError:
-                raise DataError(
-                    f"{path}: row {file_row}, column {j + 1}: "
-                    f"cannot parse {cell.strip()!r} as a number"
-                ) from None
+                values[i, j] = math.nan
+            if not math.isfinite(values[i, j]):
+                raise DataError(f"{path}: row {file_row}, column {j + 1}: "
+                                f"{cell.strip()!r} is not a finite number")
 
     if isinstance(target_column, str):
         if names is None:

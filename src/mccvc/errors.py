@@ -18,8 +18,8 @@ class SingularSystemError(SolverError):
 
 
 class DegenerateWeightsError(SolverError):
-    """Every correntropy weight underflowed to zero with no regularization.
+    """Every kernel weight of a step is below the smallest normal float.
 
-    This signals a kernel width far smaller than the current residual scale.
+    No residual is within reach of the kernel; rescale the targets or widen the grid.
     """
 

@@ -250,9 +250,8 @@ def param_objective(errors, sigma: float, center: float) -> float:
     Equals 1/(2 sqrt(pi) sigma) - 2 * (1/N) sum_i G_sigma(e_i - center); the
     first term is the closed-form self-energy integral of the Gaussian kernel.
     """
-    sigma = _check_width(sigma)
-    e = as_error_vector(errors)
-    return float(_objective(_kernel_mean(e - float(center), sigma), sigma))
+    params = KernelParams(sigma, center)
+    return _objective(empirical_correntropy(errors, params), params.sigma)
 
 
 def _exact_objectives(e: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:

@@ -184,17 +184,17 @@ def weighted_ridge_step(
 
     W is the diagonal of kernel weights G_sigma(e_i - c) at the residuals of
     `beta_prev`; at that (sigma, c) the step never raises `mcc_vc_cost` at
-    the same lambda'.  All-zero weights with no regularization mean sigma is
-    far too small for the current residuals and raise DegenerateWeightsError.
-    With lambda' = 0 a singular H'WH raises SingularSystemError.
+    the same lambda'.  A step with no weight as large as the smallest normal
+    float has no data term, so it raises DegenerateWeightsError whatever
+    lambda' is.  With lambda' = 0 a singular H'WH raises SingularSystemError.
     """
     H, t = check_design(H, targets)
     e = t - H @ _check_beta(beta_prev, H.shape[1])
     w = _kernel_values(e - params.center, params.sigma)
-    if lambda_prime == 0.0 and not np.any(w > 0.0):
+    if w.max() < sys.float_info.min:
         raise DegenerateWeightsError(
-            "all kernel weights underflowed to zero with no regularization"
-        )
+            f"no residual is within reach of the kernel (sigma={params.sigma:g}, center="
+            f"{params.center:g}); rescale the targets or widen the grid")
     return _normal_solve(H, t - params.center, lambda_prime, w)
 
 
@@ -307,14 +307,9 @@ def fit_mcc(
 
     It takes the same `config` as `fit_mcc_vc`; only the kernel differs, so
     `fit_mcc_vc` on the one-point grid {sigma} x {0} (a width the search does
-    not clamp) gives this fit bit for bit.  A positive width whose square
-    underflows would zero every weight, so it raises DegenerateWeightsError
-    before the first iteration.
+    not clamp) gives this fit bit for bit.  `sigma` is checked by `KernelParams`.
     """
     H, t = check_design(H, targets)
-    sigma = float(sigma)
-    if 0.0 < sigma and sigma * sigma < sys.float_info.min:
-        raise DegenerateWeightsError(f"kernel width {sigma!r} underflows every weight")
     frozen = KernelParams(sigma=sigma, center=0.0)
     return _fixed_point_loop(H, t, lambda residuals: frozen, config, on_iteration)
 

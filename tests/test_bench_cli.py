@@ -24,7 +24,7 @@ from mccvc.bench import (
     run_synth_bench,
     synth_case_design,
 )
-from mccvc.cli import _parse_range, main
+from mccvc.cli import _parse_bool, _parse_range, main
 from mccvc.data import SplitSpec, TabularDataset, apply_minmax, minmax_record, split
 from mccvc.kernels import CenterRule, ParamGrid
 
@@ -155,10 +155,10 @@ class TestSynthBench:
 
     def test_failed_replications_counted_not_fatal(self):
         # a kernel width this far below the residual scale underflows every
-        # weight; with no regularization each replication aborts and must be
-        # reported rather than crash the benchmark
+        # weight, so each replication aborts and must be reported rather than
+        # crash the benchmark
         cfg = _small_synth_cfg(
-            methods=("mcc",), mcc_sigmas=(1e-300,), lambda_prime=0.0, runs=3
+            methods=("mcc",), mcc_sigmas=(1e-30,), lambda_prime=0.0, runs=3
         )
         report = run_synth_bench(cfg)
         row = report["results"][0]
@@ -218,6 +218,32 @@ class TestDataBench:
             assert row["failures"] == 0
             assert [c["lambda_prime"] > 0.0 for c in row["selected"]] == [True, True]
 
+    def test_a_run_with_no_surviving_candidate_fails(self):
+        # The singular design above with lambda' = 0 as the only candidate:
+        # every cross-validation fit fails, so each run of each method does.
+        rng = np.random.default_rng(7)
+        X = rng.uniform(-2, 2, (200, 2))
+        t = np.sinc(np.linalg.norm(X, axis=1)) + rng.normal(0, 0.05, 200)
+        cfg = self._cfg(folds=3, hidden=30, lambda_grid=(0.0,))
+        for row in bench_dataset("sinc", TabularDataset(X, t), cfg)["results"]:
+            assert (row["runs"], row["failures"], row["selected"]) == (0, 2, [])
+            assert row["mean_test_rmse"] is None
+
+    def test_a_run_whose_final_fit_fails_is_counted(self, small_dataset, monkeypatch):
+        # Cross-validation fits use 18 of the 24 training rows; fail only the
+        # refit on all of them.
+        real = bench.fit_mcc
+
+        def fit_mcc(H, targets, *args):
+            if len(targets) == 24:
+                raise bench.SolverError("refit failed")
+            return real(H, targets, *args)
+
+        monkeypatch.setattr(bench, "fit_mcc", fit_mcc)
+        rows = bench_dataset("demo", small_dataset, self._cfg())["results"]
+        counts = {r["method"]: (r["runs"], r["failures"], len(r["selected"])) for r in rows}
+        assert counts == {"relm": (2, 0, 2), "elm-mcc": (0, 2, 0), "elm-mcc-vc": (2, 0, 2)}
+
     def test_rerun_from_embedded_config(self, small_dataset):
         report = run_data_bench([("demo", small_dataset)], self._cfg(runs=1))
         config = json.loads(json.dumps(report["config"]))
@@ -270,6 +296,11 @@ class TestDataBench:
         assert canonical_method("elm-mcc-vc") == "mcc-vc"
         with pytest.raises(ValueError):
             canonical_method("boost")
+
+    def test_dispatch_rejects_an_unknown_method(self):
+        H, t = synth_case_design(2, 20, 0)
+        with pytest.raises(ValueError, match="unknown method 'boost'"):
+            bench._fit("boost", H, t, 1e-4, 1.0, None, self._cfg())
 
 
 class TestFitCommand:
@@ -345,6 +376,15 @@ class TestKernelTrace:
         with pytest.raises(ValueError, match="iteration 99"):
             run_kernel_trace(H, t, KernelTraceConfig(iterations=(99,)))
 
+    @pytest.mark.parametrize("residuals, expected", [
+        # A zero MAD falls back to the std: the robust range is all of them.
+        ([0.0, 0.0, 0.0, 1.0, 100.0], (0.0, 100.0)),
+        # Equal residuals leave an empty robust range: keep their full one.
+        ([2.0, 2.0, 2.0], (2.0, 2.0)),
+    ])
+    def test_histogram_range_fallbacks(self, residuals, expected):
+        assert bench._histogram_range(np.array(residuals), "robust") == expected
+
     def test_deterministic(self):
         H, t = synth_case_design(1, 150, 9)
         a, _ = run_kernel_trace(H, t, KernelTraceConfig(iterations=(1,)))
@@ -407,6 +447,30 @@ class TestCli:
         ["fit", "--lambda-prime", "-1"],
         ["kernel-trace", "--lambda-prime", "-1"],
         ["synth-bench", "--sigma-grid", "0.1:1e-13:1"],
+        # One width rule: a width whose square underflows, as 0 and inf.
+        ["synth-bench", "--mcc-sigma", "1e-300"],
+        ["fit", "--mcc-sigma", "1e-300"],
+        ["data-bench", "--mcc-sigma", "1e-300", "--runs", "1"],
+        # Repeated entries would run, and count, their fits twice.
+        ["synth-bench", "--methods", "mcc,mcc"],
+        ["synth-bench", "--mcc-sigma", "1,1"],
+        ["synth-bench", "--cases", "2,2"],
+        ["data-bench", "--methods", "relm,relm", "--runs", "1"],
+        ["data-bench", "--lambda-grid", "1e-4,1e-4", "--runs", "1"],
+        ["data-bench", "--mcc-sigma", "0.5,0.5", "--runs", "1"],
+        ["synth-bench", "--cases", "5"],
+        ["synth-bench", "--cases", "0,1"],
+        ["kernel-trace", "--case", "5"],
+        ["kernel-trace", "--iterations", ""],
+        ["kernel-trace", "--bins", "0"],
+        # Values the flag parsers reject.
+        ["synth-bench", "--sigma-grid", "1:2"],
+        ["synth-bench", "--sigma-grid", "a:1:2"],
+        ["synth-bench", "--sigma-grid", "2:1:1"],
+        ["synth-bench", "--sigma-grid", "1:0:2"],
+        ["synth-bench", "--mcc-sigma", "1,x"],
+        ["synth-bench", "--cases", "1.5"],
+        ["fit", "--normalize", "maybe"],
     ])
     def test_bad_settings_are_one_line_usage_errors(self, tmp_path, capsys, argv):
         path = tmp_path / "d.csv"
@@ -435,6 +499,24 @@ class TestCli:
         (FitCmdConfig, {"mcc_sigma": float("inf")}),
         (FitCmdConfig, {"hidden": 0}),
         (KernelTraceConfig, {"lambda_prime": -1.0}),
+        (SynthBenchConfig, {"mcc_sigmas": (1e-300,)}),
+        (DataBenchConfig, {"mcc_sigma_grid": (1.0, 1e-300)}),
+        (FitCmdConfig, {"mcc_sigma": 1e-300}),
+        (SynthBenchConfig, {"methods": ("mcc", "mcc")}),
+        (SynthBenchConfig, {"mcc_sigmas": (1.0, 1.0)}),
+        (SynthBenchConfig, {"cases": (2, 2)}),
+        (SynthBenchConfig, {"cases": (1, 5)}),
+        (SynthBenchConfig, {"cases": (0,)}),
+        (DataBenchConfig, {"methods": ("relm", "relm")}),
+        (DataBenchConfig, {"lambda_grid": (1e-4, 1e-4)}),
+        (DataBenchConfig, {"mcc_sigma_grid": (0.5, 0.5)}),
+        (DataBenchConfig, {"model": "tree"}),
+        (DataBenchConfig, {"norm_scope": "rows"}),
+        (FitCmdConfig, {"model": "tree"}),
+        (KernelTraceConfig, {"iterations": ()}),
+        (KernelTraceConfig, {"bins": 0}),
+        (KernelTraceConfig, {"curve_points": 199}),
+        (KernelTraceConfig, {"hist_range": "clip"}),
     ])
     def test_bad_settings_rejected_at_construction(self, cls, overrides):
         with pytest.raises(ValueError):
@@ -453,6 +535,50 @@ class TestCli:
                      "--model", "linear", "--lambda-prime", "0",
                      "--normalize", "false", "--out", str(tmp_path / "m.json")])
         assert code == 3
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e309"])
+    def test_non_finite_cell_is_a_one_line_data_error(self, tmp_path, capsys, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"1,0,2\n2,1,4\n3,0,{cell}\n4,1,9\n")
+        code = main(["fit", "--csv", str(path), "--no-header", "--model", "linear",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"mccvc: data error: {path}: row 3, column 3: '{cell}' is not a finite number\n")
+
+    @pytest.mark.parametrize("method, code", [("mmse", 0), ("mcc", 3), ("mcc-vc", 3)])
+    def test_shifted_targets_are_a_one_line_numerical_error(self, tmp_path, capsys,
+                                                            method, code):
+        # Targets 1000 above every center: no residual is within reach of any
+        # kernel of the default grid, and beta = 0 must not be reported.
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-2, 2, (50, 2))
+        t = X @ [1.0, 2.0] + 1000.0 + rng.normal(0, 0.5, 50)
+        path = tmp_path / "shifted.csv"
+        path.write_text("".join(f"{a},{b},{y}\n" for (a, b), y in zip(X, t)))
+        assert main(["fit", "--csv", str(path), "--no-header", "--model", "linear",
+                     "--bias-column", "true", "--normalize", "false", "--method", method,
+                     "--out", str(tmp_path / "m.json")]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("mccvc: numerical failure: no residual is within reach")
+            assert err.endswith("rescale the targets or widen the grid\n")
+            assert err.count("\n") == 1
+
+    def test_all_failed_rows_print_n_a(self, tmp_path, capsys):
+        code = main(["synth-bench", "--runs", "1", "--samples", "20", "--cases", "1",
+                     "--methods", "mcc", "--mcc-sigma", "1e-30", "--lambda-prime", "0",
+                     "--out", str(tmp_path / "s.json")])
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[2:5] == ["n/a", "0.0000", "n/a"] and row[-2:] == ["0", "1"]
+
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), (" Yes", True), ("1", True), ("ON", True),
+        ("false", False), ("no", False), ("0", False), ("Off ", False),
+    ])
+    def test_parse_bool(self, text, value):
+        assert _parse_bool(text) is value
 
     def test_huge_target_is_a_one_line_usage_error(self, tmp_path, capsys):
         # Without normalization the first residuals are the targets, and a

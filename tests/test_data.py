@@ -89,6 +89,12 @@ class TestDistributions:
         with pytest.raises(ValueError):
             NoiseModel(1.5, Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
 
+    @pytest.mark.parametrize("cls", [Gaussian, Laplace])
+    @pytest.mark.parametrize("mean, variance", [(np.nan, 1.0), (0.0, np.inf)])
+    def test_rejects_non_finite_parameters(self, cls, mean, variance):
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            cls(mean, variance)
+
 
 class TestPresets:
     def test_four_cases_in_order(self):
@@ -137,6 +143,11 @@ class TestGenerateLinearData:
         with pytest.raises(ValueError):
             generate_linear_data(np.array([]), 10, model, seed=0)
 
+    def test_rejects_bad_count(self):
+        model = NoiseModel(0.0, Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
+        with pytest.raises(ValueError, match="n must be positive"):
+            generate_linear_data(np.array([1.0]), 0, model, seed=0)
+
 
 class TestLoadCsv:
     def test_basic_numeric_file(self, tmp_path):
@@ -159,6 +170,27 @@ class TestLoadCsv:
         path.write_text("1,2\n3,abc\n5,6\n")
         with pytest.raises(DataError, match=r"row 2, column 2.*abc"):
             load_csv(path, has_header=False, target_column=-1)
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity", "1e309"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        # Such a cell parses as a float, but no dataset may hold it.
+        path = tmp_path / "d.csv"
+        path.write_text(f"a,b\n1,2\n3,4\n{cell},6\n")
+        with pytest.raises(DataError, match=rf"row 4, column 1: '{cell}' is not a finite number"):
+            load_csv(path, has_header=True, target_column=-1)
+
+    @pytest.mark.parametrize("text, has_header, target, message", [
+        ("\n \n,\n", False, -1, "file is empty"),
+        ("1,2\n3,4\n", False, "b", "requires has_header"),
+        ("1,2\n3,4\n", False, 2, "target column 2 out of range"),
+        ("1,2\n3,4\n", False, -3, "target column -3 out of range"),
+        ("1\n2\n", False, 0, "no feature columns"),
+    ])
+    def test_unusable_layout_is_a_data_error(self, tmp_path, text, has_header, target, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            load_csv(path, has_header=has_header, target_column=target)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -350,6 +382,14 @@ class TestTabularDataset:
             TabularDataset(np.zeros((3, 2)), np.zeros(4))
         with pytest.raises(ValueError):
             TabularDataset(np.array([[np.nan, 1.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("features, targets", [
+        (np.zeros((0, 2)), np.zeros(0)),
+        (np.zeros((2, 0)), np.zeros(2)),
+    ])
+    def test_rejects_an_empty_table(self, features, targets):
+        with pytest.raises(ValueError, match="at least one row and one feature"):
+            TabularDataset(features, targets)
 
     def test_take_selects_rows(self):
         data = TabularDataset(np.arange(6.0).reshape(3, 2), np.arange(3.0))

@@ -42,6 +42,11 @@ class TestLinearFeatures:
         with pytest.raises(ValueError):
             build_linear_features(np.array([[1.0, np.nan]]))
 
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((0, 2)), np.zeros((2, 0))])
+    def test_rejects_inputs_that_are_not_a_non_empty_matrix(self, x):
+        with pytest.raises(ValueError, match="non-empty 2-D matrix"):
+            build_linear_features(x)
+
 
 class TestElmInit:
     def test_same_seed_identical(self):
@@ -98,6 +103,17 @@ class TestElmFeatures:
         spec = init_elm(3, 10, seed=0)
         with pytest.raises(ValueError):
             elm_features(spec, np.zeros((5, 4)))
+
+    @pytest.mark.parametrize("weights, biases, message", [
+        (np.zeros((2, 3)), np.zeros(3), "inconsistent hidden layer shapes"),
+        (np.zeros(3), np.zeros(3), "inconsistent hidden layer shapes"),
+        (np.zeros((2, 3)), np.zeros((2, 1)), "inconsistent hidden layer shapes"),
+        (np.full((2, 3), np.inf), np.zeros(2), "must be finite"),
+        (np.zeros((2, 3)), np.array([0.0, np.nan]), "must be finite"),
+    ])
+    def test_layer_rejects_bad_parameters(self, weights, biases, message):
+        with pytest.raises(ValueError, match=message):
+            HiddenLayerSpec(weights, biases)
 
     def test_pipeline_reproducible(self):
         x = np.random.default_rng(11).uniform(-2, 2, (30, 3))

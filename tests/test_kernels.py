@@ -28,7 +28,7 @@ from mccvc.kernels import (
     optimize_params,
     param_objective,
 )
-from mccvc.solvers import fit_mcc_vc, ridge_solve
+from mccvc.solvers import fit_mcc, fit_mcc_vc, ridge_solve
 
 # oracle: 1/sqrt(2 pi) and friends, mpmath dps=30
 G_0_1 = 0.39894228040143268
@@ -155,6 +155,20 @@ class TestEmpiricalCorrentropy:
         with pytest.raises(ValueError):
             empirical_correntropy([], KernelParams(1.0, 0.0))
 
+    @pytest.mark.parametrize("errors, message", [
+        ([[0.0, 1.0]], "non-empty"),
+        ([0.0, math.nan], "non-finite"),
+        ([math.inf, 1.0], "non-finite"),
+    ])
+    def test_rejects_bad_error_vector(self, errors, message):
+        with pytest.raises(ValueError, match=message):
+            empirical_correntropy(errors, KernelParams(1.0, 0.0))
+
+    @pytest.mark.parametrize("x", [math.nan, [0.0, math.inf]])
+    def test_kde_rejects_non_finite_points(self, x):
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            gaussian_kde([0.0, 1.0], x, 1.0)
+
 
 class TestCost:
     def test_minimum_with_zero_regularization(self):
@@ -200,6 +214,12 @@ class TestParamObjective:
         for sigma in (1e3, 1e6):
             value = param_objective(e, sigma, 0.0)
             assert -1.0 / sigma < value < 0.0
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_center_that_is_not_finite(self, center):
+        # (sigma, c) is checked as a KernelParams, as everywhere else.
+        with pytest.raises(ValueError, match="center must be finite"):
+            param_objective([0.0, 1.0], 1.0, center)
 
 
 class TestOptimizeParams:
@@ -290,8 +310,9 @@ class TestTinyWidths:
             lambda s: param_objective([0.0, 1.0], s, 0.0),
             lambda s: gaussian_kde([0.0, 1.0], 0.0, s),
             lambda s: KernelParams(s, 0.0),
+            lambda s: fit_mcc(np.eye(2), [0.0, 1.0], s),
         ],
-        ids=["gaussian_kernel", "param_objective", "gaussian_kde", "KernelParams"],
+        ids=["gaussian_kernel", "param_objective", "gaussian_kde", "KernelParams", "fit_mcc"],
     )
     def test_width_whose_square_underflows_rejected(self, call):
         with pytest.raises(ValueError, match="underflows"):
@@ -324,6 +345,16 @@ class TestTypes:
             ParamGrid(np.array([1.0]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             ParamGrid(np.array([1.0]), None, CenterRule.EXPLICIT_GRID)
+
+    @pytest.mark.parametrize("centers, message", [
+        ([], "non-empty"),
+        ([[0.0, 1.0]], "non-empty"),
+        ([0.0, math.nan], "finite"),
+        ([0.0, math.inf], "finite"),
+    ])
+    def test_param_grid_rejects_bad_center_set(self, centers, message):
+        with pytest.raises(ValueError, match=f"center_set.*{message}"):
+            ParamGrid(np.array([1.0]), centers)
 
     def test_param_grid_rule_without_centers(self):
         grid = ParamGrid(np.array([1.0]), None, CenterRule.MEDIAN_OF_ERRORS)

@@ -85,6 +85,19 @@ class TestRidgeSolve:
         with pytest.raises(SolverError, match="^linear solve residual nan exceeds tolerance$"):
             solvers._spd_solve(np.diag([1e-300, 1.0]), np.array([1e300, 1.0]))
 
+    @pytest.mark.parametrize("H, t, message", [
+        (np.eye(2), np.ones(3), "design shape mismatch"),
+        (np.ones(2), np.ones(2), "design shape mismatch"),
+        (np.eye(2), np.ones((2, 1)), "design shape mismatch"),
+        (np.zeros((0, 2)), np.zeros(0), "design matrix must be non-empty"),
+        (np.zeros((2, 0)), np.zeros(2), "design matrix must be non-empty"),
+        (np.array([[1.0], [np.nan]]), np.ones(2), "non-finite"),
+        (np.eye(2), np.array([1.0, np.inf]), "non-finite"),
+    ])
+    def test_rejects_a_bad_design(self, H, t, message):
+        with pytest.raises(ValueError, match=message):
+            ridge_solve(H, t, 1e-4)
+
     def test_matches_lstsq_on_random_problems(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
@@ -188,10 +201,22 @@ class TestWeightedRidgeStep:
         assert step[0] == pytest.approx(brute, rel=1e-10)
 
     def test_all_weights_underflow_raises(self):
+        # No weight is a normal float, so the step has no data term: with
+        # lambda' > 0 it would solve lambda' I beta = 0 and return beta = 0.
+        # The weights of [37.8, 38.2] are subnormal (about 2e-311 and 5e-318).
         H = np.array([[1.0], [1.0]])
-        t = np.array([1e6, 2e6])
-        with pytest.raises(DegenerateWeightsError):
-            weighted_ridge_step(H, t, KernelParams(1.0, 0.0), 0.0, np.array([0.0]))
+        for targets in ([1e6, 2e6], [37.8, 38.2]):
+            for lambda_prime in (0.0, 1e-4, 1.0):
+                with pytest.raises(DegenerateWeightsError, match="rescale the targets"):
+                    weighted_ridge_step(H, np.array(targets), KernelParams(1.0, 0.0),
+                                        lambda_prime, np.array([0.0]))
+
+    def test_one_normal_weight_is_enough(self):
+        # The same two samples with one within reach solve for it alone.
+        H = np.array([[1.0], [1.0]])
+        t = np.array([1.0, 38.2])
+        step = weighted_ridge_step(H, t, KernelParams(1.0, 0.0), 0.0, np.array([0.0]))
+        assert step[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_singular_system_needs_regularization(self):
         # A duplicated column makes H' W H exactly singular: with lambda' = 0
@@ -284,9 +309,23 @@ class TestFixedPointLoops:
         assert np.all(np.isfinite(res.beta))
 
     def test_fit_mcc_rejects_width_whose_square_underflows(self):
+        # The one width rule of `kernels._check_width`, as in `gaussian_kernel`.
         H, t, _ = _random_problem(np.random.default_rng(4))
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(ValueError, match="underflows"):
             fit_mcc(H, t, 1e-300, FitConfig(lambda_prime=1e-4))
+
+    @pytest.mark.parametrize("fit", [
+        lambda H, t, config: fit_mcc(H, t, 4.0, config),
+        lambda H, t, config: fit_mcc_vc(H, t, default_param_grid(), config),
+    ], ids=["fit_mcc", "fit_mcc_vc"])
+    @pytest.mark.parametrize("lambda_prime", [0.0, 1e-4])
+    def test_shifted_targets_raise_rather_than_fit_beta_zero(self, fit, lambda_prime):
+        # Targets 1000 above every center of the grid: the first step sees no
+        # residual within reach of any kernel, and a fit that solved it anyway
+        # would report beta = 0 as converged.
+        H, t = synth_case_design(1, 400, 3)
+        with pytest.raises(DegenerateWeightsError):
+            fit(H, t + 1000.0, FitConfig(lambda_prime=lambda_prime))
 
     @pytest.mark.parametrize(
         "settings",

@@ -41,8 +41,10 @@ SYNTH = {
     "synth-n200": ["--runs", "10", "--samples", "200", "--seed", "5"],
     "synth-sweep-jobs2": ["--runs", "6", "--samples", "200", "--methods", "mcc,mcc-vc",
                           "--mcc-sigma", "1,4", "--jobs", "2"],
+    # A width so far below the residuals that every mcc step has no data term.
     "synth-all-failed": ["--runs", "2", "--samples", "100", "--methods", "mmse,mcc",
-                         "--mcc-sigma", "1e-300", "--lambda-prime", "0"],
+                         "--mcc-sigma", "1e-30", "--lambda-prime", "0"],
+    "synth-duplicate-methods": ["--runs", "1", "--samples", "100", "--methods", "mcc,mcc"],
     "synth-mean-rule": ["--runs", "2", "--samples", "200", "--methods", "mcc-vc",
                         "--center-rule", "mean"],
     "synth-n20000": ["--runs", "2", "--samples", "20000", "--cases", "2,4",
@@ -127,6 +129,24 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
              "--hidden", "20", "--lambda-prime", "0"],
             workdir / f"{name}.json",
         )))
+    # Targets 1000 above every center of the default grid: no residual is
+    # within reach of any kernel at the first step.
+    rng = np.random.default_rng(7)
+    inputs = rng.uniform(-2.0, 2.0, (200, 2))
+    shifted = workdir / "shifted-target.csv"
+    _write_csv(shifted, np.column_stack(
+        [inputs, inputs @ [1.0, 2.0] + 1000.0 + rng.normal(0.0, 0.5, 200)]))
+    out.append(("fit-shifted-target", _run(
+        ["fit", "--csv", str(shifted), "--no-header", "--model", "linear", "--bias-column",
+         "true", "--normalize", "false", "--method", "mcc-vc"],
+        workdir / "fit-shifted-target.json",
+    )))
+    nan_cell = workdir / "nan-cell.csv"
+    nan_cell.write_text("1,0,2\n2,1,4\n3,0,nan\n4,1,9\n")
+    out.append(("fit-nan-cell", _run(
+        ["fit", "--csv", str(nan_cell), "--no-header", "--model", "linear"],
+        workdir / "fit-nan-cell.json",
+    )))
     # Finite targets whose max - min overflows, so min-max scaling cannot map them.
     huge = workdir / "huge-target.csv"
     _write_csv(huge, np.array([[1.0, 1e308], [2.0, -1e308], [3.0, 1e308], [4.0, -1e308]]))
