@@ -1,0 +1,85 @@
+"""The rules for which inputs the package accepts, one function per rule.
+
+- `check_width`: a kernel width is a positive finite real whose square is a
+  normal float; a smaller one would make the Gaussian 0/0.
+- `check_non_negative`: a regularizer-like scalar is a non-negative finite
+  real; a NaN or infinite one would make a silent NaN.
+- `finite_array`: every entry of an array is finite and, where its number of
+  axes is given, it has exactly that many and none of them is empty.
+- `same_rows`: a vector has one entry per row of a matrix.
+- `increasing_grid`: a search grid is a non-empty, finite, strictly
+  increasing 1-D sequence; it is returned read-only.
+- `check_count`: a count is an integer of at least a lower bound.
+
+Each raises ValueError naming the input it rejects.  Scalars are checked
+with `math`, not numpy, since `KernelParams` checks its width at every
+(sigma, c) search.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+import sys
+
+import numpy as np
+
+
+def check_width(sigma, name: str = "sigma") -> float:
+    """Return a kernel width as a float; reject it unless it is a positive finite
+    real whose square is a normal float (a smaller one would make the kernel 0/0)."""
+    sigma = float(sigma)
+    if not math.isfinite(sigma) or sigma <= 0.0:
+        raise ValueError(f"{name} must be a positive finite real, got {sigma!r}")
+    if sigma * sigma < sys.float_info.min:
+        raise ValueError(f"{name} {sigma!r} is too small: its square underflows")
+    return sigma
+
+
+def check_non_negative(value, name: str) -> float:
+    """Return a regularizer-like scalar as a float; reject it unless it is a
+    non-negative finite real (a NaN or infinite one would make a silent NaN)."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be a non-negative finite real, got {value!r}")
+    return value
+
+
+def finite_array(values, name: str, ndim: int | None = None) -> np.ndarray:
+    """Return `values` as a float array whose entries are all finite; with
+    `ndim`, it must have exactly `ndim` axes and no empty one."""
+    arr = np.asarray(values, dtype=float)
+    if ndim is not None and (arr.ndim != ndim or 0 in arr.shape):
+        raise ValueError(f"{name} must be a non-empty {ndim}-D array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def same_rows(x: np.ndarray, y: np.ndarray, name: str):
+    """Reject a vector `y`, called `name`, unless it has one entry per row of
+    the matrix `x`."""
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"{name} must have {x.shape[0]} entries, got shape {y.shape}")
+
+
+def increasing_grid(values, name: str) -> np.ndarray:
+    """Return a non-empty, finite, strictly increasing 1-D grid as a read-only
+    float array."""
+    grid = finite_array(values, name, 1)
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError(f"{name} must be strictly increasing")
+    grid.setflags(write=False)
+    return grid
+
+
+def check_count(value, low: int, name: str) -> int:
+    """Return a count as an int; reject it unless it is an integer (a float,
+    even 2.0, is not) of at least `low`."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {count}")
+    return count

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_count, check_width
 from ._serialize import JsonRecord
 from .data import (
     MinMaxRecord,
@@ -48,7 +49,7 @@ from .features import (
     init_elm,
     predict,
 )
-from .kernels import CenterRule, ParamGrid, _check_width, default_param_grid, gaussian_kernel
+from .kernels import CenterRule, ParamGrid, default_param_grid, gaussian_kernel
 from .solvers import FitConfig, FitResult, fit_mcc, fit_mcc_vc, ridge_solve
 
 CASE_LABELS = {
@@ -75,8 +76,7 @@ class _BenchConfig(JsonRecord):
     """A Monte Carlo config serializes as its fields plus every replication seed."""
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
+        check_count(self.runs, 1, "runs")
 
     def to_dict(self) -> dict:
         return {**super().to_dict(), "seeds": [self.seed + r for r in range(self.runs)]}
@@ -84,11 +84,11 @@ class _BenchConfig(JsonRecord):
 
 def _check_fit_settings(cfg, lambdas, mcc_widths=()):
     """Check each lambda' with `cfg`'s loop settings by building its
-    `FitConfig`, and each frozen mcc width by `kernels._check_width`."""
+    `FitConfig`, and each frozen mcc width by the width rule."""
     for lambda_prime in lambdas:
         FitConfig(lambda_prime, cfg.max_iterations, cfg.tolerance)
     for sigma in mcc_widths:
-        _check_width(sigma, "mcc width")
+        check_width(sigma, "mcc width")
 
 
 def _check_distinct(cfg, names):
@@ -187,10 +187,8 @@ class SynthBenchConfig(_BenchConfig):
                 raise ValueError(f"unknown method {m!r}")
         if not set(self.cases) <= CASE_LABELS.keys():
             raise ValueError(f"cases must be among {sorted(CASE_LABELS)}, got {self.cases!r}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
+        check_count(self.jobs, 1, "jobs")
+        check_count(self.n_samples, 1, "n_samples")
         _check_fit_settings(self, (self.lambda_prime,), self.mcc_sigmas)
 
 
@@ -329,10 +327,8 @@ class DataBenchConfig(_BenchConfig):
         _check_distinct(self, ("methods", "lambda_grid", "mcc_sigma_grid"))
         for m in self.methods:
             canonical_method(m)
-        if self.hidden < 1:
-            raise ValueError("hidden must be at least 1")
-        if self.folds < 2:
-            raise ValueError("folds must be at least 2")
+        check_count(self.hidden, 1, "hidden")
+        check_count(self.folds, 2, "folds")
         SplitSpec(train_fraction=self.train_fraction)
         _check_fit_settings(self, self.lambda_grid, self.mcc_sigma_grid)
 
@@ -495,8 +491,7 @@ class FitCmdConfig(JsonRecord):
         if self.model not in ("linear", "elm"):
             raise ValueError(f"unknown model {self.model!r}")
         canonical_method(self.method)
-        if self.hidden < 1:
-            raise ValueError("hidden must be at least 1")
+        check_count(self.hidden, 1, "hidden")
         _check_fit_settings(self, (self.lambda_prime,), (self.mcc_sigma,))
 
 
@@ -575,16 +570,13 @@ class KernelTraceConfig(JsonRecord):
     tolerance: float = FitConfig.tolerance
 
     def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError("bins must be positive")
-        if self.curve_points < 200:
-            raise ValueError("curve must be sampled at 200 or more points")
+        check_count(self.bins, 1, "bins")
+        check_count(self.curve_points, 200, "curve_points")
         if self.hist_range not in ("robust", "full"):
             raise ValueError(f"unknown histogram range mode {self.hist_range!r}")
         _check_distinct(self, ("iterations",))
         for k in self.iterations:
-            if k < 1:
-                raise ValueError("iteration indices are 1-based")
+            check_count(k, 1, "iteration index")
         _check_fit_settings(self, (self.lambda_prime,))
 
 

@@ -222,10 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
     _add_loop_flags(p)
     _add_lambda_flag(p)
-    p.add_argument("--case", type=int, default=2,
-                   help="synthetic contamination case 1-4 (default 2)")
-    p.add_argument("--csv", type=Path, default=None,
-                   help="fit a CSV instead of a synthetic case")
+    source = p.add_mutually_exclusive_group()
+    # No default, so that an explicit `--case 2` also conflicts with --csv.
+    source.add_argument("--case", type=int,
+                        help="synthetic contamination case 1-4 (default 2)")
+    source.add_argument("--csv", type=Path, help="fit a CSV instead of a synthetic case")
     p.add_argument("--target", type=_parse_target, default=-1)
     p.add_argument("--no-header", action="store_true")
     p.add_argument("--samples", type=int, default=400,
@@ -328,6 +329,8 @@ def _cmd_data_bench(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if len(args.csv) > 1:
+        raise UsageError("fit takes one --csv")
     cfg = _config(bench.FitCmdConfig, args)
     name, data = _load_datasets(args)[0]
     model = bench.run_fit(data, cfg)
@@ -349,8 +352,9 @@ def _cmd_kernel_trace(args) -> int:
         H, targets = data.features, data.targets
         source = {"csv": str(args.csv)}
     else:
-        H, targets = bench.synth_case_design(args.case, args.samples, args.seed)
-        source = {"case": args.case, "samples": args.samples, "seed": args.seed}
+        case = 2 if args.case is None else args.case
+        H, targets = bench.synth_case_design(case, args.samples, args.seed)
+        source = {"case": case, "samples": args.samples, "seed": args.seed}
 
     traces, result = bench.run_kernel_trace(H, targets, cfg)
     out = args.out or Path("kernel-trace.json")
@@ -360,6 +364,7 @@ def _cmd_kernel_trace(args) -> int:
         _write_json(
             {
                 "command": "kernel-trace",
+                "config": cfg.to_dict(),
                 "source": source,
                 "iterations_run": result.iterations_run,
                 "converged": result.converged,

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import check_count, finite_array, same_rows
 from ._serialize import JsonRecord
 from .errors import DataError
 
@@ -37,31 +38,26 @@ def _standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Gaussian:
+class _MeanVariance:
     mean: float
     variance: float
 
     def __post_init__(self):
+        name = type(self).__name__
         if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise ValueError("Gaussian parameters must be finite")
+            raise ValueError(f"{name} parameters must be finite")
         if self.variance <= 0.0:
-            raise ValueError("Gaussian variance must be positive")
+            raise ValueError(f"{name} variance must be positive")
 
+
+@dataclass(frozen=True)
+class Gaussian(_MeanVariance):
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.mean + math.sqrt(self.variance) * _standard_normals(rng, n)
 
 
 @dataclass(frozen=True)
-class Laplace:
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise ValueError("Laplace parameters must be finite")
-        if self.variance <= 0.0:
-            raise ValueError("Laplace variance must be positive")
-
+class Laplace(_MeanVariance):
     @property
     def scale(self) -> float:
         # variance = 2 b^2
@@ -78,9 +74,7 @@ class ChiSquare:
     dof: int
 
     def __post_init__(self):
-        if int(self.dof) != self.dof or self.dof < 1:
-            raise ValueError("degrees of freedom must be a positive integer")
-        object.__setattr__(self, "dof", int(self.dof))
+        object.__setattr__(self, "dof", check_count(self.dof, 1, "dof"))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         z = _standard_normals(rng, n * self.dof).reshape(n, self.dof)
@@ -113,8 +107,7 @@ def _sample_noise(model: NoiseModel, n: int, rng: np.random.Generator):
 
 def sample_noise(model: NoiseModel, n: int, seed: int, return_mask: bool = False):
     """Draw n mixture-noise values; with `return_mask`, also the outlier flags."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    check_count(n, 1, "n")
     values, mask = _sample_noise(model, n, np.random.default_rng(seed))
     return (values, mask) if return_mask else values
 
@@ -136,11 +129,8 @@ def inner_noise_presets() -> list[NoiseModel]:
 
 def generate_linear_data(w_star, n: int, noise: NoiseModel, seed: int):
     """Inputs uniform on [-2, 2]^d and targets X w* + mixture noise."""
-    w = np.asarray(w_star, dtype=float)
-    if w.ndim != 1 or w.size == 0 or not np.isfinite(w).all():
-        raise ValueError("w_star must be a finite non-empty vector")
-    if n < 1:
-        raise ValueError("n must be positive")
+    w = finite_array(w_star, "w_star", 1)
+    check_count(n, 1, "n")
     rng = np.random.default_rng(seed)
     inputs = -2.0 + 4.0 * rng.random((n, w.size))
     rho, _ = _sample_noise(noise, n, rng)
@@ -157,14 +147,9 @@ class TabularDataset:
     targets: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.features, dtype=float)
-        y = np.asarray(self.targets, dtype=float)
-        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-            raise ValueError(f"inconsistent dataset shapes: {x.shape} vs {y.shape}")
-        if x.shape[0] < 1 or x.shape[1] < 1:
-            raise ValueError("dataset must contain at least one row and one feature")
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("dataset contains non-finite entries")
+        x = finite_array(self.features, "features", 2)
+        y = finite_array(self.targets, "targets", 1)
+        same_rows(x, y, "targets")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "features", x)
@@ -342,8 +327,7 @@ def split(data: TabularDataset, spec: SplitSpec) -> tuple[TabularDataset, Tabula
 
 def kfold_indices(n: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Shuffled k-fold partition of range(n); fold sizes differ by at most one."""
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
+    check_count(folds, 2, "folds")
     if n < folds:
         raise DataError(f"cannot make {folds} folds from {n} rows")
     perm = np.random.default_rng(seed).permutation(n)
@@ -360,21 +344,20 @@ def kfold_indices(n: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.nd
 # Metrics
 # ---------------------------------------------------------------------------
 
-def rmse_weights(estimated, true_w) -> float:
-    """Weight-recovery error sqrt(||estimated - true||^2 / d)."""
-    a = np.asarray(estimated, dtype=float)
-    b = np.asarray(true_w, dtype=float)
+def _rmse(a, b, what: str) -> float:
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"weight vectors must match: {a.shape} vs {b.shape}")
+        raise ValueError(f"{what} vectors must match: {a.shape} vs {b.shape}")
     diff = a - b
     return float(np.sqrt(diff @ diff / a.size))
 
 
+def rmse_weights(estimated, true_w) -> float:
+    """Weight-recovery error sqrt(||estimated - true||^2 / d)."""
+    return _rmse(estimated, true_w, "weight")
+
+
 def rmse_predictions(predicted, targets) -> float:
     """Prediction error sqrt(mean((y - t)^2))."""
-    y = np.asarray(predicted, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if y.shape != t.shape or y.ndim != 1:
-        raise ValueError(f"prediction vectors must match: {y.shape} vs {t.shape}")
-    diff = y - t
-    return float(np.sqrt(diff @ diff / y.size))
+    return _rmse(predicted, targets, "prediction")

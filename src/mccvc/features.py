@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from ._checks import check_count, finite_array, same_rows
+
 
 @dataclass(frozen=True)
 class HiddenLayerSpec:
@@ -20,14 +22,9 @@ class HiddenLayerSpec:
     biases: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.input_weights, dtype=float)
-        b = np.asarray(self.biases, dtype=float)
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-            raise ValueError(
-                f"inconsistent hidden layer shapes: weights {w.shape}, biases {b.shape}"
-            )
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ValueError("hidden layer parameters must be finite")
+        w = finite_array(self.input_weights, "input_weights", 2)
+        b = finite_array(self.biases, "biases", 1)
+        same_rows(w, b, "biases")
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "input_weights", w)
@@ -38,18 +35,9 @@ class HiddenLayerSpec:
         return self.input_weights.shape[1]
 
 
-def _check_inputs(inputs) -> np.ndarray:
-    x = np.asarray(inputs, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-        raise ValueError(f"inputs must be a non-empty 2-D matrix, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("inputs contain non-finite entries")
-    return x
-
-
 def build_linear_features(inputs, bias_column: bool = False) -> np.ndarray:
     """Identity feature map; optionally appends a constant-1 column."""
-    x = _check_inputs(inputs)
+    x = finite_array(inputs, "inputs", 2)
     if bias_column:
         return np.hstack([x, np.ones((x.shape[0], 1))])
     return x.copy()
@@ -61,8 +49,8 @@ def init_elm(input_dim: int, hidden_count: int, seed: int) -> HiddenLayerSpec:
     The layer is a pure function of the seed, so refitting with the same seed
     reproduces the same feature map bit for bit.
     """
-    if input_dim < 1 or hidden_count < 1:
-        raise ValueError("input_dim and hidden_count must be positive")
+    check_count(input_dim, 1, "input_dim")
+    check_count(hidden_count, 1, "hidden_count")
     rng = np.random.default_rng(seed)
     weights = -1.0 + 2.0 * rng.random((hidden_count, input_dim))
     biases = rng.random(hidden_count)
@@ -71,7 +59,7 @@ def init_elm(input_dim: int, hidden_count: int, seed: int) -> HiddenLayerSpec:
 
 def elm_features(spec: HiddenLayerSpec, inputs) -> np.ndarray:
     """Hidden-node outputs sigmoid(w_j . x_i + b_j), an N x m matrix in (0, 1)."""
-    x = _check_inputs(inputs)
+    x = finite_array(inputs, "inputs", 2)
     if x.shape[1] != spec.input_dim:
         raise ValueError(
             f"input dimension {x.shape[1]} does not match the layer's {spec.input_dim}"

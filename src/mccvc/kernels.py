@@ -29,6 +29,8 @@ from enum import Enum
 
 import numpy as np
 
+from ._checks import check_non_negative, check_width, finite_array, increasing_grid
+
 log = logging.getLogger(__name__)
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -67,26 +69,6 @@ _RESOLUTION = 2.0**20 * sys.float_info.epsilon
 _TAIL = math.exp(-0.5 * (_REACH - 1.0) ** 2)
 
 
-def _check_width(sigma, name: str = "sigma") -> float:
-    """Return a kernel width as a float; reject it unless it is a positive finite
-    real whose square is a normal float (a smaller one would make the kernel 0/0)."""
-    sigma = float(sigma)
-    if not math.isfinite(sigma) or sigma <= 0.0:
-        raise ValueError(f"{name} must be a positive finite real, got {sigma!r}")
-    if sigma * sigma < sys.float_info.min:
-        raise ValueError(f"{name} {sigma!r} is too small: its square underflows")
-    return sigma
-
-
-def _check_non_negative(value, name: str) -> float:
-    """Return a regularizer-like scalar as a float; reject it unless it is a
-    non-negative finite real (a NaN or infinite one would make a silent NaN)."""
-    value = float(value)
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be a non-negative finite real, got {value!r}")
-    return value
-
-
 class CenterRule(str, Enum):
     """How the center candidates are produced during the parameter search."""
 
@@ -103,7 +85,7 @@ class KernelParams:
     center: float
 
     def __post_init__(self):
-        sigma = _check_width(self.sigma)
+        sigma = check_width(self.sigma)
         center = float(self.center)
         if not math.isfinite(center):
             raise ValueError(f"center must be finite, got {self.center!r}")
@@ -115,8 +97,9 @@ class KernelParams:
 class ParamGrid:
     """Admissible kernel widths and centers for the parameter search.
 
-    `center_set` is only consulted when `center_rule` is EXPLICIT_GRID; the
-    mean/median rules collapse the center search to a single data-driven value.
+    Every width obeys the width rule of `KernelParams`.  `center_set` goes
+    with the EXPLICIT_GRID rule only; the mean/median rules collapse the
+    center search to a single data-driven value and take no `center_set`.
     """
 
     sigma_set: np.ndarray
@@ -124,34 +107,19 @@ class ParamGrid:
     center_rule: CenterRule = CenterRule.EXPLICIT_GRID
 
     def __post_init__(self):
-        sigmas = np.asarray(self.sigma_set, dtype=float)
-        if sigmas.ndim != 1 or sigmas.size == 0:
-            raise ValueError("sigma_set must be a non-empty 1-D sequence")
-        if not np.isfinite(sigmas).all() or np.any(sigmas <= 0.0):
-            raise ValueError("sigma_set entries must be positive finite reals")
-        if np.any(np.diff(sigmas) <= 0.0):
-            raise ValueError("sigma_set must be strictly increasing")
-        sigmas.setflags(write=False)
-        object.__setattr__(self, "sigma_set", sigmas)
-
+        sigmas = increasing_grid(self.sigma_set, "sigma_set")
+        # The grid increases, so its first width is its smallest.
+        check_width(sigmas[0], "sigma_set[0]")
         rule = CenterRule(self.center_rule)
-        object.__setattr__(self, "center_rule", rule)
-
         centers = self.center_set
         if rule is CenterRule.EXPLICIT_GRID:
             if centers is None:
                 raise ValueError("center_set is required with the explicit-grid rule")
-            centers = np.asarray(centers, dtype=float)
-            if centers.ndim != 1 or centers.size == 0:
-                raise ValueError("center_set must be a non-empty 1-D sequence")
-            if not np.isfinite(centers).all():
-                raise ValueError("center_set entries must be finite")
-            if np.any(np.diff(centers) <= 0.0):
-                raise ValueError("center_set must be strictly increasing")
-            centers.setflags(write=False)
+            centers = increasing_grid(centers, "center_set")
         elif centers is not None:
-            centers = np.asarray(centers, dtype=float)
-            centers.setflags(write=False)
+            raise ValueError(f"center_set goes only with the explicit-grid rule, not {rule.value}")
+        object.__setattr__(self, "sigma_set", sigmas)
+        object.__setattr__(self, "center_rule", rule)
         object.__setattr__(self, "center_set", centers)
 
 
@@ -163,16 +131,6 @@ def default_param_grid() -> ParamGrid:
         center_set=np.linspace(-5.0, 5.0, 101),
         center_rule=CenterRule.EXPLICIT_GRID,
     )
-
-
-def as_error_vector(values) -> np.ndarray:
-    """Validate and return residuals as a 1-D float array (N >= 1, all finite)."""
-    e = np.asarray(values, dtype=float)
-    if e.ndim != 1 or e.size == 0:
-        raise ValueError("error vector must be 1-D and non-empty")
-    if not np.isfinite(e).all():
-        raise ValueError("error vector contains non-finite entries")
-    return e
 
 
 def _kernel_values(u: np.ndarray, sigma: float) -> np.ndarray:
@@ -203,17 +161,15 @@ def gaussian_kernel(u, sigma: float):
     attained at u = 0.  Far-tail evaluations may underflow to exactly 0.0,
     which is the intended weighting for extreme outliers.
     """
-    sigma = _check_width(sigma)
-    arr = np.asarray(u, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("kernel argument must be finite")
+    sigma = check_width(sigma)
+    arr = finite_array(u, "u")
     out = _kernel_values(arr, sigma)
     return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
 
 def empirical_correntropy(errors, params: KernelParams) -> float:
     """Sample correntropy (1/N) sum_i G_sigma(e_i - c) of a residual vector."""
-    e = as_error_vector(errors)
+    e = finite_array(errors, "errors", 1)
     return float(_kernel_mean(e - params.center, params.sigma))
 
 
@@ -224,11 +180,9 @@ def gaussian_kde(sample, x, bandwidth: float):
     By construction every entry is the same sum as `empirical_correntropy`
     with center x and width `bandwidth`; the two code paths agree bit for bit.
     """
-    s = as_error_vector(sample)
-    bandwidth = _check_width(bandwidth, "bandwidth")
-    xs = np.asarray(x, dtype=float)
-    if not np.isfinite(xs).all():
-        raise ValueError("evaluation points must be finite")
+    s = finite_array(sample, "sample", 1)
+    bandwidth = check_width(bandwidth, "bandwidth")
+    xs = finite_array(x, "x")
     out = _kernel_mean(xs.reshape(-1, 1) - s, bandwidth).reshape(xs.shape)
     return float(out) if xs.ndim == 0 else out
 
@@ -237,9 +191,9 @@ def mcc_vc_cost(errors, params: KernelParams, weight_norm_sq: float, lambda_prim
     """Cost J = -V(e; sigma, c) + lambda ||beta||^2 with lambda = lambda' / (2 N sigma^2),
     N = errors.size: -V has gradient -H'W(e - c) / (N sigma^2), so J is stationary
     exactly where the update (H'WH + lambda' I) beta = H'W(T - c) holds."""
-    lambda_prime = _check_non_negative(lambda_prime, "lambda_prime")
-    weight_norm_sq = _check_non_negative(weight_norm_sq, "weight_norm_sq")
-    e = as_error_vector(errors)
+    lambda_prime = check_non_negative(lambda_prime, "lambda_prime")
+    weight_norm_sq = check_non_negative(weight_norm_sq, "weight_norm_sq")
+    e = finite_array(errors, "errors", 1)
     penalty = lambda_prime * weight_norm_sq / (2.0 * e.size * params.sigma * params.sigma)
     return -float(_kernel_mean(e - params.center, params.sigma)) + penalty
 
@@ -412,7 +366,7 @@ def optimize_params(
       recomputed exactly, so the tie rule sees the full table's minimum and
       tied set.
     """
-    e = as_error_vector(errors)
+    e = finite_array(errors, "errors", 1)
     n = e.size
     with np.errstate(over="ignore", invalid="ignore"):
         spread = float(np.std(e))

@@ -54,13 +54,13 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lstsq
 
+from ._checks import check_count, check_non_negative, finite_array, same_rows
 from .errors import DegenerateWeightsError, SingularSystemError, SolverError
 from .kernels import (
     CenterRule,
     KernelParams,
     ParamGrid,
     RowBounds,
-    _check_non_negative,
     _kernel_values,
     mcc_vc_cost,
     optimize_params,
@@ -85,9 +85,8 @@ class FitConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        _check_non_negative(self.lambda_prime, "lambda_prime")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        check_non_negative(self.lambda_prime, "lambda_prime")
+        check_count(self.max_iterations, 1, "max_iterations")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
 
@@ -112,25 +111,10 @@ class FitResult:
 
 def check_design(H, targets) -> tuple[np.ndarray, np.ndarray]:
     """Validate a design matrix / target vector pair and return float arrays."""
-    H = np.asarray(H, dtype=float)
-    t = np.asarray(targets, dtype=float)
-    if H.ndim != 2 or t.ndim != 1 or H.shape[0] != t.shape[0]:
-        raise ValueError(f"design shape mismatch: H {H.shape} vs targets {t.shape}")
-    if H.shape[0] < 1 or H.shape[1] < 1:
-        raise ValueError("design matrix must be non-empty")
-    if not (np.isfinite(H).all() and np.isfinite(t).all()):
-        raise ValueError("design contains non-finite entries")
+    H = finite_array(H, "H", 2)
+    t = finite_array(targets, "targets", 1)
+    same_rows(H, t, "targets")
     return H, t
-
-
-def _check_beta(beta, m: int) -> np.ndarray:
-    """Return a weight vector as a float array, 1-D of length m and finite."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (m,):
-        raise ValueError(f"beta must be 1-D of length {m}, got shape {beta.shape}")
-    if not np.isfinite(beta).all():
-        raise ValueError("beta contains non-finite entries")
-    return beta
 
 
 def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,7 +141,7 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _normal_solve(H: np.ndarray, r: np.ndarray, lambda_prime: float, w=None) -> np.ndarray:
     """Solve (H'WH + lambda' I) beta = H'W r, W = diag(w) or I; raise on overflow."""
-    lambda_prime = _check_non_negative(lambda_prime, "lambda_prime")
+    lambda_prime = check_non_negative(lambda_prime, "lambda_prime")
     with np.errstate(over="ignore"):
         WH, Wr = (H, r) if w is None else (w[:, None] * H, w * r)
         A, b = H.T @ WH, H.T @ Wr
@@ -189,7 +173,9 @@ def weighted_ridge_step(
     lambda' is.  With lambda' = 0 a singular H'WH raises SingularSystemError.
     """
     H, t = check_design(H, targets)
-    e = t - H @ _check_beta(beta_prev, H.shape[1])
+    beta_prev = finite_array(beta_prev, "beta", 1)
+    same_rows(H.T, beta_prev, "beta")
+    e = t - H @ beta_prev
     w = _kernel_values(e - params.center, params.sigma)
     if w.max() < sys.float_info.min:
         raise DegenerateWeightsError(
@@ -322,8 +308,9 @@ def mcc_vc_gradient(H, targets, beta, params: KernelParams, lambda_prime: float)
     (H'WH + lambda' I) beta = H'W(T - c) holds, as at a converged fit.
     """
     H, t = check_design(H, targets)
-    lambda_prime = _check_non_negative(lambda_prime, "lambda_prime")
-    beta = _check_beta(beta, H.shape[1])
+    lambda_prime = check_non_negative(lambda_prime, "lambda_prime")
+    beta = finite_array(beta, "beta", 1)
+    same_rows(H.T, beta, "beta")
     u = (t - H @ beta) - params.center
     w = _kernel_values(u, params.sigma)
     sigma_sq = params.sigma * params.sigma

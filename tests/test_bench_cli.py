@@ -447,6 +447,7 @@ class TestCli:
         ["fit", "--lambda-prime", "-1"],
         ["kernel-trace", "--lambda-prime", "-1"],
         ["synth-bench", "--sigma-grid", "0.1:1e-13:1"],
+        ["fit", "--sigma-grid", "1e-200:1:1"],
         # One width rule: a width whose square underflows, as 0 and inf.
         ["synth-bench", "--mcc-sigma", "1e-300"],
         ["fit", "--mcc-sigma", "1e-300"],
@@ -463,6 +464,10 @@ class TestCli:
         ["kernel-trace", "--case", "5"],
         ["kernel-trace", "--iterations", ""],
         ["kernel-trace", "--bins", "0"],
+        # One input file for fit, and one data source for kernel-trace.
+        ["fit", "--csv", "second.csv"],
+        ["kernel-trace", "--csv", "d.csv", "--case", "3"],
+        ["kernel-trace", "--case", "2", "--csv", "d.csv"],
         # Values the flag parsers reject.
         ["synth-bench", "--sigma-grid", "1:2"],
         ["synth-bench", "--sigma-grid", "a:1:2"],
@@ -517,6 +522,15 @@ class TestCli:
         (KernelTraceConfig, {"bins": 0}),
         (KernelTraceConfig, {"curve_points": 199}),
         (KernelTraceConfig, {"hist_range": "clip"}),
+        # A count must be an integer.
+        (SynthBenchConfig, {"runs": 2.5}),
+        (SynthBenchConfig, {"n_samples": 10.5}),
+        (SynthBenchConfig, {"jobs": 1.5}),
+        (DataBenchConfig, {"folds": 2.5}),
+        (DataBenchConfig, {"hidden": 4.0}),
+        (FitCmdConfig, {"max_iterations": 2.5}),
+        (KernelTraceConfig, {"bins": 2.5}),
+        (KernelTraceConfig, {"iterations": (1, 1.5)}),
     ])
     def test_bad_settings_rejected_at_construction(self, cls, overrides):
         with pytest.raises(ValueError):

@@ -145,7 +145,7 @@ class TestGenerateLinearData:
 
     def test_rejects_bad_count(self):
         model = NoiseModel(0.0, Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))
-        with pytest.raises(ValueError, match="n must be positive"):
+        with pytest.raises(ValueError, match="n must be at least 1"):
             generate_linear_data(np.array([1.0]), 0, model, seed=0)
 
 
@@ -388,7 +388,7 @@ class TestTabularDataset:
         (np.zeros((2, 0)), np.zeros(2)),
     ])
     def test_rejects_an_empty_table(self, features, targets):
-        with pytest.raises(ValueError, match="at least one row and one feature"):
+        with pytest.raises(ValueError, match="features must be a non-empty 2-D array"):
             TabularDataset(features, targets)
 
     def test_take_selects_rows(self):

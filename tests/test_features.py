@@ -44,7 +44,7 @@ class TestLinearFeatures:
 
     @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((0, 2)), np.zeros((2, 0))])
     def test_rejects_inputs_that_are_not_a_non_empty_matrix(self, x):
-        with pytest.raises(ValueError, match="non-empty 2-D matrix"):
+        with pytest.raises(ValueError, match="inputs must be a non-empty 2-D array"):
             build_linear_features(x)
 
 
@@ -105,11 +105,11 @@ class TestElmFeatures:
             elm_features(spec, np.zeros((5, 4)))
 
     @pytest.mark.parametrize("weights, biases, message", [
-        (np.zeros((2, 3)), np.zeros(3), "inconsistent hidden layer shapes"),
-        (np.zeros(3), np.zeros(3), "inconsistent hidden layer shapes"),
-        (np.zeros((2, 3)), np.zeros((2, 1)), "inconsistent hidden layer shapes"),
-        (np.full((2, 3), np.inf), np.zeros(2), "must be finite"),
-        (np.zeros((2, 3)), np.array([0.0, np.nan]), "must be finite"),
+        (np.zeros((2, 3)), np.zeros(3), "biases must have 2 entries"),
+        (np.zeros(3), np.zeros(3), "input_weights must be a non-empty 2-D array"),
+        (np.zeros((2, 3)), np.zeros((2, 1)), "biases must be a non-empty 1-D array"),
+        (np.full((2, 3), np.inf), np.zeros(2), "input_weights contains non-finite entries"),
+        (np.zeros((2, 3)), np.array([0.0, np.nan]), "biases contains non-finite entries"),
     ])
     def test_layer_rejects_bad_parameters(self, weights, biases, message):
         with pytest.raises(ValueError, match=message):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mccvc import kernels, solvers
+from mccvc._checks import finite_array
 from mccvc.bench import synth_case_design
 from mccvc.kernels import (
     CenterRule,
@@ -166,7 +167,7 @@ class TestEmpiricalCorrentropy:
 
     @pytest.mark.parametrize("x", [math.nan, [0.0, math.inf]])
     def test_kde_rejects_non_finite_points(self, x):
-        with pytest.raises(ValueError, match="evaluation points must be finite"):
+        with pytest.raises(ValueError, match="x contains non-finite entries"):
             gaussian_kde([0.0, 1.0], x, 1.0)
 
 
@@ -318,6 +319,13 @@ class TestTinyWidths:
         with pytest.raises(ValueError, match="underflows"):
             call(1e-300)
 
+    def test_grid_of_such_a_width_fails_when_built(self):
+        # The search clamps a width up to 1e-3 of the residual spread, here
+        # 1.1e-155, whose square underflows; the grid is rejected before that.
+        e = np.array([0.0, 1.0, 2.0, 3.0]) * 1e-152
+        with pytest.raises(ValueError, match=r"^sigma_set\[0\] 1e-200 is too small"):
+            optimize_params(e, ParamGrid([1e-200], None, CenterRule.MEDIAN_OF_ERRORS))
+
     def test_smallest_admissible_width_is_finite(self):
         sigma = 2.0 * math.sqrt(sys.float_info.min)
         assert math.isfinite(gaussian_kernel(0.0, sigma))
@@ -345,6 +353,11 @@ class TestTypes:
             ParamGrid(np.array([1.0]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             ParamGrid(np.array([1.0]), None, CenterRule.EXPLICIT_GRID)
+        with pytest.raises(ValueError, match="underflows"):
+            ParamGrid(np.array([1e-200, 1.0]), np.array([0.0]))
+        for rule in (CenterRule.MEAN_OF_ERRORS, CenterRule.MEDIAN_OF_ERRORS):
+            with pytest.raises(ValueError, match="center_set goes only with the explicit-grid"):
+                ParamGrid(np.array([1.0]), np.array([0.0]), rule)
 
     @pytest.mark.parametrize("centers, message", [
         ([], "non-empty"),
@@ -373,7 +386,7 @@ class TestTypes:
 def _reference_optimize_params(errors, grid):
     """The full-table search that `optimize_params` must reproduce bit for bit:
     every (sigma, center) objective from one (C, N) difference table."""
-    e = kernels.as_error_vector(errors)
+    e = finite_array(errors, "errors", 1)
     if grid.center_rule is CenterRule.EXPLICIT_GRID:
         centers = np.asarray(grid.center_set, dtype=float)
     elif grid.center_rule is CenterRule.MEAN_OF_ERRORS:
@@ -554,7 +567,8 @@ class TestScreenedSearch:
 
     @pytest.mark.parametrize("rule", list(CenterRule))
     def test_rejects_errors_whose_spread_overflows(self, rule):
-        grid = ParamGrid(np.array([0.5, 1.0]), np.array([-1.0, 0.0, 1.0]), rule)
+        centers = np.array([-1.0, 0.0, 1.0]) if rule is CenterRule.EXPLICIT_GRID else None
+        grid = ParamGrid(np.array([0.5, 1.0]), centers, rule)
         for errors in ([0.0, 1e160, 1.0, 2.0], [1e153, -1e153]):
             with pytest.raises(ValueError, match=r"^error spread overflows: .* 1\.8e\+308$"):
                 optimize_params(np.array(errors * 200), grid)
@@ -609,7 +623,9 @@ def test_search_is_the_full_table_search(n, seed, n_centers, rule, rounded):
     centers = rng.uniform(-5, 5, n_centers)
     if rounded:
         e, centers = np.round(e, 1), np.round(centers, 1)
-    grid = ParamGrid(sigmas, np.unique(centers), rule)
+    # Only the explicit-grid rule takes a center set.
+    explicit = rule is CenterRule.EXPLICIT_GRID
+    grid = ParamGrid(sigmas, np.unique(centers) if explicit else None, rule)
     _assert_same_search(e, grid)
 
 

@@ -85,18 +85,26 @@ class TestRidgeSolve:
         with pytest.raises(SolverError, match="^linear solve residual nan exceeds tolerance$"):
             solvers._spd_solve(np.diag([1e-300, 1.0]), np.array([1e300, 1.0]))
 
+    @pytest.mark.parametrize("fit", [
+        lambda H, t: ridge_solve(H, t, 1e-4),
+        lambda H, t: weighted_ridge_step(H, t, KernelParams(1.0, 0.0), 1e-4, np.zeros(2)),
+        lambda H, t: fit_mcc(H, t, 1.0),
+        lambda H, t: fit_mcc_vc(H, t, default_param_grid()),
+        lambda H, t: mcc_vc_gradient(H, t, np.zeros(2), KernelParams(1.0, 0.0), 1e-4),
+    ], ids=["ridge_solve", "weighted_ridge_step", "fit_mcc", "fit_mcc_vc", "mcc_vc_gradient"])
     @pytest.mark.parametrize("H, t, message", [
-        (np.eye(2), np.ones(3), "design shape mismatch"),
-        (np.ones(2), np.ones(2), "design shape mismatch"),
-        (np.eye(2), np.ones((2, 1)), "design shape mismatch"),
-        (np.zeros((0, 2)), np.zeros(0), "design matrix must be non-empty"),
-        (np.zeros((2, 0)), np.zeros(2), "design matrix must be non-empty"),
-        (np.array([[1.0], [np.nan]]), np.ones(2), "non-finite"),
-        (np.eye(2), np.array([1.0, np.inf]), "non-finite"),
+        (np.eye(2), np.ones(3), "targets must have 2 entries"),
+        (np.ones(2), np.ones(2), "H must be a non-empty 2-D array"),
+        (np.eye(2), np.ones((2, 1)), "targets must be a non-empty 1-D array"),
+        (np.zeros((0, 2)), np.zeros(0), "H must be a non-empty 2-D array"),
+        (np.zeros((2, 0)), np.zeros(2), "H must be a non-empty 2-D array"),
+        (np.array([[1.0], [np.nan]]), np.ones(2), "H contains non-finite entries"),
+        (np.eye(2), np.array([1.0, np.inf]), "targets contains non-finite entries"),
     ])
-    def test_rejects_a_bad_design(self, H, t, message):
+    def test_rejects_a_bad_design(self, fit, H, t, message):
+        # Every entry point that takes a design checks it by the same rules.
         with pytest.raises(ValueError, match=message):
-            ridge_solve(H, t, 1e-4)
+            fit(H, t)
 
     def test_matches_lstsq_on_random_problems(self):
         rng = np.random.default_rng(0)
@@ -153,8 +161,8 @@ class TestSpdSolve:
 _BAD_BETAS = [
     ([math.nan, 0.0], "^beta contains non-finite entries$"),
     ([0.0, -math.inf], "^beta contains non-finite entries$"),
-    ([1.0, 2.0, 3.0], r"^beta must be 1-D of length 2, got shape \(3,\)$"),
-    ([[1.0], [2.0]], r"^beta must be 1-D of length 2, got shape \(2, 1\)$"),
+    ([1.0, 2.0, 3.0], r"^beta must have 2 entries, got shape \(3,\)$"),
+    ([[1.0], [2.0]], r"^beta must be a non-empty 1-D array, got shape \(2, 1\)$"),
 ]
 
 
@@ -352,6 +360,8 @@ class TestFixedPointLoops:
             FitConfig(lambda_prime=-1.0)
         with pytest.raises(ValueError):
             FitConfig(max_iterations=0)
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            FitConfig(max_iterations=2.5)
         with pytest.raises(ValueError):
             FitConfig(tolerance=0.0)
 

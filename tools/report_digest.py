@@ -172,6 +172,18 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
         workdir / "fit-overflow-weights.json",
     )))
 
+    # Inputs rejected when the grid or the argv is read.
+    rejected = {
+        "fit-underflowing-grid": ["fit", "--csv", str(small), "--no-header", "--model", "linear",
+                                  "--sigma-grid", "1e-200:1:1"],
+        "fit-two-csv": ["fit", "--csv", str(small), "--csv", str(small), "--no-header",
+                        "--model", "linear"],
+        "kernel-trace-csv-and-case": ["kernel-trace", "--csv", str(small), "--no-header",
+                                      "--case", "3"],
+    }
+    for name, argv in rejected.items():
+        out.append((name, _run(argv, workdir / f"{name}.json")))
+
     for suffix in ("json", "csv"):
         path = workdir / f"kernel-trace.{suffix}"
         digest = _json_digest if suffix == "json" else lambda p: _sha(p.read_bytes())
