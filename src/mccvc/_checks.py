@@ -8,12 +8,13 @@
   axes is given, it has exactly that many and none of them is empty.
 - `same_rows`: a vector has one entry per row of a matrix.
 - `increasing_grid`: a search grid is a non-empty, finite, strictly
-  increasing 1-D sequence; it is returned read-only.
+  increasing 1-D sequence; it is returned as a read-only copy.
 - `check_count`: a count is an integer of at least a lower bound.
 
-Each raises ValueError naming the input it rejects.  Scalars are checked
-with `math`, not numpy, since `KernelParams` checks its width at every
-(sigma, c) search.
+Each raises ValueError naming the input it rejects.  `frozen_copy` makes
+the read-only copy that a frozen record stores, so that the caller's array
+stays writeable.  Scalars are checked with `math`, not numpy, since
+`KernelParams` checks its width at every (sigma, c) search.
 """
 
 from __future__ import annotations
@@ -65,12 +66,19 @@ def same_rows(x: np.ndarray, y: np.ndarray, name: str):
 
 def increasing_grid(values, name: str) -> np.ndarray:
     """Return a non-empty, finite, strictly increasing 1-D grid as a read-only
-    float array."""
+    float copy."""
     grid = finite_array(values, name, 1)
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError(f"{name} must be strictly increasing")
-    grid.setflags(write=False)
-    return grid
+    return frozen_copy(grid)
+
+
+def frozen_copy(arr: np.ndarray) -> np.ndarray:
+    """Return a read-only copy of `arr` in its own memory layout, leaving `arr`
+    itself (which may be the caller's own array) writeable."""
+    arr = arr.copy(order="K")
+    arr.setflags(write=False)
+    return arr
 
 
 def check_count(value, low: int, name: str) -> int:

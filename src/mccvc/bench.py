@@ -50,7 +50,7 @@ from .features import (
     predict,
 )
 from .kernels import CenterRule, ParamGrid, default_param_grid, gaussian_kernel
-from .solvers import FitConfig, FitResult, fit_mcc, fit_mcc_vc, ridge_solve
+from .solvers import FitConfig, FitResult, _spans_constant, fit_mcc, fit_mcc_vc, ridge_solve
 
 CASE_LABELS = {
     1: "gaussian(0,2)",
@@ -100,13 +100,15 @@ def _check_distinct(cfg, names):
             raise ValueError(f"{name} must be non-empty and distinct, got {values!r}")
 
 
-def _fit(method: str, H, targets, lambda_prime: float, sigma, grid, cfg, on_iteration=None):
+def _fit(method: str, H, targets, lambda_prime: float, sigma, grid, cfg, on_iteration=None,
+         spans_constant: bool | None = None):
     """Fit one canonical method; returns (beta, fixed-point result or None).
 
     `sigma` is the frozen mcc width, `grid` the mcc-vc search grid, and `cfg`
     supplies `max_iterations` and `tolerance`; both iterative solvers get the
-    one `FitConfig` they share.  The solvers are looked up as module globals
-    at call time, so a profiler can swap them for wrappers.
+    one `FitConfig` they share.  `spans_constant` goes to `fit_mcc_vc`.  The
+    solvers are looked up as module globals at call time, so a profiler can
+    swap them for wrappers.
     """
     if method == "mmse":
         return ridge_solve(H, targets, lambda_prime), None
@@ -114,7 +116,8 @@ def _fit(method: str, H, targets, lambda_prime: float, sigma, grid, cfg, on_iter
     if method == "mcc":
         result = fit_mcc(H, targets, sigma, config, on_iteration)
     elif method == "mcc-vc":
-        result = fit_mcc_vc(H, targets, grid, config, on_iteration)
+        result = fit_mcc_vc(H, targets, grid, config, on_iteration,
+                            spans_constant=spans_constant)
     else:
         raise ValueError(f"unknown method {method!r}")
     return result.beta, result
@@ -361,7 +364,7 @@ def _features(spec: dict, x) -> np.ndarray:
 
 
 def _candidate_list(method: str, cfg: DataBenchConfig):
-    # Candidates are tried in order; the first strictly-best score wins.
+    # Candidates in list order; the first strictly-best mean score wins.
     if method == "mcc":
         return [
             {"lambda_prime": lp, "sigma": s}
@@ -371,28 +374,59 @@ def _candidate_list(method: str, cfg: DataBenchConfig):
     return [{"lambda_prime": lp} for lp in cfg.lambda_grid]
 
 
-def _cross_validate(method: str, H, targets, folds, cfg: DataBenchConfig):
-    """Mean validation RMSE per candidate; returns the best candidate or None."""
-    best_score, best_candidate = np.inf, None
-    for candidate in _candidate_list(method, cfg):
-        scores = []
+def _fold_score(method: str, H, targets, fold, candidate: dict, cfg: DataBenchConfig,
+                spans_constant: bool | None = None) -> float:
+    """Validation RMSE of `candidate` fit on the training rows of one fold."""
+    train_idx, val_idx = fold
+    beta, result = _fit(
+        method, H[train_idx], targets[train_idx], candidate["lambda_prime"],
+        candidate.get("sigma"), cfg.vc_grid, cfg, spans_constant=spans_constant,
+    )
+    return rmse_predictions(predict(H[val_idx], beta) + _offset(result), targets[val_idx])
+
+
+def _cross_validate(method: str, H, targets, folds, cfg: DataBenchConfig,
+                    spans_constant: bool | None = None):
+    """The candidate of least mean validation RMSE over `folds`, the first in
+    list order among equals, or None if every candidate fails a fold.
+
+    A candidate whose fit raises SolverError on any fold is dropped.  The
+    candidates race: each is scored on the first fold, then the survivors are
+    completed in order of that score, and a candidate stops before its next
+    fold once it can no longer be picked.  Its fold RMSEs are non-negative and
+    float addition and division round monotonically, so `np.mean` of its
+    scores so far padded with zeros for the folds it has not run, summed in
+    `np.mean`'s own order, is a lower bound on its mean; once that bound
+    exceeds the least complete mean, its mean would too.  So the race picks
+    the candidate that scoring every fold of every candidate would pick.
+    """
+    candidates = _candidate_list(method, cfg)
+
+    def score(i: int, fold) -> float:
+        return _fold_score(method, H, targets, fold, candidates[i], cfg, spans_constant)
+
+    first = {}
+    for i in range(len(candidates)):
         try:
-            for train_idx, val_idx in folds:
-                beta, result = _fit(
-                    method, H[train_idx], targets[train_idx], candidate["lambda_prime"],
-                    candidate.get("sigma"), cfg.vc_grid, cfg,
-                )
-                scores.append(
-                    rmse_predictions(
-                        predict(H[val_idx], beta) + _offset(result), targets[val_idx]
-                    )
-                )
+            first[i] = score(i, folds[0])
         except SolverError:
             continue
-        score = float(np.mean(scores))
-        if score < best_score:
-            best_score, best_candidate = score, candidate
-    return best_candidate
+    means, least = {}, np.inf
+    for i in sorted(first, key=first.get):
+        scores = [first[i]]
+        try:
+            for fold in folds[1:]:
+                if np.mean(scores + [0.0] * (len(folds) - len(scores))) > least:
+                    break
+                scores.append(score(i, fold))
+            else:
+                means[i] = float(np.mean(scores))
+                least = min(least, means[i])
+        except SolverError:
+            continue
+    if least == np.inf:
+        return None
+    return candidates[min(i for i, mean in means.items() if mean == least)]
 
 
 def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict:
@@ -423,7 +457,10 @@ def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict
             method = canonical_method(label)
             tally = tallies[label]
             t0 = time.perf_counter()
-            candidate = _cross_validate(method, H_train, train.targets, folds, cfg)
+            # Every fold's training rows are rows of H_train, so they span 1 if
+            # it does; otherwise each fit tests its own rows.
+            spans = True if method == "mcc-vc" and _spans_constant(H_train) else None
+            candidate = _cross_validate(method, H_train, train.targets, folds, cfg, spans)
             select_time = time.perf_counter() - t0
             if candidate is None:
                 tally.failures += 1
@@ -432,7 +469,7 @@ def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict
             try:
                 beta, result = _fit(
                     method, H_train, train.targets, candidate["lambda_prime"],
-                    candidate.get("sigma"), cfg.vc_grid, cfg,
+                    candidate.get("sigma"), cfg.vc_grid, cfg, spans_constant=spans,
                 )
             except SolverError:
                 tally.failures += 1

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_count, finite_array, same_rows
+from ._checks import check_count, finite_array, frozen_copy, same_rows
 from ._serialize import JsonRecord
 from .errors import DataError
 
@@ -150,10 +150,8 @@ class TabularDataset:
         x = finite_array(self.features, "features", 2)
         y = finite_array(self.targets, "targets", 1)
         same_rows(x, y, "targets")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "targets", y)
+        object.__setattr__(self, "features", frozen_copy(x))
+        object.__setattr__(self, "targets", frozen_copy(y))
 
     @property
     def n_rows(self) -> int:
@@ -347,8 +345,8 @@ def kfold_indices(n: int, folds: int, seed: int) -> list[tuple[np.ndarray, np.nd
 def _rmse(a, b, what: str) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"{what} vectors must match: {a.shape} vs {b.shape}")
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ValueError(f"{what} vectors must be non-empty and match: {a.shape} vs {b.shape}")
     diff = a - b
     return float(np.sqrt(diff @ diff / a.size))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._checks import check_count, finite_array, same_rows
+from ._checks import check_count, finite_array, frozen_copy, same_rows
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,8 @@ class HiddenLayerSpec:
         w = finite_array(self.input_weights, "input_weights", 2)
         b = finite_array(self.biases, "biases", 1)
         same_rows(w, b, "biases")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "input_weights", w)
-        object.__setattr__(self, "biases", b)
+        object.__setattr__(self, "input_weights", frozen_copy(w))
+        object.__setattr__(self, "biases", frozen_copy(b))
 
     @property
     def input_dim(self) -> int:

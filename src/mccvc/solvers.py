@@ -25,10 +25,11 @@ sigmoid ELM features that sum to one), the center is not identifiable: a
 shift of c is absorbed by the intercept direction of beta, the predictions
 H beta + c do not move, and the median rule lets c drift by a little at
 every step so the loop never stops.  `fit_mcc_vc` therefore tests once per
-fit whether 1 is in span(H) and, if it is, keeps the first iteration's c* and
-re-chooses only sigma on the one-center grid {c*}.  The (sigma, c) searches of
-one fit share a `kernels.RowBounds`, which lets each explicit-grid search skip
-the widths that the last one and the residuals' drift since it rule out.
+fit whether 1 is in span(H), unless the caller passes the answer in, and, if
+it is, keeps the first iteration's c* and re-chooses only sigma on the
+one-center grid {c*}.  The (sigma, c) searches of one fit share a
+`kernels.RowBounds`, which lets each explicit-grid search skip the widths
+that the last one and the residuals' drift since it rule out.
 
 Each step of the loop calls the module globals `weighted_ridge_step` (once),
 `mcc_vc_cost` and, in `fit_mcc_vc`, `optimize_params` (once) by name, so a
@@ -247,6 +248,8 @@ def fit_mcc_vc(
     grid: ParamGrid,
     config: FitConfig = FitConfig(),
     on_iteration: IterationHook | None = None,
+    *,
+    spans_constant: bool | None = None,
 ) -> FitResult:
     """Fixed-point regression with kernel width and center re-chosen per iteration.
 
@@ -262,6 +265,10 @@ def fit_mcc_vc(
     the same predictions H beta + c once beta absorbs it, so c is not
     identifiable.  The fit then keeps the first iteration's c* and searches
     only the widths, on the one-center explicit grid sigma_set x {c*}.
+    `spans_constant` is that test's answer when the caller already has it;
+    None (the default) tests H.  A row subset of a design that spans 1 spans
+    1 too, so a driver that fits row subsets of one design, such as the
+    folds of a cross-validation, can test the design once and pass True.
 
     The searches of one fit share one `RowBounds`, so a search on an
     explicit grid of several centers screens only the widths that the
@@ -269,7 +276,7 @@ def fit_mcc_vc(
     pick is still bit for bit that of a search without it.
     """
     H, t = check_design(H, targets)
-    confounded = _spans_constant(H)
+    confounded = _spans_constant(H) if spans_constant is None else spans_constant
     search, state = grid, RowBounds()
 
     def choose(e: np.ndarray) -> KernelParams:

@@ -335,7 +335,7 @@ def test_criterion_11_synthetic_elm_ordering():
     # every elm-mcc-vc fit converge.
     vc_nonconverged = by_method["elm-mcc-vc"]["nonconverged"]
     elapsed = time.perf_counter() - t0
-    ok = vc <= mcc <= relm and failures == 0 and vc_nonconverged == 0 and elapsed < 60.0
+    ok = vc <= mcc <= relm and failures == 0 and vc_nonconverged == 0 and elapsed < 30.0
     _criterion(
         11,
         ok,

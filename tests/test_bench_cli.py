@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -25,7 +26,16 @@ from mccvc.bench import (
     synth_case_design,
 )
 from mccvc.cli import _parse_bool, _parse_range, main
-from mccvc.data import SplitSpec, TabularDataset, apply_minmax, minmax_record, split
+from mccvc.data import (
+    Gaussian,
+    NoiseModel,
+    SplitSpec,
+    TabularDataset,
+    apply_minmax,
+    minmax_record,
+    sample_noise,
+    split,
+)
 from mccvc.kernels import CenterRule, ParamGrid
 
 
@@ -301,6 +311,185 @@ class TestDataBench:
         H, t = synth_case_design(2, 20, 0)
         with pytest.raises(ValueError, match="unknown method 'boost'"):
             bench._fit("boost", H, t, 1e-4, 1.0, None, self._cfg())
+
+
+def _exhaustive_cross_validate(method, H, targets, folds, cfg):
+    """Reference selection: score every fold of every candidate, drop a
+    candidate on a SolverError, and keep the first strictly least mean."""
+    best_score, best = np.inf, None
+    for candidate in bench._candidate_list(method, cfg):
+        try:
+            scores = [bench._fold_score(method, H, targets, fold, candidate, cfg)
+                      for fold in folds]
+        except bench.SolverError:
+            continue
+        score = float(np.mean(scores))
+        if score < best_score:
+            best_score, best = score, candidate
+    return best
+
+
+def _sinc_mixture(rows: int) -> TabularDataset:
+    """Criterion 11's data set: sinc(|x|) on U[-2, 2]^2 plus 10% outliers."""
+    rng = np.random.default_rng(7)
+    X = rng.uniform(-2.0, 2.0, (rows, 2))
+    noise = NoiseModel(0.1, Gaussian(3.0, 1.0), Gaussian(0.0, 10000.0))
+    return TabularDataset(X, np.sinc(np.linalg.norm(X, axis=1)) + sample_noise(noise, rows, 8))
+
+
+class TestCrossValidationRace:
+    """`_cross_validate` stops a candidate's folds once it cannot win; these
+    replay score tables through it and through the exhaustive reference."""
+
+    @staticmethod
+    def _replay(table, monkeypatch):
+        """Both selections on `table` (candidates x folds; None is a fold whose
+        fit raises SolverError) and the cells the race scored."""
+        n_candidates, n_folds = len(table), len(table[0])
+        cfg = DataBenchConfig(lambda_grid=tuple(float(j) for j in range(n_candidates)),
+                              folds=n_folds)
+        scored = []
+
+        def fold_score(method, H, targets, fold, candidate, cfg, spans_constant=None):
+            cell = (int(candidate["lambda_prime"]), fold)
+            scored.append(cell)
+            value = table[cell[0]][fold]
+            if value is None:
+                raise bench.SolverError("replayed failure")
+            return value
+
+        monkeypatch.setattr(bench, "_fold_score", fold_score)
+        folds = list(range(n_folds))
+        race = bench._cross_validate("mcc-vc", None, None, folds, cfg)
+        raced = list(scored)
+        reference = _exhaustive_cross_validate("mcc-vc", None, None, folds, cfg)
+        return race, reference, raced
+
+    @staticmethod
+    def _table(rng):
+        n_candidates, n_folds = int(rng.integers(1, 13)), int(rng.integers(2, 11))
+        kind = rng.integers(3)
+        if kind == 0:
+            # Few distinct values: exact ties and zero scores.
+            table = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n_candidates, n_folds))
+        elif kind == 1:
+            table = rng.random((n_candidates, n_folds)) ** 4
+        else:
+            # Rows that permute one set of scores, zeros last in some: equal
+            # exact sums whose rounded means differ by an ulp or tie.
+            base = rng.random(n_folds)
+            base[rng.random(n_folds) < 0.3] = 0.0
+            rows = []
+            for _ in range(n_candidates):
+                row = rng.permutation(base)
+                if rng.random() < 0.5:
+                    row = np.concatenate([row[row > 0.0], row[row == 0.0]])
+                rows.append(row)
+            table = np.array(rows)
+        table = table.tolist()
+        failure_rate = rng.choice([0.0, 0.1, 0.4])
+        for row in table:
+            for f in range(n_folds):
+                if rng.random() < failure_rate:
+                    row[f] = None
+        return table
+
+    def test_random_tables_pick_as_the_exhaustive_rule(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        pruned = 0
+        for _ in range(3000):
+            table = self._table(rng)
+            race, reference, raced = self._replay(table, monkeypatch)
+            assert race == reference, table
+            assert len(set(raced)) == len(raced)
+            pruned += len(table) * len(table[0]) - len(raced)
+        assert pruned > 0
+
+    @pytest.mark.parametrize("table, pick", [
+        # A later candidate completes first; the earlier one ties it only
+        # because its unplayed fold scores 0, so it must not be dropped.
+        ([[1.0, 0.0], [0.0, 1.0]], 0),
+        ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], 0),
+        ([[0.0, 0.0], [0.0, 0.0]], 0),
+        ([[1.0, None], [2.0, 2.0], [None, 0.0]], 1),
+        ([[None, 1.0], [1.0, None]], None),
+    ])
+    def test_ties_zeros_and_failures(self, table, pick, monkeypatch):
+        race, reference, _ = self._replay(table, monkeypatch)
+        assert reference == (None if pick is None else {"lambda_prime": float(pick)})
+        assert race == reference
+
+    @pytest.mark.parametrize("n_folds", [3, 5, 8, 10])
+    def test_means_that_tie_only_after_np_mean_rounds(self, n_folds, monkeypatch):
+        # Candidate 1 permutes candidate 0's scores, zero first, so it is
+        # completed first; candidate 0's last fold scores 0.  Their exact sums
+        # are equal, and where np.mean (a pairwise sum from 8 folds on)
+        # rounds both to the same mean, candidate 0 is picked, although its
+        # scores so far, summed left to right or exactly, can exceed
+        # n_folds x that mean by an ulp.
+        rng = np.random.default_rng(n_folds)
+        sensitive = 0
+        for _ in range(300):
+            row = rng.random(n_folds - 1)
+            scores, other = [*row, 0.0], [0.0, *row[1:], row[0]]
+            mean = float(np.mean(scores))
+            if float(np.mean(other)) == mean:
+                sensitive += (sum(row) / n_folds > mean
+                              or math.fsum(row) > n_folds * mean)
+            race, reference, _ = self._replay([scores, other], monkeypatch)
+            assert race == reference
+        assert sensitive > 0
+
+    def test_elm_mcc_selection_runs_fewer_fits_with_the_same_pick(self, monkeypatch):
+        raw = _sinc_mixture(300)
+        data = apply_minmax(minmax_record(raw), raw)
+        cfg = DataBenchConfig(hidden=20, folds=5, lambda_grid=(0.0, 1e-6, 1e-2),
+                              mcc_sigma_grid=(0.01, 0.05, 0.2, 1.0))
+        train, _ = split(data, SplitSpec(seed=3))
+        H = bench._features(bench._feature_map(cfg, 2, 11), train.features)
+        folds = bench.kfold_indices(train.n_rows, cfg.folds, 3)
+        calls = Counter()
+        real = bench.fit_mcc
+
+        def counted(*args, **kwargs):
+            calls["fit_mcc"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "fit_mcc", counted)
+        race = bench._cross_validate("mcc", H, train.targets, folds, cfg)
+        raced, calls["fit_mcc"] = calls["fit_mcc"], 0
+        reference = _exhaustive_cross_validate("mcc", H, train.targets, folds, cfg)
+        assert race == reference
+        # Every lambda' = 0 candidate fails its first fold either way.
+        assert raced < calls["fit_mcc"] == 8 * 5 + 4
+
+
+class TestSpanAnswer:
+    """`bench_dataset` tests span(H) ∋ 1 once per training design and passes
+    True to every mcc-vc fit on its rows, which is exact only where each fold
+    design's own test says True as well."""
+
+    @pytest.mark.parametrize("folds, runs", [(5, 20), (10, 2)])
+    def test_fold_designs_agree_with_the_training_design(self, folds, runs, monkeypatch):
+        # Criterion 11's 20 splits at 5 folds, whose first two (split seeds 42
+        # and 43) are the elm-sinc-cv data-bench reports of
+        # tools/report_digest.py, and those two again at its other fold count.
+        from mccvc import solvers
+
+        seen = []
+
+        def fit_mcc_vc(H, targets, grid, config, on_iteration=None, *, spans_constant=None):
+            seen.append((H.shape[0], spans_constant, solvers._spans_constant(H)))
+            trace = (solvers.IterationRecord(1.0, 0.0, 0.0, 0.0),)
+            return solvers.FitResult(np.zeros(H.shape[1]), 1, True, trace)
+
+        monkeypatch.setattr(bench, "fit_mcc_vc", fit_mcc_vc)
+        # The designs do not depend on lambda', so one candidate sees them all.
+        cfg = DataBenchConfig(runs=runs, seed=42, hidden=50, folds=folds,
+                              methods=("elm-mcc-vc",), lambda_grid=(1e-6,))
+        bench_dataset("sinc-mixture", _sinc_mixture(1000), cfg)
+        assert {rows for rows, _, _ in seen} == {500, 500 - 500 // folds}
+        assert all(passed is True and own for _, passed, own in seen)
 
 
 class TestFitCommand:

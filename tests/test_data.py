@@ -5,6 +5,8 @@ moments, derived from the sampling distribution of each statistic; frozen
 seeds make the checks deterministic regardless.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,14 @@ class TestMetrics:
         with pytest.raises(ValueError):
             rmse_predictions([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("rmse, what", [(rmse_weights, "weight"),
+                                            (rmse_predictions, "prediction")])
+    def test_empty_vectors_are_rejected_not_nan(self, rmse, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{what} vectors must be non-empty"):
+                rmse([], [])
+
 
 class TestTabularDataset:
     def test_shape_validation(self):
@@ -390,6 +400,17 @@ class TestTabularDataset:
     def test_rejects_an_empty_table(self, features, targets):
         with pytest.raises(ValueError, match="features must be a non-empty 2-D array"):
             TabularDataset(features, targets)
+
+    def test_stores_read_only_copies_of_the_callers_arrays(self):
+        x, t = np.arange(6.0).reshape(3, 2), np.arange(3.0)
+        data = TabularDataset(x, t)
+        assert x.flags.writeable and t.flags.writeable
+        assert not data.features.flags.writeable and not data.targets.flags.writeable
+        x[0, 0] = t[0] = 9.0
+        assert data.features[0, 0] == data.targets[0] == 0.0
+        # The copy keeps the layout, and so the bits of every product with it.
+        column_major = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        assert TabularDataset(column_major, t).features.flags.f_contiguous
 
     def test_take_selects_rows(self):
         data = TabularDataset(np.arange(6.0).reshape(3, 2), np.arange(3.0))

@@ -67,6 +67,14 @@ class TestElmInit:
         assert np.all(spec.input_weights >= -1.0) and np.all(spec.input_weights <= 1.0)
         assert np.all(spec.biases >= 0.0) and np.all(spec.biases <= 1.0)
 
+    def test_layer_stores_read_only_copies_of_the_callers_arrays(self):
+        w, b = np.ones((3, 2)), np.zeros(3)
+        spec = HiddenLayerSpec(w, b)
+        assert w.flags.writeable and b.flags.writeable
+        assert not spec.input_weights.flags.writeable and not spec.biases.flags.writeable
+        w[0, 0] = b[0] = 9.0
+        assert spec.input_weights[0, 0] == 1.0 and spec.biases[0] == 0.0
+
     def test_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             init_elm(0, 10, seed=0)

@@ -334,6 +334,14 @@ class TestTinyWidths:
 
 
 class TestTypes:
+    def test_param_grid_stores_read_only_copies_of_the_callers_arrays(self):
+        sigmas, centers = np.linspace(0.1, 1.0, 4), np.array([-1.0, 0.0, 1.0])
+        grid = ParamGrid(sigmas, centers)
+        assert sigmas.flags.writeable and centers.flags.writeable
+        assert not grid.sigma_set.flags.writeable and not grid.center_set.flags.writeable
+        sigmas[0] = centers[0] = 9.0
+        assert grid.sigma_set[0] == 0.1 and grid.center_set[0] == -1.0
+
     def test_kernel_params_validation(self):
         with pytest.raises(ValueError):
             KernelParams(0.0, 0.0)

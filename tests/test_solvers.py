@@ -390,6 +390,25 @@ class TestCenterFreeze:
         assert solvers._spans_constant(np.column_stack([np.ones(50), H]))
         assert solvers._spans_constant(_elm_problem()[0])
 
+    @pytest.mark.parametrize("problem", ["elm", "linear"])
+    def test_a_passed_span_answer_replaces_the_test_bit_for_bit(self, problem, monkeypatch):
+        if problem == "elm":
+            H, t = _elm_problem()
+        else:
+            rng = np.random.default_rng(14)
+            H = rng.normal(size=(120, 3))
+            t = H @ [1.0, -2.0, 0.5] + 0.1 * rng.normal(size=120)
+        tested = fit_mcc_vc(H, t, _MEDIAN_GRID)
+        answer = solvers._spans_constant(H)
+
+        def untested(_H):
+            raise AssertionError("the span test ran although its answer was passed")
+
+        monkeypatch.setattr(solvers, "_spans_constant", untested)
+        passed = fit_mcc_vc(H, t, _MEDIAN_GRID, spans_constant=answer)
+        assert np.array_equal(passed.beta, tested.beta)
+        assert passed.trace == tested.trace
+
     def test_shifted_targets_move_only_the_center_without_an_intercept(self):
         rng = np.random.default_rng(13)
         H = rng.normal(size=(120, 3))

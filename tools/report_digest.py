@@ -13,7 +13,7 @@ for byte, key order included.  The `fit` models are also reloaded through
 `mccvc.bench.predict_with_model`, and the predictions get a line of their
 own.  The data-bench argv of the elm-sinc-cv workload are taken
 from `perfbench.workloads.ElmSincCV`, which is only read.  It takes about
-15 s on 2 CPUs.
+5 s on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -102,6 +102,11 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
             path = workdir / f"data-{method}-s{seed}.json"
             # The workload argv already hold `--out path`; `_run` repeats it.
             out.append((f"data-{method}-s{seed}", _run(sinc.argv(method, seed, path), path)))
+    # Ten folds: np.mean sums 8 or more fold scores pairwise, not left to right.
+    path = workdir / "data-elm-mcc-folds10.json"
+    argv = sinc.argv("elm-mcc", SPLIT_SEEDS[0], path)
+    argv[argv.index("--folds") + 1] = "10"
+    out.append(("data-elm-mcc-folds10", _run(argv, path)))
     out.append(("data-linear-max-iter-1", _run(
         ["data-bench", "--csv", str(sinc.csv), "--no-header", "--runs", "2", "--folds", "3",
          "--model", "linear", "--max-iter", "1"],
