@@ -9,14 +9,14 @@ between the shifted kernel and the residual density, evaluated on a finite
 grid (the closed-form self-energy term is 1 / (2 sqrt(pi) sigma)).  Every exact
 kernel sum is one mean, `_kernel_mean`, and a one-center search is one exact
 table.  On an explicit grid of more centers each width is first screened by
-one kernel sum over points with masses, the errors themselves or,
-when N is large against the lattice, their linear binning, under one proven
-error bound; only the grid points that bound cannot rule out are rescored
-exactly, so the search returns bit for bit what the full table would.  A
-fit's successive searches share one `RowBounds`: each width carries an
-interval holding its least exact objective, widened between searches by the
-kernel's bounded slope, and only the widths whose interval can still reach the
-grid minimum are screened again.
+one kernel sum over points with masses, the errors themselves or, when N is
+large against the lattice, their linear binning, built from segment sums of
+the sorted errors in one pass, under one proven error bound; only the grid
+points that bound cannot rule out are rescored exactly, so the search returns
+bit for bit what the full table would.  A fit's successive searches share
+one `RowBounds`: each width carries an interval holding its least exact
+objective, widened between searches by the kernel's bounded slope, and only
+the widths whose interval can still reach the grid minimum are screened again.
 """
 
 from __future__ import annotations
@@ -44,21 +44,21 @@ _SIGMA_FLOOR_FRAC = 1e-3
 _BIN_FRAC = 0.1
 _REACH = 10.0
 # A width is binned when its unbinned row, C N kernel values, would cost more:
-# binning costs, in such values (about 2.5 ns each), 8 per error, 2 per center
-# and node and 24000 per row, so never with 8 centers or fewer.  Least squares
-# on row times gave 7.9, 1.9 and 16000; the last is raised so that no width
-# below is binned where its unbinned row was faster.  Unbinned over binned row
-# time, the median of 3 sweeps of 15 rounds per width (2 CPUs, numpy 2.4.6, 1
-# BLAS thread, centers spanning 10, 10% outliers), over widths 0.2, 1 and 5
-# (1 and 5 at N = 64B, 5 at 128B):
+# binning costs, in such values (about 2 ns each), 2 per error, 2 per center
+# and node and 24000 per row, so never with 2 centers or fewer.  Least squares
+# on row times gave 0.93, 1.8 and 21000; the first and last are raised so that
+# no width below is binned where its unbinned row was faster.  Unbinned over
+# binned row time, the median of 5 interleaved sweeps of 15 rounds per width (2
+# CPUs, numpy 2.4.6, 1 BLAS thread, centers spanning 10, 10% outliers), over
+# widths 0.2, 1 and 5 (1 and 5 at N = 64B, 5 at 128B):
 # N/B  8 centers 12        16        24        32        101
-#   2  0.25-0.33 0.29-0.44 0.33-0.49 0.42-0.60 0.47-0.68 0.71-0.86
-#   8  0.48-0.67 0.59-0.84 0.72-1.05 0.96-1.44 1.08-1.83 2.36-3.23
-#  16  0.54-0.84 0.78-1.24 0.89-1.60 1.43-2.29 1.76-2.87 4.31-5.01
-#  32  0.67-1.05 1.03-1.53 1.38-1.92 2.00-2.91 2.64-3.61 6.49-7.64
-#  64  0.81-0.92 1.29-1.47 1.70-1.92 2.65-3.04 3.55-3.69 8.48-9.48
-# 128  1.00      1.49      2.08      2.96      3.73      11.19
-_BIN_COST_PER_ERROR = 8
+#   2  0.26-0.31 0.30-0.40 0.34-0.45 0.40-0.50 0.45-0.63 0.70-0.87
+#   8  0.60-0.93 0.77-1.11 0.89-1.48 1.13-2.04 1.34-2.53 2.88-4.55
+#  16  0.97-1.57 1.32-2.44 1.54-3.23 2.01-4.57 2.51-5.77 6.52-10.01
+#  32  1.74-3.44 2.16-4.98 3.13-6.90 4.01-9.19 5.61-10.45 11.25-18.90
+#  64  3.34-4.01 4.55-5.63 6.57-7.54 8.60-10.93 10.94-14.72 27.56-29.21
+# 128  6.38      9.71      13.09     17.64     21.65     51.04
+_BIN_COST_PER_ERROR = 2
 _BIN_COST_PER_NODE = 2
 _BIN_COST_PER_ROW = 24000
 # Lattice nodes must be 2**20 ulps apart or more, so their rounding stays far
@@ -229,30 +229,43 @@ def _node_counts(centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 
 def _lattice(sorted_e: np.ndarray, centers: np.ndarray, s, count: int):
     """Linear binning of the errors within L widths of the centers' range onto
-    B = `count` nodes 0.1 `s` apart: the (C, B) squared center-minus-node
-    table, the node masses, the largest node spacing and B."""
+    B = `count` nodes 0.1 `s` apart, from segment sums of the sorted errors:
+    the (C, B) squared center-minus-node table, the node masses, the largest
+    gap of a non-empty bin and the masses' rounding charge in eps (see
+    `optimize_params`)."""
     h = _BIN_FRAC * s
     lo = centers[0] - _REACH * s
     first, stop = np.searchsorted(sorted_e, (lo, centers[-1] + _REACH * s))
     x = sorted_e[first:stop]
     nodes = lo + h * np.arange(count)
-    k = np.minimum(((x - lo) / h).astype(np.intp), count - 2)
-    left = nodes[k]
-    t = (x - left) / (nodes[k + 1] - left)
-    mass = np.bincount(k, 1.0 - t, count) + np.bincount(k + 1, t, count)
-    return (centers[:, None] - nodes) ** 2, mass, float(np.max(np.diff(nodes))), count
+    # Bin j holds the errors in [n_j, n_j+1), and the last bin the rest; a
+    # non-empty bin's segment ends where the next non-empty one starts.
+    edges = np.searchsorted(x, nodes)
+    edges[-1] = x.size
+    counts = np.diff(edges)
+    full = np.flatnonzero(counts)
+    c, left, right = counts[full], nodes[full], nodes[full + 1]
+    gap = right - left
+    # The mass each bin sends to its right node, sum_i (x_i - n_j) / gap.
+    upper = (np.add.reduceat(x, edges[full]) - c * left) / gap
+    mass = np.zeros(count)
+    mass[full] = c - upper
+    mass[full + 1] += upper
+    # max(|n_j|, |n_j+1|) is max(-n_j, n_j+1), as n_j < n_j+1.
+    rounding = count + c @ (4.0 + c * np.maximum(-left, right) / gap) / sorted_e.size
+    return (centers[:, None] - nodes) ** 2, mass, float(gap.max(initial=0.0)), float(rounding)
 
 
-def _screened_objectives(sq: np.ndarray, s, mass: np.ndarray, n: int, h: float, nodes: int):
+def _screened_objectives(sq: np.ndarray, s, mass: np.ndarray, n: int, h: float, rounding: float):
     """Screened objectives of width `s` at each row of the (C, P) table `sq` of
-    squared center-minus-point differences over points of masses `mass` (B =
-    `nodes` nodes `h` apart, or h = B = 0 and N = `n` unit-mass errors), and
-    their bound (derived in `optimize_params`)."""
+    squared center-minus-point differences over points of masses `mass` (nodes
+    `h` apart whose masses charge `rounding` eps, or h = 0, no charge and N =
+    `n` unit-mass errors), and their bound (derived in `optimize_params`)."""
     arg = sq * (-1.0 / (2.0 * s * s))
     np.maximum(arg, -0.5 * _REACH * _REACH, out=arg)
     corr = (np.exp(arg, out=arg) @ mass) / (n * SQRT_2PI * s)
     bound = 2.0 / (SQRT_2PI * s) * (
-        h * h / (8.0 * s * s) + _TAIL + (2 * n + nodes + 48) * sys.float_info.epsilon
+        h * h / (8.0 * s * s) + _TAIL + (2 * n + 48 + rounding) * sys.float_info.epsilon
     )
     return _objective(corr, s), bound
 
@@ -318,25 +331,44 @@ def optimize_params(
       counts as at L widths, so exp stays off its slow path below about
       -708), then exp and a matvec with the masses.  An unbinned row's points
       are the errors with unit masses, in one (C, N) table shared by all such
-      widths.  A binned row's points are B nodes h = 0.1 sigma apart, onto
+      widths.  A binned row's points are B nodes n_j 0.1 sigma apart, onto
       which the errors within L widths of the centers are linearly binned
-      (Silverman 1982, AS 176; Wand 1994).  A width is binned when that was
-      measured faster (`_BIN_COST_*`) and its nodes are 2**20 ulps apart.
-    - Bound.  With p = 1/(sqrt(2 pi) sigma) the kernel's peak, and h = B = 0
-      for an unbinned row, a screened objective is within
-      2 p [h^2/(8 sigma^2) + exp(-(L-1)^2/2) + (2N + B + 48) eps] of the
-      exact one; the 2 is the objective's -2.  Interpolation: h^2/8 max|G''|,
-      with max|G''| = p/sigma^2.  Tail: an error outside the window, or a
-      clipped difference, has its exact and its screened value in
-      [0, p exp(-L^2/2)] up to rounding; charging it at L - 1 widths absorbs
-      that rounding and that of the window ends.  Rounding (u = eps/2): each
-      kernel value is within 16u p, since an exp argument a off by a relative
-      d <= 6u moves exp(a) by at most d |a| exp(a) <= d/e, and a sum of m
-      non-negative terms in any order is within (m - 1)u (Higham 2002,
-      sec. 4.2).  So the exact mean is within (N + 16)u p and the screened
-      one within (N + B + 24)u p (bin masses from N weights then a B-term
-      matvec, or an N-term matvec, then the one division by N sqrt(2 pi)
-      sigma); their (2N + B + 40)u is charged twice over.
+      (Silverman 1982, AS 176; Wand 1994) from segment sums of the sorted
+      errors: one searchsorted of the nodes puts in bin j the c_j errors x_i
+      with n_j <= x_i < n_j+1, one add.reduceat gives each non-empty bin's
+      sum S_j, and with g_j = n_j+1 - n_j the bin sends
+      T_j = (S_j - c_j n_j)/g_j = sum_i (x_i - n_j)/g_j to n_j+1 and keeps
+      c_j - T_j at n_j, so node k's mass is (c_k - T_k) + T_k-1: each x_i is
+      split with weight (x_i - n_j)/g_j in [0, 1).  That is O(B log N) and
+      one pass over the window.  A width is binned when that was measured
+      faster (`_BIN_COST_*`) and its nodes are 2**20 ulps apart.
+    - Bound.  With p = 1/(sqrt(2 pi) sigma) the kernel's peak, a screened
+      objective is within 2 p [h^2/(8 sigma^2) + exp(-(L-1)^2/2) +
+      (2N + 48 + R) eps] of the exact one; the 2 is the objective's -2.  For
+      a binned row h is the largest gap g_j of a non-empty bin and
+      R = B + (1/N) sum_j c_j (4 + c_j M_j/g_j), M_j = max(|n_j|, |n_j+1|),
+      summed over the non-empty bins; for an unbinned row h = R = 0.
+      Interpolation: h^2/8 max|G''|, with max|G''| = p/sigma^2.  Tail: an
+      error outside the window, or a clipped difference, has its exact and
+      its screened value in [0, p exp(-L^2/2)] up to rounding; charging it
+      at L - 1 widths absorbs that rounding and that of the window ends.
+      Rounding (u = eps/2): each kernel value is within 16u p, since an exp
+      argument a off by a relative d <= 6u moves exp(a) by at most
+      d |a| exp(a) <= d/e, and a sum of m terms in any order is within
+      (m - 1)u of the sum of their absolute values (Higham 2002, sec. 4.2).
+      So the exact mean is within (N + 16)u p, an unbinned screened one
+      within (N + 24)u p (an N-term matvec, then the one division by
+      N sqrt(2 pi) sigma), and a binned one within (B + 24)u p (the two
+      additions of each node's mass, 3u in all, and a B-term matvec) plus
+      what the errors of the T_j add; that sum is charged twice over.
+      Segment sums: the computed S_j is within (c_j - 1)u c_j M_j, as
+      |x_i| <= M_j, and c_j n_j within u c_j M_j; the subtraction, the
+      division and the computed gap add a relative 3u to T_j in [0, c_j).  So
+      T_j is within c_j u (3 + c_j M_j/g_j) to first order.  T_j's error
+      moves mass between n_j and n_j+1, whose kernel values lie in [0, p],
+      so it moves the mean by at most p |dT_j|/N; charging
+      c_j (4 + c_j M_j/g_j) eps per bin covers the higher-order terms, and
+      the slack covers the gaps' own rounding in h.
     - Carried intervals.  `state` (one `RowBounds` per fit, or none) holds,
       per width, an interval [lo, hi] around its row's least exact objective
       at the last call's residuals e'.  Each interval is widened by the
@@ -415,10 +447,10 @@ def optimize_params(
             unbinned = None if binned.all() else ((centers[:, None] - e) ** 2, np.ones(n), 0.0, 0)
             for i, is_binned in zip(rows, binned):
                 s = sigmas[i]
-                sq, mass, h, nodes = (
+                sq, mass, h, rounding = (
                     _lattice(sorted_e, centers, s, int(counts[i])) if is_binned else unbinned
                 )
-                objective[i], bound[i] = _screened_objectives(sq, s, mass, n, h, nodes)
+                objective[i], bound[i] = _screened_objectives(sq, s, mass, n, h, rounding)
         low = objective[rows] - bound[rows]
         lo[rows], hi[rows] = low.min(axis=1), (objective[rows] + bound[rows]).min(axis=1)
         keep = np.zeros(objective.shape, dtype=bool)

@@ -171,7 +171,9 @@ def weighted_ridge_step(
     `beta_prev`; at that (sigma, c) the step never raises `mcc_vc_cost` at
     the same lambda'.  A step with no weight as large as the smallest normal
     float has no data term, so it raises DegenerateWeightsError whatever
-    lambda' is.  With lambda' = 0 a singular H'WH raises SingularSystemError.
+    lambda' is; otherwise every weight below that float (a subnormal one) is
+    set to 0, which keeps the products with H off the CPU's slow subnormal
+    path.  With lambda' = 0 a singular H'WH raises SingularSystemError.
     """
     H, t = check_design(H, targets)
     beta_prev = finite_array(beta_prev, "beta", 1)
@@ -182,6 +184,7 @@ def weighted_ridge_step(
         raise DegenerateWeightsError(
             f"no residual is within reach of the kernel (sigma={params.sigma:g}, center="
             f"{params.center:g}); rescale the targets or widen the grid")
+    w[w < sys.float_info.min] = 0.0
     return _normal_solve(H, t - params.center, lambda_prime, w)
 
 

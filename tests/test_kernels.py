@@ -8,6 +8,7 @@ import logging
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -469,8 +470,11 @@ class TestScreenedSearch:
             optimize_params(e, grid)
         assert sum("clamped" in r.message for r in caplog.records) == 1
 
-    def test_small_synthetic_residuals(self):
-        # At N=400 every default-grid width is an unbinned row.
+    def test_small_synthetic_residuals(self, monkeypatch):
+        # At N=400 every default-grid width is an unbinned row: a lattice has
+        # B >= 2L/0.1 + 2 = 202 nodes, so its 2 C B center-node cost alone
+        # exceeds the C N of an unbinned row below N = 404, whatever C is.
+        monkeypatch.setattr(kernels, "_lattice", None)
         for case in (1, 2, 3, 4):
             H, t = synth_case_design(case, 400, 18)
             _assert_same_search(t - H @ ridge_solve(H, t, 1e-4), default_param_grid())
@@ -556,12 +560,13 @@ class TestScreenedSearch:
         assert peak < 101 * 20000 * 8
 
     @pytest.mark.parametrize("n_centers, errors_per_node, binned", [
-        (1, 128, False), (8, 128, False), (12, 16, False), (12, 64, True),
-        (24, 4, False), (24, 16, True), (101, 2, False), (101, 4, True),
+        (1, 128, False), (2, 128, False), (8, 8, False), (8, 32, True), (12, 8, False),
+        (12, 16, True), (12, 64, True), (24, 4, False), (24, 16, True), (101, 2, False),
+        (101, 4, True),
     ])
     def test_binned_only_where_cheaper(self, n_centers, errors_per_node, binned, monkeypatch):
         # A width is binned only where its binned row was measured faster:
-        # never with 8 centers or fewer, and from fewer errors per node the
+        # never with 2 centers or fewer, and from fewer errors per node the
         # more centers there are.
         centers = np.linspace(-5.0, 5.0, n_centers)
         sigmas = np.array([1.0])
@@ -606,9 +611,145 @@ def test_screen_is_within_its_bound(n, seed, loc, scale, sigma, centers):
     count = int(kernels._node_counts(c, np.array([sigma]))[0])
     binned = kernels._lattice(np.sort(e), c, sigma, count)
     unbinned = ((c[:, None] - e) ** 2, np.ones(n), 0.0, 0)
-    for sq, mass, h, nodes in (binned, unbinned):
-        screen, bound = kernels._screened_objectives(sq, sigma, mass, n, h, nodes)
+    for sq, mass, h, rounding in (binned, unbinned):
+        screen, bound = kernels._screened_objectives(sq, sigma, mass, n, h, rounding)
         assert np.all(np.abs(screen - exact) <= bound)
+
+
+def _per_point_lattice(sorted_e, centers, s, count):
+    """The per-point linear binning that the segment sums replace: each error
+    in the window is split between the two nodes around it by its own weight,
+    and each node's mass is a bincount.  Returns the window, nodes and masses."""
+    h = kernels._BIN_FRAC * s
+    lo = centers[0] - kernels._REACH * s
+    first, stop = np.searchsorted(sorted_e, (lo, centers[-1] + kernels._REACH * s))
+    x = sorted_e[first:stop]
+    nodes = lo + h * np.arange(count)
+    k = np.minimum(((x - lo) / h).astype(np.intp), count - 2)
+    left = nodes[k]
+    t = (x - left) / (nodes[k + 1] - left)
+    mass = np.bincount(k, 1.0 - t, count) + np.bincount(k + 1, t, count)
+    return x, nodes, mass
+
+
+def _exact_lattice(x, nodes):
+    """The linear binning of `x` on `nodes` in rationals: bin j holds
+    n_j <= x < n_j+1, the last bin the rest."""
+    mass = [Fraction(0)] * nodes.size
+    bins = np.minimum(np.searchsorted(nodes, x, side="right") - 1, nodes.size - 2)
+    for xi, j in zip(x, bins):
+        left, right = Fraction(nodes[j]), Fraction(nodes[j + 1])
+        t = (Fraction(xi) - left) / (right - left)
+        mass[j] += 1 - t
+        mass[j + 1] += t
+    return mass, np.bincount(bins, minlength=nodes.size - 1)
+
+
+def _moved(diffs):
+    """The most that mass changes `diffs` can move a sum over node values in
+    [0, 1]: the larger of their positive and their negative parts."""
+    return max(sum(d for d in diffs if d > 0), -sum(d for d in diffs if d < 0))
+
+
+def _check_lattice(e, centers, s, exact=True):
+    """`_lattice` against the per-point binning and, with `exact`, the exact
+    one, each within the charge that `optimize_params` derives; its mass and
+    first moment against the window's; and its screen against the exact row."""
+    n, eps = e.size, sys.float_info.epsilon
+    sorted_e = np.sort(e)
+    count = int(kernels._node_counts(centers, np.array([s]))[0])
+    sq, mass, h, rounding = kernels._lattice(sorted_e, centers, s, count)
+    x, nodes, reference = _per_point_lattice(sorted_e, centers, s, count)
+    bins = np.minimum(np.searchsorted(nodes, x, side="right") - 1, count - 2)
+    c = np.bincount(bins, minlength=count - 1)
+    gap, top = np.diff(nodes), np.maximum(np.abs(nodes[:-1]), np.abs(nodes[1:]))
+    # sum_j c_j (4 + c_j M_j/g_j): the segment sums' charge, N (R - B).
+    charge = float(c @ (4.0 + c * top / gap))
+    assert rounding == pytest.approx(count + charge / n, rel=1e-12)
+    assert h == (gap[c > 0].max() if x.size else 0.0)
+    np.testing.assert_array_equal(sq, (centers[:, None] - nodes) ** 2)
+    if exact:
+        exact_mass, exact_counts = _exact_lattice(x, nodes)
+        np.testing.assert_array_equal(exact_counts, c)
+        diffs = [Fraction(m) - m_exact for m, m_exact in zip(mass, exact_mass)]
+        assert _moved(diffs) <= Fraction(charge * eps)
+    # The reference errs too: its bin index (x - n_0)/h is off by up to about
+    # 2u (|x| + |n_0|)/h bins, which can put an error on a node's other side
+    # with a weight just outside [0, 1), and its per-node sums of up to
+    # c_j-1 + c_j weights cost it (c_j-1 + c_j)^2 u, below 4 c_j^2 M_j/g_j eps
+    # as M_j >= g_j/2.
+    misplaced = 4.0 * eps * float(np.sum(np.abs(x) + abs(nodes[0]))) / gap.min()
+    assert _moved(mass - reference) <= 4.0 * charge * eps + misplaced
+    assert abs(mass.sum() - x.size) <= (count + 4) * x.size * eps
+    moment_tol = eps * (c @ (4.0 * gap + c * top) + (count + 4) * x.size * np.abs(nodes).max())
+    assert abs(mass @ nodes - math.fsum(x)) <= moment_tol
+    screen, bound = kernels._screened_objectives(sq, s, mass, n, h, rounding)
+    assert np.all(np.abs(screen - kernels._exact_objectives(e, centers, np.array([s]))[0]) <= bound)
+    return x, nodes
+
+
+class TestLattice:
+    """The segment-sum binning against the per-point and the exact binning."""
+
+    CENTERS = np.linspace(-4.6, 4.6, 24)
+    SIGMA = 0.5
+
+    def _nodes(self):
+        count = int(kernels._node_counts(self.CENTERS, np.array([self.SIGMA]))[0])
+        lo = self.CENTERS[0] - kernels._REACH * self.SIGMA
+        return lo + kernels._BIN_FRAC * self.SIGMA * np.arange(count)
+
+    def test_normal_errors_with_outliers(self):
+        rng = np.random.default_rng(50)
+        e = rng.normal(0.3, 1.5, 3000)
+        e[rng.random(e.size) < 0.1] = rng.choice([-1e4, 1e4], 1) + rng.normal(0.0, 1.0)
+        x, _ = _check_lattice(e, self.CENTERS, self.SIGMA)
+        assert 0 < x.size < e.size
+
+    def test_every_error_in_one_bin(self):
+        nodes = self._nodes()
+        e = nodes[40] + (nodes[41] - nodes[40]) * np.random.default_rng(51).random(3000)
+        x, _ = _check_lattice(e, self.CENTERS, self.SIGMA)
+        assert x.size == e.size
+
+    def test_errors_on_nodes(self):
+        nodes = self._nodes()
+        # The errors on the nodes at or past the window's end leave it.
+        e = nodes[np.random.default_rng(52).integers(0, nodes.size, 3000)]
+        x, _ = _check_lattice(e, self.CENTERS, self.SIGMA)
+        assert x.size == np.count_nonzero(e < self.CENTERS[-1] + kernels._REACH * self.SIGMA)
+
+    def test_errors_at_both_ends_of_the_window(self):
+        lo = self.CENTERS[0] - kernels._REACH * self.SIGMA
+        hi = self.CENTERS[-1] + kernels._REACH * self.SIGMA
+        ends = [lo, np.nextafter(lo, -np.inf), hi, np.nextafter(hi, -np.inf)]
+        e = np.concatenate([np.repeat(ends, 500), np.random.default_rng(53).normal(0.0, 2.0, 1000)])
+        x, _ = _check_lattice(e, self.CENTERS, self.SIGMA)
+        assert x[0] == lo and x[-1] == np.nextafter(hi, -np.inf) and x.size == 2000
+
+    def test_empty_window(self):
+        e = np.random.default_rng(54).normal(1e3, 1.0, 3000)
+        x, nodes = _check_lattice(e, self.CENTERS, self.SIGMA)
+        sq, mass, h, rounding = kernels._lattice(np.sort(e), self.CENTERS, self.SIGMA, nodes.size)
+        assert x.size == 0 and not mass.any() and h == 0.0 and rounding == nodes.size
+
+    @pytest.mark.parametrize("error", [0.3, -7.2, 1e4])
+    def test_one_error(self, error):
+        _check_lattice(np.array([error]), self.CENTERS, self.SIGMA)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.floats(1e-2, 50),
+        centers=st.lists(st.floats(-10, 10), min_size=2, max_size=24, unique=True),
+    )
+    def test_random_samples(self, n, seed, sigma, centers):
+        rng = np.random.default_rng(seed)
+        e = rng.normal(rng.uniform(-5, 5), rng.uniform(1e-3, 5), n)
+        far = rng.random(n) < 0.1
+        e[far] = rng.uniform(-1e4, 1e4, far.sum())
+        _check_lattice(e, np.sort(np.array(centers)), sigma)
 
 
 @settings(deadline=None, max_examples=1000)

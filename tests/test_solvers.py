@@ -1,6 +1,7 @@
 """Solver unit tests: ridge closed form, weighted steps, fixed-point loops."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -225,6 +226,27 @@ class TestWeightedRidgeStep:
         t = np.array([1.0, 38.2])
         step = weighted_ridge_step(H, t, KernelParams(1.0, 0.0), 0.0, np.array([0.0]))
         assert step[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_subnormal_weights_are_flushed_to_zero(self, monkeypatch):
+        # Residuals 37.8-38.2 widths out have subnormal weights; the step
+        # solves the normal equations with them set to 0.
+        rng = np.random.default_rng(61)
+        H = rng.normal(size=(400, 5))
+        beta_prev = rng.normal(size=5)
+        e = rng.normal(0.0, 1.0, 400)
+        e[::50] = rng.uniform(37.8, 38.2, 8)
+        t = H @ beta_prev + e
+        seen = []
+        normal_solve = solvers._normal_solve
+        monkeypatch.setattr(solvers, "_normal_solve", lambda H, r, lam, w: (
+            seen.append(w.copy()) or normal_solve(H, r, lam, w)))
+        step = weighted_ridge_step(H, t, KernelParams(1.0, 0.0), 1e-4, beta_prev)
+        w = gaussian_kernel(t - H @ beta_prev, 1.0)
+        assert np.count_nonzero((w > 0.0) & (w < sys.float_info.min)) == 8
+        w[w < sys.float_info.min] = 0.0
+        np.testing.assert_array_equal(seen[0], w)
+        A = H.T @ (w[:, None] * H) + 1e-4 * np.eye(5)
+        np.testing.assert_allclose(step, np.linalg.solve(A, H.T @ (w * t)), rtol=1e-10)
 
     def test_singular_system_needs_regularization(self):
         # A duplicated column makes H' W H exactly singular: with lambda' = 0

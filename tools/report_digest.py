@@ -55,9 +55,15 @@ SYNTH = {
     # floor that moves at every (sigma, c) search of a fit.
     "synth-n400-clamped": ["--runs", "2", "--samples", "400", "--cases", "1,2,3,4",
                            "--sigma-grid", "0.01:0.2:4.81"],
-    # Too few centers to bin, at an N that would bin a larger grid.
+    # Nine centers spanning 2 at N=20000: few centers against many errors.
     "synth-n20000-9-centers": ["--runs", "1", "--samples", "20000", "--cases", "2",
                                "--methods", "mcc-vc", "--center-grid", "-1:0.25:1"],
+    # 24 centers at N=5000 with widths down to 0.02: the narrowest widths'
+    # lattices cost more than their unbinned rows, the others bin, so one
+    # search screens rows of both kinds.
+    "synth-n5000-24-centers": ["--runs", "1", "--samples", "5000", "--cases", "2,4",
+                               "--methods", "mcc-vc", "--center-grid", "-4.6:0.4:4.6",
+                               "--sigma-grid", "0.02:0.04:0.98"],
 }
 
 
