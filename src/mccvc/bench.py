@@ -20,7 +20,6 @@ converging (`nonconverged`, always 0 for mmse).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +75,7 @@ class _BenchConfig(JsonRecord):
     """A Monte Carlo config serializes as its fields plus every replication seed."""
 
     def __post_init__(self):
+        check_count(self.seed, 0, "seed")
         check_count(self.runs, 1, "runs")
 
     def to_dict(self) -> dict:
@@ -180,7 +180,6 @@ class SynthBenchConfig(_BenchConfig):
     grid: ParamGrid = field(default_factory=default_param_grid)
     max_iterations: int = FitConfig.max_iterations
     tolerance: float = FitConfig.tolerance
-    jobs: int = 1
 
     def __post_init__(self):
         super().__post_init__()
@@ -190,7 +189,6 @@ class SynthBenchConfig(_BenchConfig):
                 raise ValueError(f"unknown method {m!r}")
         if not set(self.cases) <= CASE_LABELS.keys():
             raise ValueError(f"cases must be among {sorted(CASE_LABELS)}, got {self.cases!r}")
-        check_count(self.jobs, 1, "jobs")
         check_count(self.n_samples, 1, "n_samples")
         _check_fit_settings(self, (self.lambda_prime,), self.mcc_sigmas)
 
@@ -230,36 +228,22 @@ def run_synth_bench(cfg: SynthBenchConfig) -> dict:
     """
     methods = _expand_methods(cfg)
     w_star = np.asarray(cfg.w_star, dtype=float)
-
-    def one_replication(task) -> list:
-        # (label, None if the fit failed, else (result, weight RMSE, seconds)).
-        case, rep = task
-        H, targets = synth_case_design(case, cfg.n_samples, cfg.seed + rep, cfg.w_star)
-        outcome = []
-        for label, method, sigma in methods:
-            t0 = time.perf_counter()
-            try:
-                beta, result = synth_fit(method, H, targets, cfg, sigma)
-            except SolverError:
-                outcome.append((label, None))
-                continue
-            elapsed = time.perf_counter() - t0
-            outcome.append((label, (result, rmse_weights(beta, w_star), elapsed)))
-        return outcome
-
     tallies = {
         (label, case): _Tally(("rmse", "time_s")) for label, _, _ in methods for case in cfg.cases
     }
-    tasks = [(case, rep) for case in cfg.cases for rep in range(cfg.runs)]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        for (case, _rep), outcome in zip(tasks, pool.map(one_replication, tasks)):
-            for label, fitted in outcome:
+    for case in cfg.cases:
+        for rep in range(cfg.runs):
+            H, targets = synth_case_design(case, cfg.n_samples, cfg.seed + rep, cfg.w_star)
+            for label, method, sigma in methods:
                 tally = tallies[(label, case)]
-                if fitted is None:
+                t0 = time.perf_counter()
+                try:
+                    beta, result = synth_fit(method, H, targets, cfg, sigma)
+                except SolverError:
                     tally.failures += 1
-                else:
-                    result, rmse, elapsed = fitted
-                    tally.add(result, rmse=rmse, time_s=elapsed)
+                    continue
+                elapsed = time.perf_counter() - t0
+                tally.add(result, rmse=rmse_weights(beta, w_star), time_s=elapsed)
 
     results = []
     for label, _method, sigma in methods:
@@ -528,6 +512,7 @@ class FitCmdConfig(JsonRecord):
         if self.model not in ("linear", "elm"):
             raise ValueError(f"unknown model {self.model!r}")
         canonical_method(self.method)
+        check_count(self.seed, 0, "seed")
         check_count(self.hidden, 1, "hidden")
         _check_fit_settings(self, (self.lambda_prime,), (self.mcc_sigma,))
 
@@ -595,12 +580,15 @@ def predict_with_model(model: dict, features_raw) -> np.ndarray:
 # Kernel-vs-residual traces
 # ---------------------------------------------------------------------------
 
+# Samples of each trace's kernel curve.
+CURVE_POINTS = 256
+
+
 @dataclass(frozen=True)
 class KernelTraceConfig(JsonRecord):
     iterations: tuple[int, ...] = (1, 2)
     bins: int = 24
     hist_range: str = "robust"
-    curve_points: int = 256
     lambda_prime: float = FitConfig.lambda_prime
     grid: ParamGrid = field(default_factory=default_param_grid)
     max_iterations: int = FitConfig.max_iterations
@@ -608,7 +596,6 @@ class KernelTraceConfig(JsonRecord):
 
     def __post_init__(self):
         check_count(self.bins, 1, "bins")
-        check_count(self.curve_points, 200, "curve_points")
         if self.hist_range not in ("robust", "full"):
             raise ValueError(f"unknown histogram range mode {self.hist_range!r}")
         _check_distinct(self, ("iterations",))
@@ -657,7 +644,7 @@ def run_kernel_trace(H, targets, cfg: KernelTraceConfig) -> tuple[list[dict], Fi
         density, edges = np.histogram(
             residuals, bins=cfg.bins, range=(lo, hi), density=True
         )
-        curve_x = np.linspace(edges[0], edges[-1], cfg.curve_points)
+        curve_x = np.linspace(edges[0], edges[-1], CURVE_POINTS)
         curve_y = gaussian_kernel(curve_x - center, sigma)
         traces.append(
             {

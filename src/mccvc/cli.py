@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import bench
+from ._checks import check_count
 from .data import TabularDataset, load_csv
 from .errors import DataError, SolverError
 from .kernels import default_param_grid
@@ -59,11 +61,19 @@ def _parse_range(text: str) -> np.ndarray:
         start, step, end = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric grid bound in {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, step, end)):
+        raise argparse.ArgumentTypeError(f"grid {text!r} must have finite bounds")
     if step <= 0 or end < start:
         raise argparse.ArgumentTypeError(f"grid {text!r} must ascend with step > 0")
-    count = int(round((end - start) / step)) + 1
+    steps = (end - start) / step
+    # np.arange fails or wraps past 2**60 points; inf `steps` is a count that overflowed.
+    if not steps < 2.0**60:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has too many points ({steps:g} steps)")
+    count = int(round(steps)) + 1
     try:
-        values = start + step * np.arange(count)
+        # A point past the largest float is inf, which the filter below drops.
+        with np.errstate(over="ignore"):
+            values = start + step * np.arange(count)
     except MemoryError:
         raise argparse.ArgumentTypeError(f"grid {text!r} has too many points ({count})") from None
     # Keep values up to `end` plus rounding slack, never a step beyond it.
@@ -183,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mcc-sigma", dest="mcc_sigmas", type=_parse_float_list,
                    help="fixed kernel width(s) for the zero-center baseline; "
                         "a comma list sweeps one section per width (default %(default)s)")
-    p.add_argument("--jobs", type=int,
-                   help="replication worker threads (default %(default)s)")
     _take_defaults(p, bench.SynthBenchConfig)
 
     p = sub.add_parser("data-bench", help="cross-validated benchmark on CSV datasets")
@@ -347,6 +355,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_kernel_trace(args) -> int:
     cfg = _config(bench.KernelTraceConfig, args)
+    check_count(args.seed, 0, "seed")
     if args.csv is not None:
         data = load_csv(args.csv, has_header=not args.no_header, target_column=args.target)
         H, targets = data.features, data.targets

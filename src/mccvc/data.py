@@ -171,10 +171,12 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
     `target_column` is a 0-based column index (negative counts from the end)
     or, when `has_header`, a column name.  A cell that is not a finite number
     ('abc', 'nan', '1e309') is a DataError naming its 1-based row and column.
+    The file is UTF-8; a leading byte-order mark, as spreadsheet exports
+    write, is skipped.
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

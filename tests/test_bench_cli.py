@@ -1,5 +1,6 @@
 """Benchmark driver and command-line interface tests."""
 
+import argparse
 import importlib
 import json
 import math
@@ -111,17 +112,18 @@ class TestSynthBench:
         for row in sweep["results"]:
             assert list(row) == SYNTH_ROW_KEYS + ["mcc_sigma"]
 
-    def test_config_missing_jobs_takes_default(self):
-        d = json.loads(json.dumps(_small_synth_cfg(jobs=3).to_dict()))
-        del d["jobs"]
-        assert SynthBenchConfig.from_dict(d).jobs == 1
+    def test_config_with_a_jobs_key_reloads(self):
+        # Reports once held a "jobs" setting; a key that names no field is ignored.
+        cfg = _small_synth_cfg()
+        d = {**json.loads(json.dumps(cfg.to_dict())), "jobs": 2}
+        assert SynthBenchConfig.from_dict(d).to_dict() == cfg.to_dict()
 
     def test_config_keys_in_field_order(self):
         config = run_synth_bench(_small_synth_cfg(methods=("mmse",)))["config"]
         assert list(config) == [
             "seed", "runs", "n_samples", "w_star", "methods", "cases",
             "lambda_prime", "mcc_sigmas", "grid", "max_iterations", "tolerance",
-            "jobs", "seeds",
+            "seeds",
         ]
         assert list(config["grid"]) == ["sigma_set", "center_set", "center_rule"]
         assert config["grid"]["center_rule"] == "grid"
@@ -134,11 +136,6 @@ class TestSynthBench:
     def test_seeds_embedded(self):
         report = run_synth_bench(_small_synth_cfg(seed=11, runs=3))
         assert report["config"]["seeds"] == [11, 12, 13]
-
-    def test_threaded_replications_match_serial(self):
-        serial = _strip_timings(run_synth_bench(_small_synth_cfg(runs=3, jobs=1)))
-        threaded = _strip_timings(run_synth_bench(_small_synth_cfg(runs=3, jobs=3)))
-        assert serial["results"] == threaded["results"]
 
     def test_aggregate_uses_sample_std(self):
         values = [1.0, 2.0, 4.0, 8.0]
@@ -155,13 +152,9 @@ class TestSynthBench:
         with pytest.raises(ValueError):
             _small_synth_cfg(**overrides)
 
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [({"jobs": 0}, "jobs"), ({"jobs": -3}, "jobs"), ({"methods": ("mmse", "relm")}, "relm")],
-    )
-    def test_bad_jobs_and_methods_rejected_at_construction(self, overrides, message):
-        with pytest.raises(ValueError, match=message):
-            _small_synth_cfg(**overrides)
+    def test_data_bench_alias_rejected_as_a_method(self):
+        with pytest.raises(ValueError, match="relm"):
+            _small_synth_cfg(methods=("mmse", "relm"))
 
     def test_failed_replications_counted_not_fatal(self):
         # a kernel width this far below the residual scale underflows every
@@ -624,6 +617,7 @@ class TestCli:
         ["data-bench", "--lambda-prime", "1", "--runs", "1"],
         ["data-bench", "--methods", "", "--runs", "1"],
         ["data-bench", "--lambda-grid", "", "--runs", "1"],
+        # synth-bench has no --jobs flag.
         ["synth-bench", "--jobs", "0"],
         ["synth-bench", "--lambda-prime", "-1"],
         ["synth-bench", "--samples", "0"],
@@ -636,6 +630,9 @@ class TestCli:
         ["fit", "--lambda-prime", "-1"],
         ["kernel-trace", "--lambda-prime", "-1"],
         ["synth-bench", "--sigma-grid", "0.1:1e-13:1"],
+        ["synth-bench", "--sigma-grid", "1:inf:2"],
+        ["synth-bench", "--sigma-grid", "0.1:1e-300:1"],
+        ["synth-bench", "--center-grid", "nan:0.1:1"],
         ["fit", "--sigma-grid", "1e-200:1:1"],
         # One width rule: a width whose square underflows, as 0 and inf.
         ["synth-bench", "--mcc-sigma", "1e-300"],
@@ -709,12 +706,16 @@ class TestCli:
         (FitCmdConfig, {"model": "tree"}),
         (KernelTraceConfig, {"iterations": ()}),
         (KernelTraceConfig, {"bins": 0}),
-        (KernelTraceConfig, {"curve_points": 199}),
         (KernelTraceConfig, {"hist_range": "clip"}),
         # A count must be an integer.
         (SynthBenchConfig, {"runs": 2.5}),
         (SynthBenchConfig, {"n_samples": 10.5}),
-        (SynthBenchConfig, {"jobs": 1.5}),
+        (SynthBenchConfig, {"seed": -1}),
+        (SynthBenchConfig, {"seed": 1.5}),
+        (DataBenchConfig, {"seed": -1}),
+        (DataBenchConfig, {"seed": 1.5}),
+        (FitCmdConfig, {"seed": -1}),
+        (FitCmdConfig, {"seed": 1.5}),
         (DataBenchConfig, {"folds": 2.5}),
         (DataBenchConfig, {"hidden": 4.0}),
         (FitCmdConfig, {"max_iterations": 2.5}),
@@ -728,6 +729,14 @@ class TestCli:
     def test_data_error_exit_code(self, tmp_path, capsys):
         assert main(["data-bench", "--csv", str(tmp_path / "missing.csv"),
                      "--runs", "1"]) == 2
+
+    @pytest.mark.parametrize("command", ["synth-bench", "data-bench", "fit", "kernel-trace"])
+    def test_seed_checked_before_any_file_is_read(self, tmp_path, capsys, command):
+        argv = [command, "--seed", "-1", "--out", str(tmp_path / "o.json")]
+        if command != "synth-bench":
+            argv += ["--csv", str(tmp_path / "missing.csv")]
+        assert main(argv) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # all-zero feature column + no regularization: singular normal equations
@@ -947,11 +956,21 @@ class TestDefaults:
 
     def test_range_stops_at_its_end(self):
         assert _parse_range("0:0.6:1").tolist() == [0.0, 0.6]
+        assert _parse_range("1e308:1e308:1.7e308").tolist() == [1e308]
         for text, count in [("0.2:0.2:5.0", 25), ("0.005:0.005:0.25", 50),
                             ("-5.0:0.1:5.0", 101)]:
             start, step, _ = (float(p) for p in text.split(":"))
             assert np.array_equal(_parse_range(text), start + step * np.arange(count))
         assert np.array_equal(_parse_range("0.005:0.005:0.25"), np.linspace(0.005, 0.25, 50))
+
+    @pytest.mark.parametrize("text, message", [
+        ("1:inf:2", "finite bounds"),
+        ("nan:0.1:1", "finite bounds"),
+        ("0.1:1e-300:1", "too many points"),
+    ])
+    def test_range_rejects_unbounded_grids(self, text, message):
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            _parse_range(text)
 
 
 class TestTracingContract:

@@ -167,6 +167,21 @@ class TestLoadCsv:
         assert np.array_equal(by_name.features, by_index.features)
         assert np.array_equal(by_name.targets, by_index.targets)
 
+    @pytest.mark.parametrize("text, has_header, target, targets", [
+        ("1,2,3\n4,5,6\n7,8,9\n", False, -1, [3.0, 6.0, 9.0]),
+        ("x,b,y\n1,2,3\n4,5,6\n", True, "x", [1.0, 4.0]),
+    ])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, has_header, target, targets):
+        # Spreadsheet exports start their UTF-8 files with U+FEFF.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        a = load_csv(plain, has_header=has_header, target_column=target)
+        b = load_csv(marked, has_header=has_header, target_column=target)
+        assert np.array_equal(a.targets, targets)
+        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.targets, b.targets)
+
     def test_parse_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1,2\n3,abc\n5,6\n")

@@ -39,8 +39,8 @@ SPLIT_SEEDS = (42, 43)
 
 SYNTH = {
     "synth-n200": ["--runs", "10", "--samples", "200", "--seed", "5"],
-    "synth-sweep-jobs2": ["--runs", "6", "--samples", "200", "--methods", "mcc,mcc-vc",
-                          "--mcc-sigma", "1,4", "--jobs", "2"],
+    "synth-sweep": ["--runs", "6", "--samples", "200", "--methods", "mcc,mcc-vc",
+                    "--mcc-sigma", "1,4"],
     # A width so far below the residuals that every mcc step has no data term.
     "synth-all-failed": ["--runs", "2", "--samples", "100", "--methods", "mmse,mcc",
                          "--mcc-sigma", "1e-30", "--lambda-prime", "0"],
@@ -132,6 +132,14 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
         out.append((name, _run(["fit", "--csv", str(small), "--no-header", *flags], path)))
         predictions = bench.predict_with_model(json.loads(path.read_text()), rows[:, :-1])
         out.append((f"{name}.predictions", _sha(np.ascontiguousarray(predictions).tobytes())))
+    # small.csv as a spreadsheet export writes it, after a UTF-8 byte-order
+    # mark: the same model as fit-linear-mcc.
+    bom = workdir / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + small.read_bytes())
+    out.append(("fit-bom-csv", _run(
+        ["fit", "--csv", str(bom), "--no-header", *fits["fit-linear-mcc"]],
+        workdir / "fit-bom-csv.json",
+    )))
     # lambda' = 0 on an ELM design with singular weighted normal equations.
     for method in ("mcc", "mcc-vc"):
         name = f"fit-elm-{method}-lambda0"
