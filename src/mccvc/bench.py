@@ -312,8 +312,8 @@ class DataBenchConfig(_BenchConfig):
         if self.norm_scope not in ("full", "train", "none"):
             raise ValueError(f"unknown normalization scope {self.norm_scope!r}")
         _check_distinct(self, ("methods", "lambda_grid", "mcc_sigma_grid"))
-        for m in self.methods:
-            canonical_method(m)
+        if len({canonical_method(m) for m in self.methods}) < len(self.methods):
+            raise ValueError(f"methods must name distinct fits, got {self.methods!r}")
         check_count(self.hidden, 1, "hidden")
         check_count(self.folds, 2, "folds")
         SplitSpec(train_fraction=self.train_fraction)
@@ -667,6 +667,8 @@ def synth_case_design(
     """Design matrix and targets for one contamination case of the benchmark."""
     if case not in CASE_LABELS:
         raise ValueError(f"case must be one of {sorted(CASE_LABELS)}")
+    check_count(n_samples, 1, "n_samples")
+    check_count(seed, 0, "seed")
     noise: NoiseModel = inner_noise_presets()[case - 1]
     inputs, targets = generate_linear_data(
         np.asarray(w_star, dtype=float), n_samples, noise, seed

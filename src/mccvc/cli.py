@@ -4,7 +4,7 @@ Each subcommand fills one `bench` config (`SynthBenchConfig`,
 `DataBenchConfig`, `FitCmdConfig`, `KernelTraceConfig`): a flag names the
 field it sets and takes its default from that dataclass, so the CLI and the
 library run the same defaults.  The grid flags replace the config's search
-grid.
+grid.  kernel-trace's data-source flags fill no config: see `_cmd_kernel_trace`.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from ._checks import check_count
 from .data import TabularDataset, load_csv
 from .errors import DataError, SolverError
 from .kernels import default_param_grid
@@ -79,22 +78,15 @@ def _parse_range(text: str) -> np.ndarray:
     # Keep values up to `end` plus rounding slack, never a step beyond it.
     return values[values <= end + 1e-9 * step]
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from None
 
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from None
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+def _parse_list(cast, kind: str):
+    """A flag parser of a comma list of `cast` values, naming `kind` when one fails."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(p.strip()) for p in text.split(",") if p.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind}: {text!r}") from None
+    return parse
 
 
 def _parse_target(text: str):
@@ -102,6 +94,11 @@ def _parse_target(text: str):
         return int(text)
     except ValueError:
         return text
+
+
+# kernel-trace's flags of each data source, with the values they take when unset.
+_CASE_FLAGS = {"case": 2, "samples": 400, "seed": 42}
+_CSV_FLAGS = {"target": -1, "no_header": False}
 
 
 def _add_loop_flags(p: argparse.ArgumentParser):
@@ -184,13 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bench_flags(p)
     _add_loop_flags(p)
     _add_lambda_flag(p)
-    p.add_argument("--methods", type=_parse_str_list,
+    p.add_argument("--methods", type=_parse_list(str, "names"),
                    help="comma list among mmse,mcc,mcc-vc (default %(default)s)")
-    p.add_argument("--cases", type=_parse_int_list,
+    p.add_argument("--cases", type=_parse_list(int, "integers"),
                    help="contamination cases to run (default %(default)s)")
     p.add_argument("--samples", dest="n_samples", type=int,
                    help="samples per replication (default %(default)s)")
-    p.add_argument("--mcc-sigma", dest="mcc_sigmas", type=_parse_float_list,
+    p.add_argument("--mcc-sigma", dest="mcc_sigmas", type=_parse_list(float, "floats"),
                    help="fixed kernel width(s) for the zero-center baseline; "
                         "a comma list sweeps one section per width (default %(default)s)")
     _take_defaults(p, bench.SynthBenchConfig)
@@ -199,15 +196,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bench_flags(p)
     _add_loop_flags(p)
     _add_dataset_flags(p)
-    p.add_argument("--methods", type=_parse_str_list,
+    p.add_argument("--methods", type=_parse_list(str, "names"),
                    help="comma list (default %(default)s)")
     p.add_argument("--train-frac", dest="train_fraction", type=float,
                    help="training fraction of each split (default %(default)s)")
     p.add_argument("--folds", type=int,
                    help="cross-validation folds (default %(default)s)")
-    p.add_argument("--lambda-grid", type=_parse_float_list,
+    p.add_argument("--lambda-grid", type=_parse_list(float, "floats"),
                    help="regularizer candidates (default %(default)s)")
-    p.add_argument("--mcc-sigma", dest="mcc_sigma_grid", type=_parse_float_list,
+    p.add_argument("--mcc-sigma", dest="mcc_sigma_grid", type=_parse_list(float, "floats"),
                    help="width candidates for the zero-center baseline (default %(default)s)")
     p.add_argument("--norm-scope", choices=["full", "train", "none"],
                    help="min-max normalization scope (default %(default)s)")
@@ -227,19 +224,17 @@ def build_parser() -> argparse.ArgumentParser:
     _take_defaults(p, bench.FitCmdConfig)
 
     p = sub.add_parser("kernel-trace", help="residual histogram vs fitted kernel curves")
-    p.add_argument("--seed", type=int, default=42, help="base seed (default 42)")
     _add_loop_flags(p)
     _add_lambda_flag(p)
-    source = p.add_mutually_exclusive_group()
-    # No default, so that an explicit `--case 2` also conflicts with --csv.
-    source.add_argument("--case", type=int,
-                        help="synthetic contamination case 1-4 (default 2)")
-    source.add_argument("--csv", type=Path, help="fit a CSV instead of a synthetic case")
-    p.add_argument("--target", type=_parse_target, default=-1)
-    p.add_argument("--no-header", action="store_true")
-    p.add_argument("--samples", type=int, default=400,
-                   help="synthetic sample count (default 400)")
-    p.add_argument("--iterations", type=_parse_int_list,
+    # A data source's flags have no argparse default: see _cmd_kernel_trace.
+    case, samples, seed = _CASE_FLAGS.values()
+    p.add_argument("--case", type=int, help=f"synthetic contamination case 1-4 (default {case})")
+    p.add_argument("--samples", type=int, help=f"synthetic sample count (default {samples})")
+    p.add_argument("--seed", type=int, help=f"synthetic-case seed (default {seed})")
+    p.add_argument("--csv", type=Path, help="fit a CSV instead of a synthetic case")
+    p.add_argument("--target", type=_parse_target, help="CSV target column (default -1, the last)")
+    p.add_argument("--no-header", action="store_true", default=None, help="CSV has no header row")
+    p.add_argument("--iterations", type=_parse_list(int, "integers"),
                    help="1-based iterations to capture (default %(default)s)")
     p.add_argument("--bins", type=int,
                    help="histogram bin count (default %(default)s)")
@@ -355,15 +350,18 @@ def _cmd_fit(args) -> int:
 
 def _cmd_kernel_trace(args) -> int:
     cfg = _config(bench.KernelTraceConfig, args)
-    check_count(args.seed, 0, "seed")
-    if args.csv is not None:
-        data = load_csv(args.csv, has_header=not args.no_header, target_column=args.target)
-        H, targets = data.features, data.targets
-        source = {"csv": str(args.csv)}
+    on_csv = args.csv is not None
+    own, other = (_CSV_FLAGS, _CASE_FLAGS) if on_csv else (_CASE_FLAGS, _CSV_FLAGS)
+    if stray := [f"--{k}".replace("_", "-") for k in other if getattr(args, k) is not None]:
+        rule = "synthetic-case flags cannot go with --csv" if on_csv else "CSV flags need --csv"
+        raise UsageError(f"{rule}: {', '.join(stray)}")
+    flags = {k: v if (v := getattr(args, k)) is not None else unset for k, unset in own.items()}
+    if on_csv:
+        data = load_csv(args.csv, has_header=not flags["no_header"], target_column=flags["target"])
+        H, targets, source = data.features, data.targets, {"csv": str(args.csv)}
     else:
-        case = 2 if args.case is None else args.case
-        H, targets = bench.synth_case_design(case, args.samples, args.seed)
-        source = {"case": case, "samples": args.samples, "seed": args.seed}
+        H, targets = bench.synth_case_design(*flags.values())
+        source = flags
 
     traces, result = bench.run_kernel_trace(H, targets, cfg)
     out = args.out or Path("kernel-trace.json")

@@ -105,11 +105,10 @@ def _sample_noise(model: NoiseModel, n: int, rng: np.random.Generator):
     return np.where(g, outlier, inner), g
 
 
-def sample_noise(model: NoiseModel, n: int, seed: int, return_mask: bool = False):
-    """Draw n mixture-noise values; with `return_mask`, also the outlier flags."""
+def sample_noise(model: NoiseModel, n: int, seed: int) -> np.ndarray:
+    """Draw n mixture-noise values."""
     check_count(n, 1, "n")
-    values, mask = _sample_noise(model, n, np.random.default_rng(seed))
-    return (values, mask) if return_mask else values
+    return _sample_noise(model, n, np.random.default_rng(seed))[0]
 
 
 def inner_noise_presets() -> list[NoiseModel]:

@@ -643,6 +643,7 @@ class TestCli:
         ["synth-bench", "--mcc-sigma", "1,1"],
         ["synth-bench", "--cases", "2,2"],
         ["data-bench", "--methods", "relm,relm", "--runs", "1"],
+        ["data-bench", "--methods", "relm,mmse", "--runs", "1"],
         ["data-bench", "--lambda-grid", "1e-4,1e-4", "--runs", "1"],
         ["data-bench", "--mcc-sigma", "0.5,0.5", "--runs", "1"],
         ["synth-bench", "--cases", "5"],
@@ -654,6 +655,11 @@ class TestCli:
         ["fit", "--csv", "second.csv"],
         ["kernel-trace", "--csv", "d.csv", "--case", "3"],
         ["kernel-trace", "--case", "2", "--csv", "d.csv"],
+        # Flags of the source not in use: the synthetic case's with --csv, and
+        # the CSV's without it.
+        ["kernel-trace", "--csv", "d.csv", "--samples", "7"],
+        ["kernel-trace", "--csv", "d.csv", "--seed", "9"],
+        ["kernel-trace", "--case", "2", "--no-header"],
         # Values the flag parsers reject.
         ["synth-bench", "--sigma-grid", "1:2"],
         ["synth-bench", "--sigma-grid", "a:1:2"],
@@ -699,6 +705,9 @@ class TestCli:
         (SynthBenchConfig, {"cases": (1, 5)}),
         (SynthBenchConfig, {"cases": (0,)}),
         (DataBenchConfig, {"methods": ("relm", "relm")}),
+        # Two names of one method.
+        (DataBenchConfig, {"methods": ("relm", "mmse")}),
+        (DataBenchConfig, {"methods": ("mcc-vc", "elm-mcc-vc")}),
         (DataBenchConfig, {"lambda_grid": (1e-4, 1e-4)}),
         (DataBenchConfig, {"mcc_sigma_grid": (0.5, 0.5)}),
         (DataBenchConfig, {"model": "tree"}),
@@ -737,6 +746,18 @@ class TestCli:
             argv += ["--csv", str(tmp_path / "missing.csv")]
         assert main(argv) == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_synthetic_case_flags_with_csv_rejected_before_the_file_is_read(self, tmp_path,
+                                                                             capsys):
+        assert main(["kernel-trace", "--csv", str(tmp_path / "missing.csv"),
+                     "--samples", "7", "--out", str(tmp_path / "o.json")]) == 1
+        assert capsys.readouterr().err == (
+            "mccvc: synthetic-case flags cannot go with --csv: --samples\n")
+
+    @pytest.mark.parametrize("n_samples, seed, name", [(10, -1, "seed"), (0, 0, "n_samples")])
+    def test_synth_case_design_checks_its_counts(self, n_samples, seed, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            synth_case_design(2, n_samples, seed)
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # all-zero feature column + no regularization: singular normal equations

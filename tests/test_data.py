@@ -17,6 +17,7 @@ from mccvc.data import (
     NoiseModel,
     SplitSpec,
     TabularDataset,
+    _sample_noise,
     apply_minmax,
     generate_linear_data,
     inner_noise_presets,
@@ -40,20 +41,20 @@ class TestSampleNoise:
 
     def test_no_outliers_at_zero_rate(self):
         model = NoiseModel(0.0, Gaussian(0.0, 2.0), Gaussian(0.0, 10000.0))
-        values, mask = sample_noise(model, 5000, seed=1, return_mask=True)
+        values, mask = _sample_noise(model, 5000, np.random.default_rng(1))
         assert mask.sum() == 0
         # pure inner noise: sample variance near 2
         assert 1.8 <= values.var() <= 2.2
 
     def test_all_outliers_at_unit_rate(self):
         model = NoiseModel(1.0, Gaussian(0.0, 2.0), Gaussian(0.0, 10000.0))
-        values, mask = sample_noise(model, 10000, seed=2, return_mask=True)
+        values, mask = _sample_noise(model, 10000, np.random.default_rng(2))
         assert mask.all()
         assert 8000.0 <= values.var() <= 12000.0
 
     def test_outlier_fraction_binomial_bounds(self):
         model = NoiseModel(0.1, Gaussian(0.0, 2.0), Gaussian(0.0, 10000.0))
-        _, mask = sample_noise(model, 100000, seed=3, return_mask=True)
+        _, mask = _sample_noise(model, 100000, np.random.default_rng(3))
         assert 0.094 <= mask.mean() <= 0.106
 
     def test_rejects_bad_count(self):

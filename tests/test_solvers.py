@@ -540,6 +540,62 @@ class TestStopRuleReplay:
         assert res.trace[-1].center != res.trace[-2].center
 
 
+def _scaled_grid(grid: ParamGrid, s: float) -> ParamGrid:
+    centers = None if grid.center_set is None else s * grid.center_set
+    return ParamGrid(s * grid.sigma_set, centers, grid.center_rule)
+
+
+def _iterates(fit, H, t, kernel, lambda_prime):
+    """Every (residuals, sigma*, c*, beta_next) that `fit` passes to its hook
+    in at most 30 steps.  The 1e-300 tolerance stops a fit only at a step that
+    leaves its cost unchanged: the stop rule's max(1, |J|) is not scale-free."""
+    steps = []
+    fit(H, t, kernel, FitConfig(lambda_prime, 30, 1e-300),
+        lambda k, e, params, beta: steps.append((e.copy(), params.sigma, params.center, beta)))
+    return steps
+
+
+class TestScaleEquivariance:
+    """Targets, widths and centers times 4 and lambda' / 4 scale every iterate
+    by exactly 4: the kernel, its self-energy and the Cholesky factor all scale
+    by powers of 2, so an absolute constant slipped into the search or the step
+    breaks the equality."""
+
+    S = 4.0
+
+    @pytest.mark.parametrize("problem", [
+        *[(case, seed, rule) for case in (1, 2, 3, 4) for seed in (0, 1)
+          for rule in ("grid", "median", "mean")],
+        "mcc",
+        "elm",
+    ])
+    def test_every_iterate_scales_by_four(self, problem):
+        lambda_prime = FitConfig().lambda_prime
+        if problem == "mcc":
+            H, t = synth_case_design(3, 400, 0)
+            fit, kernel, scaled = fit_mcc, 2.0, self.S * 2.0
+        else:
+            if problem == "elm":
+                # The features span the constant vector, so the center freezes.
+                (H, t), grid = _elm_problem(), _MEDIAN_GRID
+            else:
+                case, seed, rule = problem
+                H, t = synth_case_design(case, 400, seed)
+                grid = default_param_grid()
+                if rule != "grid":
+                    grid = ParamGrid(grid.sigma_set, None, rule)
+            fit, kernel, scaled = fit_mcc_vc, grid, _scaled_grid(grid, self.S)
+        base = _iterates(fit, H, t, kernel, lambda_prime)
+        steps = _iterates(fit, H, self.S * t, scaled, lambda_prime / self.S)
+        assert len(steps) == len(base)
+        for (e, sigma, center, beta), (e4, sigma4, center4, beta4) in zip(base, steps):
+            assert np.array_equal(e4, self.S * e)
+            assert (sigma4, center4) == (self.S * sigma, self.S * center)
+            assert np.array_equal(beta4, self.S * beta)
+        if problem == "elm":
+            assert len({center for _, _, center, _ in base}) == 1
+
+
 class TestTracedNames:
     """The loop calls, by name, the module globals that a tracer wraps."""
 

@@ -199,6 +199,12 @@ def digests(workdir: Path) -> list[tuple[str, str]]:
                         "--model", "linear"],
         "kernel-trace-csv-and-case": ["kernel-trace", "--csv", str(small), "--no-header",
                                       "--case", "3"],
+        # Flags of the synthetic case, which a CSV source does not use.
+        "kernel-trace-csv-with-samples": ["kernel-trace", "--csv", str(small), "--no-header",
+                                          "--samples", "7", "--seed", "9", "--iterations", "1"],
+        # Two names of one method, which would fit every candidate twice.
+        "data-alias-methods": ["data-bench", "--csv", str(sinc.csv), "--no-header",
+                               "--methods", "relm,mmse", "--runs", "1"],
     }
     for name, argv in rejected.items():
         out.append((name, _run(argv, workdir / f"{name}.json")))
