@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ._checks import check_count, finite_array, frozen_copy, same_rows
 
@@ -57,6 +56,9 @@ def init_elm(input_dim: int, hidden_count: int, seed: int) -> HiddenLayerSpec:
 
 def elm_features(spec: HiddenLayerSpec, inputs) -> np.ndarray:
     """Hidden-node outputs sigmoid(w_j . x_i + b_j), an N x m matrix in (0, 1)."""
+    # Imported here, so that `import mccvc` loads no scipy.
+    from scipy.special import expit
+
     x = finite_array(inputs, "inputs", 2)
     if x.shape[1] != spec.input_dim:
         raise ValueError(

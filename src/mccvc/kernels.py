@@ -11,9 +11,16 @@ kernel sum is one mean, `_kernel_mean`, and a one-center search is one exact
 table.  On an explicit grid of more centers each width is first screened by
 one kernel sum over points with masses, the errors themselves or, when N is
 large against the lattice, their linear binning, built from segment sums of
-the sorted errors in one pass, under one proven error bound; only the grid
-points that bound cannot rule out are rescored exactly, so the search returns
-bit for bit what the full table would.  A fit's successive searches share
+the sorted errors in one pass, under one proven error bound.  Each width is
+screened at every 4th center and the last first, and at the centers between
+two of them only where the objective's bounded curvature along the center
+axis lets their interval reach below the cut: as |G''| <= p/sigma^2, p the
+kernel's peak, the objective between two centers a < b is at least the
+lesser of its values at a and b less p (b - a)^2/(4 sigma^2).  The least
+screened point is rescored exactly first; a grid entry is at least the grid
+minimum, so its value cuts the rest.  Only the grid points that the bounds
+cannot rule out are rescored exactly, so the search returns bit for bit what
+the full table would.  A fit's successive searches share
 one `RowBounds`: each width carries an interval holding its least exact
 objective, widened between searches by the kernel's bounded slope, and only
 the widths whose interval can still reach the grid minimum are screened again.
@@ -61,6 +68,16 @@ _REACH = 10.0
 _BIN_COST_PER_ERROR = 2
 _BIN_COST_PER_NODE = 2
 _BIN_COST_PER_ROW = 24000
+# The explicit-grid screen evaluates every 4th center of a width, and the
+# last, before the centers between them (see `optimize_params`).  On the
+# searches of 40 MCC-VC fits at N = 400 (cases 1-4, seeds 0-9, default grid)
+# strides 2, 4 and 8 screened 53%, 33% and 32% of the (width, center) points
+# of an all-centers screen; replayed in alternation (2 CPUs, numpy 2.4.6,
+# 1 BLAS thread) strides 2 and 8 took x1.17 and x1.08 the time of stride 4,
+# and at N = 20000 (cases 2 and 4, seeds 0-2) all three were within 3%.
+_CENTER_STRIDE = 4
+# Kernel values per block of a broadcast over widths (64 k, 512 kB).
+_BLOCK_VALUES = 1 << 16
 # Lattice nodes must be 2**20 ulps apart or more, so their rounding stays far
 # below a spacing (and two nodes never coincide).
 _RESOLUTION = 2.0**20 * sys.float_info.epsilon
@@ -210,9 +227,9 @@ def param_objective(errors, sigma: float, center: float) -> float:
 
 def _exact_objectives(e: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """(S, C) exact objectives of each width in `sigmas` at each center, in
-    blocks of at most max(C*N, 2**16) kernel values."""
+    blocks of at most max(C*N, `_BLOCK_VALUES`) kernel values."""
     diff = centers[:, None] - e
-    per_block = max(1, (1 << 16) // diff.size)
+    per_block = max(1, _BLOCK_VALUES // diff.size)
     out = np.empty((sigmas.size, centers.size))
     for start in range(0, sigmas.size, per_block):
         s = sigmas[start:start + per_block, None, None]
@@ -230,9 +247,8 @@ def _node_counts(centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
 def _lattice(sorted_e: np.ndarray, centers: np.ndarray, s, count: int):
     """Linear binning of the errors within L widths of the centers' range onto
     B = `count` nodes 0.1 `s` apart, from segment sums of the sorted errors:
-    the (C, B) squared center-minus-node table, the node masses, the largest
-    gap of a non-empty bin and the masses' rounding charge in eps (see
-    `optimize_params`)."""
+    the nodes, their masses, the largest gap of a non-empty bin and the
+    masses' rounding charge in eps (see `optimize_params`)."""
     h = _BIN_FRAC * s
     lo = centers[0] - _REACH * s
     first, stop = np.searchsorted(sorted_e, (lo, centers[-1] + _REACH * s))
@@ -253,15 +269,17 @@ def _lattice(sorted_e: np.ndarray, centers: np.ndarray, s, count: int):
     mass[full + 1] += upper
     # max(|n_j|, |n_j+1|) is max(-n_j, n_j+1), as n_j < n_j+1.
     rounding = count + c @ (4.0 + c * np.maximum(-left, right) / gap) / sorted_e.size
-    return (centers[:, None] - nodes) ** 2, mass, float(gap.max(initial=0.0)), float(rounding)
+    return nodes, mass, float(gap.max(initial=0.0)), float(rounding)
 
 
 def _screened_objectives(sq: np.ndarray, s, mass: np.ndarray, n: int, h: float, rounding: float):
     """Screened objectives of width `s` at each row of the (C, P) table `sq` of
     squared center-minus-point differences over points of masses `mass` (nodes
     `h` apart whose masses charge `rounding` eps, or h = 0, no charge and N =
-    `n` unit-mass errors), and their bound (derived in `optimize_params`)."""
-    arg = sq * (-1.0 / (2.0 * s * s))
+    `n` unit-mass errors), and their bound (derived in `optimize_params`).  A
+    (k, 1) column of widths gives (k, C) objectives and (k, 1) bounds."""
+    s = np.asarray(s)
+    arg = sq * (-1.0 / (2.0 * s * s))[..., None]
     np.maximum(arg, -0.5 * _REACH * _REACH, out=arg)
     corr = (np.exp(arg, out=arg) @ mass) / (n * SQRT_2PI * s)
     bound = 2.0 / (SQRT_2PI * s) * (
@@ -330,18 +348,21 @@ def optimize_params(
       -1/(2 sigma^2), clipped at -L^2/2 (L = 10: a difference beyond L widths
       counts as at L widths, so exp stays off its slow path below about
       -708), then exp and a matvec with the masses.  An unbinned row's points
-      are the errors with unit masses, in one (C, N) table shared by all such
-      widths.  A binned row's points are B nodes n_j 0.1 sigma apart, onto
-      which the errors within L widths of the centers are linearly binned
-      (Silverman 1982, AS 176; Wand 1994) from segment sums of the sorted
-      errors: one searchsorted of the nodes puts in bin j the c_j errors x_i
-      with n_j <= x_i < n_j+1, one add.reduceat gives each non-empty bin's
-      sum S_j, and with g_j = n_j+1 - n_j the bin sends
+      are the errors with unit masses, and the unbinned widths share one
+      table of the coarse centers' squared differences, broadcast over
+      blocks of widths.  A binned row's points are B nodes n_j 0.1 sigma
+      apart, onto which the errors within L widths of the centers are
+      linearly binned (Silverman 1982, AS 176; Wand 1994) from segment sums
+      of the sorted errors: one searchsorted of the nodes puts in bin j the
+      c_j errors x_i with n_j <= x_i < n_j+1, one add.reduceat gives each
+      non-empty bin's sum S_j, and with g_j = n_j+1 - n_j the bin sends
       T_j = (S_j - c_j n_j)/g_j = sum_i (x_i - n_j)/g_j to n_j+1 and keeps
       c_j - T_j at n_j, so node k's mass is (c_k - T_k) + T_k-1: each x_i is
       split with weight (x_i - n_j)/g_j in [0, 1).  That is O(B log N) and
-      one pass over the window.  A width is binned when that was measured
-      faster (`_BIN_COST_*`) and its nodes are 2**20 ulps apart.
+      one pass over the window; its squared center-minus-node table is
+      built for the centers the row evaluates only.  A width is binned when
+      that was measured faster (`_BIN_COST_*`) and its nodes are 2**20 ulps
+      apart.
     - Bound.  With p = 1/(sqrt(2 pi) sigma) the kernel's peak, a screened
       objective is within 2 p [h^2/(8 sigma^2) + exp(-(L-1)^2/2) +
       (2N + 48 + R) eps] of the exact one; the 2 is the objective's -2.  For
@@ -369,12 +390,30 @@ def optimize_params(
       so it moves the mean by at most p |dT_j|/N; charging
       c_j (4 + c_j M_j/g_j) eps per bin covers the higher-order terms, and
       the slack covers the gaps' own rounding in h.
+    - Center axis.  Each screened width is first screened at every 4th
+      center and the last (`_CENTER_STRIDE`).  The objective's second
+      derivative in c is -2 (1/N) sum_i G''(c - e_i), and G''(u) =
+      p (u^2/sigma^2 - 1) exp(-u^2/(2 sigma^2))/sigma^2 lies in
+      [-p/sigma^2, 2 exp(-3/2) p/sigma^2], so |f''| <= 2 p/sigma^2.  Between
+      two grid centers a < b the true objective is then at least its chord
+      less 2p/sigma^2 (c - a)(b - c)/2, so at least min(f(a), f(b)) -
+      p (b - a)^2/(4 sigma^2).  The computed exact objectives are within
+      2(N + 16)u p of the true ones (see Rounding), and the screened ones
+      within their bound of the computed ones, so no computed exact
+      objective of a center strictly between a and b is below min(f^(a),
+      f^(b)) - bound - p [(b - a)^2/(4 sigma^2) + 2(N + 16) eps], f^ the
+      screened objectives.  The centers inside an interval are screened
+      only where that reaches the cut (U, or the least screened objective
+      plus its bound); the rounding of the reach itself, a few u of terms
+      of the order of p where it decides, falls in the bound's slack.
     - Carried intervals.  `state` (one `RowBounds` per fit, or none) holds,
       per width, an interval [lo, hi] around its row's least exact objective
       at the last call's residuals e'.  Each interval is widened by the
       width's drift bound to e; U is the least hi, and only the widths with
-      lo <= U are screened (all centers of each), and their intervals are
-      refreshed to the least screened objective minus and plus its bound.  A
+      lo <= U are screened, and their intervals are refreshed: lo to the
+      least of the screened objectives minus their bound and the reaches of
+      the intervals left unscreened, hi to the least screened objective plus
+      its bound, or the best-first exact objective where that is lower.  A
       width whose clamped value moved since e' gets (-inf, inf), as do all of
       a new state, so a search without a state screens every width.
     - Drift bound.  The objective's e-dependent part is -2 (1/N) sum_i
@@ -391,11 +430,15 @@ def optimize_params(
       lo - drift and hi + drift; the first one's falls within the slack of
       the screened bound.  The mean|e - e'| is computed with overflow
       ignored: an infinite drift widens every interval to (-inf, inf).
-    - Certified rescore.  With the cut the least of U and of the screened
-      objectives plus their bound, a point whose screened objective minus
-      its bound exceeds the cut is above the grid minimum, so it is dropped;
-      so is every point of a width whose lo exceeds U.  The kept points are
-      recomputed exactly, so the tie rule sees the full table's minimum and
+    - Certified rescore, best first.  The point with the least screened
+      objective is computed exactly first; its value is a grid entry, so it
+      is at least the grid minimum, and it lowers the cut (the least of U
+      and of the screened objectives plus their bound) and its width's hi.
+      A point whose screened objective minus its bound exceeds the cut is
+      above the grid minimum, so it is dropped; so is every point of an
+      interval whose reach exceeds the cut and of a width whose lo exceeds
+      U.  The kept points are recomputed exactly (the best-first one is not
+      computed twice), so the tie rule sees the full table's minimum and
       tied set.
     """
     e = finite_array(errors, "errors", 1)
@@ -439,24 +482,61 @@ def optimize_params(
             & (_BIN_FRAC * sigmas >= _RESOLUTION * (np.max(np.abs(centers)) + _REACH * sigmas))
         )[rows]
         sorted_e = np.sort(e) if binned.any() else None
-        objective = np.empty((sigmas.size, centers.size))
-        bound = np.empty((sigmas.size, 1))
+        # Every 4th center and the last are screened first; each other center
+        # lies inside one interval between two of them.
+        coarse = np.append(np.arange(0, c - 1, _CENTER_STRIDE), c - 1)
+        fine = np.flatnonzero(np.arange(c - 1) % _CENTER_STRIDE)
+        interval = fine // _CENTER_STRIDE
+        objective = np.full((sigmas.size, c), np.inf)
+        bound = np.zeros((sigmas.size, 1))
+        points = {}
         # A square or exp argument past the largest float is inf, which
         # screens as a clipped difference, so that overflow is silenced.
         with np.errstate(over="ignore"):
-            unbinned = None if binned.all() else ((centers[:, None] - e) ** 2, np.ones(n), 0.0, 0)
-            for i, is_binned in zip(rows, binned):
-                s = sigmas[i]
-                sq, mass, h, rounding = (
-                    _lattice(sorted_e, centers, s, int(counts[i])) if is_binned else unbinned
-                )
-                objective[i], bound[i] = _screened_objectives(sq, s, mass, n, h, rounding)
+            unbinned, ones = rows[~binned], np.ones(n)
+            if unbinned.size:
+                points.update(dict.fromkeys(unbinned, (e, ones, 0.0, 0)))
+                sq = (centers[coarse, None] - e) ** 2
+                step = max(1, _BLOCK_VALUES // sq.size)
+                for start in range(0, unbinned.size, step):
+                    block = unbinned[start:start + step]
+                    objective[block[:, None], coarse], bound[block] = _screened_objectives(
+                        sq, sigmas[block, None], ones, n, 0.0, 0)
+            for i in rows[binned]:
+                points[i] = _lattice(sorted_e, centers, sigmas[i], int(counts[i]))
+                nodes, mass, h, rounding = points[i]
+                objective[i, coarse], bound[i] = _screened_objectives(
+                    (centers[coarse, None] - nodes) ** 2, sigmas[i], mass, n, h, rounding)
+            head = objective[rows[:, None], coarse]
+            cut = min(cut, (head + bound[rows]).min())
+            # The least exact objective each interval between two coarse
+            # centers can hold inside (see the center-axis bound).
+            s, eps = sigmas[rows, None], sys.float_info.epsilon
+            gap = np.diff(centers[coarse]) / s
+            bend = (gap * gap / 4.0 + 2 * (n + 16) * eps) / (SQRT_2PI * s)
+            reach = (np.minimum(head[:, :-1], head[:, 1:]) - bound[rows] - bend)[:, interval]
+            refine = reach <= cut
+            for r in np.flatnonzero(refine.any(axis=1)):
+                i, idx = rows[r], fine[refine[r]]
+                x, mass, h, rounding = points[i]
+                objective[i, idx], _ = _screened_objectives(
+                    (centers[idx, None] - x) ** 2, sigmas[i], mass, n, h, rounding)
         low = objective[rows] - bound[rows]
-        lo[rows], hi[rows] = low.min(axis=1), (objective[rows] + bound[rows]).min(axis=1)
+        unrefined = np.where(refine, np.inf, reach).min(axis=1, initial=np.inf)
+        lo[rows] = np.minimum(low.min(axis=1), unrefined)
+        hi[rows] = (objective[rows] + bound[rows]).min(axis=1)
+        # Best first: the least screened point's exact objective bounds the
+        # grid minimum before any other point is rescored.
+        r, j0 = divmod(int(np.argmin(objective[rows])), c)
+        i0 = rows[r]
+        best = _exact_objectives(e, centers[j0:j0 + 1], sigmas[i0:i0 + 1])[0, 0]
+        hi[i0] = min(hi[i0], best)
         keep = np.zeros(objective.shape, dtype=bool)
         keep[rows] = low <= min(cut, hi[rows].min())
+        keep[i0, j0] = False
         for i in np.flatnonzero(keep.any(axis=1)):
             objective[i, keep[i]] = _exact_objectives(e, centers[keep[i]], sigmas[i:i + 1])[0]
+        keep[i0, j0], objective[i0, j0] = True, best
         state.grid, state.errors, state.sigmas, state.lo, state.hi = grid, e.copy(), sigmas, lo, hi
 
     rows, cols = np.nonzero(keep & (objective == objective[keep].min()))

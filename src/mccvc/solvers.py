@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lstsq
 
 from ._checks import check_count, check_non_negative, finite_array, same_rows
 from .errors import DegenerateWeightsError, SingularSystemError, SolverError
@@ -129,6 +128,9 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     is within 1e-8 (1 + max|b|); otherwise, a NaN residual of a non-finite
     solution or input included, it raises SolverError.
     """
+    # scipy is imported where it is called, so `import mccvc` loads none of it.
+    from scipy.linalg import get_lapack_funcs
+
     potrf, potrs = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
     factor, info = potrf(A, lower=1, clean=0)
     if info > 0:
@@ -240,6 +242,8 @@ def _spans_constant(H: np.ndarray) -> bool:
     """Whether the constant vector lies in span(H): its least-squares residual
     on H has an RMS below 1e-8.  LAPACK's pivoted-QR solver, gelsy, takes half
     the time of the SVD one at N=400, m=50."""
+    from scipy.linalg import lstsq
+
     ones = np.ones(H.shape[0])
     coef = lstsq(H, ones, lapack_driver="gelsy", check_finite=False)[0]
     return float(np.sqrt(np.mean((ones - H @ coef) ** 2))) < _SPAN_RMS

@@ -4,6 +4,9 @@ import argparse
 import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -575,6 +578,16 @@ class TestKernelTrace:
 
 
 class TestCli:
+    def test_import_loads_no_scipy(self):
+        # scipy is imported inside the functions that call it, so a run that
+        # never solves through LAPACK or builds ELM features does not load it.
+        src = str(Path(bench.__file__).resolve().parents[1])
+        code = ("import sys, mccvc.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
     def test_synth_bench_writes_report(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main([

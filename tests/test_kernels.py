@@ -610,8 +610,9 @@ def test_screen_is_within_its_bound(n, seed, loc, scale, sigma, centers):
     exact = kernels._exact_objectives(e, c, np.array([sigma]))[0]
     count = int(kernels._node_counts(c, np.array([sigma]))[0])
     binned = kernels._lattice(np.sort(e), c, sigma, count)
-    unbinned = ((c[:, None] - e) ** 2, np.ones(n), 0.0, 0)
-    for sq, mass, h, rounding in (binned, unbinned):
+    unbinned = (e, np.ones(n), 0.0, 0)
+    for points, mass, h, rounding in (binned, unbinned):
+        sq = (c[:, None] - points) ** 2
         screen, bound = kernels._screened_objectives(sq, sigma, mass, n, h, rounding)
         assert np.all(np.abs(screen - exact) <= bound)
 
@@ -658,7 +659,7 @@ def _check_lattice(e, centers, s, exact=True):
     n, eps = e.size, sys.float_info.epsilon
     sorted_e = np.sort(e)
     count = int(kernels._node_counts(centers, np.array([s]))[0])
-    sq, mass, h, rounding = kernels._lattice(sorted_e, centers, s, count)
+    lattice, mass, h, rounding = kernels._lattice(sorted_e, centers, s, count)
     x, nodes, reference = _per_point_lattice(sorted_e, centers, s, count)
     bins = np.minimum(np.searchsorted(nodes, x, side="right") - 1, count - 2)
     c = np.bincount(bins, minlength=count - 1)
@@ -667,7 +668,7 @@ def _check_lattice(e, centers, s, exact=True):
     charge = float(c @ (4.0 + c * top / gap))
     assert rounding == pytest.approx(count + charge / n, rel=1e-12)
     assert h == (gap[c > 0].max() if x.size else 0.0)
-    np.testing.assert_array_equal(sq, (centers[:, None] - nodes) ** 2)
+    np.testing.assert_array_equal(lattice, nodes)
     if exact:
         exact_mass, exact_counts = _exact_lattice(x, nodes)
         np.testing.assert_array_equal(exact_counts, c)
@@ -683,6 +684,7 @@ def _check_lattice(e, centers, s, exact=True):
     assert abs(mass.sum() - x.size) <= (count + 4) * x.size * eps
     moment_tol = eps * (c @ (4.0 * gap + c * top) + (count + 4) * x.size * np.abs(nodes).max())
     assert abs(mass @ nodes - math.fsum(x)) <= moment_tol
+    sq = (centers[:, None] - nodes) ** 2
     screen, bound = kernels._screened_objectives(sq, s, mass, n, h, rounding)
     assert np.all(np.abs(screen - kernels._exact_objectives(e, centers, np.array([s]))[0]) <= bound)
     return x, nodes
@@ -730,7 +732,7 @@ class TestLattice:
     def test_empty_window(self):
         e = np.random.default_rng(54).normal(1e3, 1.0, 3000)
         x, nodes = _check_lattice(e, self.CENTERS, self.SIGMA)
-        sq, mass, h, rounding = kernels._lattice(np.sort(e), self.CENTERS, self.SIGMA, nodes.size)
+        _, mass, h, rounding = kernels._lattice(np.sort(e), self.CENTERS, self.SIGMA, nodes.size)
         assert x.size == 0 and not mass.any() and h == 0.0 and rounding == nodes.size
 
     @pytest.mark.parametrize("error", [0.3, -7.2, 1e4])
@@ -778,6 +780,96 @@ def test_search_is_the_full_table_search(n, seed, n_centers, rule, rounded):
     _assert_same_search(e, grid)
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    # N >= 2000 bins some widths of 10 centers or more.
+    n=st.integers(1, 20) | st.integers(1, 2000) | st.integers(2000, 6000),
+    seed=st.integers(0, 2**32 - 1),
+    n_centers=st.integers(2, 13).filter(lambda c: c % 4 != 1),
+    rounded=st.booleans(),
+)
+def test_search_with_a_short_last_coarse_interval(n, seed, n_centers, rounded):
+    # The coarse centers are every 4th and the last, so a count that is not
+    # 1 mod 4 ends them with a shorter interval.  Unevenly spaced centers, and
+    # a sample whose mode lies near the last center, which often holds the
+    # minimum; rounded to 0.1, samples and centers make exact ties.
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-4.0, -2.0) + np.cumsum(rng.uniform(0.15, 1.5, n_centers))
+    e = rng.normal(centers[-1] - rng.uniform(0.0, 1.0), rng.uniform(0.05, 2), n)
+    far = rng.random(n) < 0.1
+    e[far] = rng.uniform(-1e4, 1e4, far.sum())
+    sigmas = np.unique(rng.uniform(0.05, 3.0, rng.integers(1, 6)))
+    if rounded:
+        e, centers = np.round(e, 1), np.round(centers, 1)
+    grid = ParamGrid(sigmas, centers)
+    assert grid.center_set.size == n_centers
+    _assert_same_search(e, grid)
+
+
+def _screen_off_by(theta, e, centers):
+    """A stand-in for `_screened_objectives` on unbinned rows that puts each
+    screened objective at center j exactly theta[j] of its bound away from
+    the exact objective, as far as the bound lets a screen err."""
+    index = {row.tobytes(): j for j, row in enumerate((centers[:, None] - e) ** 2)}
+    screen = kernels._screened_objectives
+
+    def off(sq, s, *args):
+        _, bound = screen(sq, s, *args)
+        j = np.array([index[row.tobytes()] for row in sq])
+        exact = kernels._exact_objectives(e, centers[j], np.ravel(s))
+        return (exact[0] if np.ndim(s) == 0 else exact) + theta[j] * bound, bound
+
+    return off
+
+
+class TestScreensAtTheirBound:
+    """The search needs only that each screened objective lies within its bound
+    of the exact one: screens off by 0.9 of their bound, up at some centers
+    and down at others, still give the full table's (params, value)."""
+
+    @staticmethod
+    def _check(e, grid, theta, monkeypatch):
+        expected = _reference_optimize_params(e, grid)
+        monkeypatch.setattr(kernels, "_lattice", None)
+        off = _screen_off_by(theta, e, grid.center_set)
+        monkeypatch.setattr(kernels, "_screened_objectives", off)
+        assert optimize_params(e, grid) == expected
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exact_tie(self, sign, monkeypatch):
+        # The two centers tie and the rule picks -1.  Screened low at the
+        # other one, that one is rescored first, and its exact value, not its
+        # screened one, must be the cut that keeps -1.
+        e, grid = np.array([-1.0, 1.0]), ParamGrid(np.array([1.0]), np.array([-1.0, 1.0]))
+        self._check(e, grid, sign * np.array([0.9, -0.9]), monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mirrored_modes(self, seed, monkeypatch):
+        # Modes at +/-3 of a mirrored sample: on the default grid the two best
+        # points tie, or differ in their last bits (their sums run in another order).
+        rng = np.random.default_rng(60 + seed)
+        x = np.round(rng.normal(3.0, 0.3, 150), 1)
+        grid = default_param_grid()
+        self._check(np.concatenate([x, -x]), grid, rng.choice([-0.9, 0.9], grid.center_set.size),
+                    monkeypatch)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        n_centers=st.integers(2, 30),
+    )
+    def test_random_grids(self, n, seed, n_centers):
+        # Rounded samples and centers tie often; N <= 300 bins no width.
+        rng = np.random.default_rng(seed)
+        e = np.round(rng.normal(rng.uniform(-3, 3), rng.uniform(0.05, 2), n), 1)
+        grid = ParamGrid(np.unique(rng.uniform(0.05, 3.0, rng.integers(1, 6))),
+                         np.unique(np.round(rng.uniform(-5, 5, n_centers), 1)))
+        theta = rng.uniform(-0.9, 0.9, grid.center_set.size)
+        with pytest.MonkeyPatch.context() as mp:
+            self._check(e, grid, theta, mp)
+
+
 def _fit_searches(case, n, grid):
     """The residuals of every (sigma, c) search of one MCC-VC fit (seed 0),
     which passes one `RowBounds` to all of them."""
@@ -798,16 +890,22 @@ def _fit_searches(case, n, grid):
 
 def _warm_searches(searches, grid):
     """Replay `searches` through one `RowBounds`, asserting each (params, value)
-    equals a search without it; return the widths each call screened."""
+    equals a search without it; return the distinct widths each call screened,
+    in the order first screened (a call may screen a block of widths, and a
+    width's centers in more than one call)."""
     state, screened, screen = kernels.RowBounds(), [], kernels._screened_objectives
     for e in searches:
         fresh = optimize_params(e, grid)
-        widths = []
+        widths = {}
+
+        def counted(sq, s, *args):
+            widths.update(dict.fromkeys(np.ravel(s)))
+            return screen(sq, s, *args)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_screened_objectives",
-                       lambda sq, s, *args: widths.append(s) or screen(sq, s, *args))
+            mp.setattr(kernels, "_screened_objectives", counted)
             assert optimize_params(e, grid, state) == fresh
-        screened.append(widths)
+        screened.append(list(widths))
     return screened
 
 
@@ -828,6 +926,19 @@ class TestCarriedBounds:
         for case in (2, 4):
             screened = [len(w) for w in _warm_searches(_fit_searches(case, 20000, grid), grid)]
             assert screened[0] == grid.sigma_set.size > min(screened)
+
+    def test_large_fits_rescore_few_points(self):
+        # Best first: the exact rows (one center of one width, over the N
+        # errors) of six N=20000 fits were 548 when every point the screen
+        # kept was rescored, and are 213 with the best-first cut.
+        rows, exact = [], kernels._exact_objectives
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_exact_objectives",
+                       lambda e, c, s: rows.append(c.size * s.size) or exact(e, c, s))
+            for case in (2, 4):
+                for seed in range(3):
+                    fit_mcc_vc(*synth_case_design(case, 20000, seed), default_param_grid())
+        assert sum(rows) <= 250
 
     def test_best_width_moves_between_calls(self):
         # A sample, its contraction by 10 and the sample again: the best width

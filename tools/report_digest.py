@@ -58,6 +58,10 @@ SYNTH = {
     # Nine centers spanning 2 at N=20000: few centers against many errors.
     "synth-n20000-9-centers": ["--runs", "1", "--samples", "20000", "--cases", "2",
                                "--methods", "mcc-vc", "--center-grid", "-1:0.25:1"],
+    # Ten centers at N=20000: a count that is not 1 mod 4, so the centers
+    # screened first (every 4th and the last) end with a shorter interval.
+    "synth-n20000-10-centers": ["--runs", "1", "--samples", "20000", "--cases", "2,4",
+                                "--methods", "mcc-vc", "--center-grid", "-1:0.2:0.8"],
     # 24 centers at N=5000 with widths down to 0.02: the narrowest widths'
     # lattices cost more than their unbinned rows, the others bin, so one
     # search screens rows of both kinds.
