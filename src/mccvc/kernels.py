@@ -207,12 +207,20 @@ def gaussian_kde(sample, x, bandwidth: float):
 def mcc_vc_cost(errors, params: KernelParams, weight_norm_sq: float, lambda_prime: float) -> float:
     """Cost J = -V(e; sigma, c) + lambda ||beta||^2 with lambda = lambda' / (2 N sigma^2),
     N = errors.size: -V has gradient -H'W(e - c) / (N sigma^2), so J is stationary
-    exactly where the update (H'WH + lambda' I) beta = H'W(T - c) holds."""
+    exactly where the update (H'WH + lambda' I) beta = H'W(T - c) holds.
+
+    It checks its inputs and then takes J by the one private expression that
+    the fixed-point loop also uses on the kernel values it has already
+    computed, so a fit's traced costs are this function's values bit for bit."""
     lambda_prime = check_non_negative(lambda_prime, "lambda_prime")
     weight_norm_sq = check_non_negative(weight_norm_sq, "weight_norm_sq")
     e = finite_array(errors, "errors", 1)
-    penalty = lambda_prime * weight_norm_sq / (2.0 * e.size * params.sigma * params.sigma)
-    return -float(_kernel_mean(e - params.center, params.sigma)) + penalty
+    return _cost(_kernel_values(e - params.center, params.sigma), params.sigma, weight_norm_sq, lambda_prime)
+
+
+def _cost(kv: np.ndarray, sigma: float, weight_norm_sq: float, lambda_prime: float) -> float:
+    # J from the kernel values kv = G_sigma(e - c) of the N residuals, unchecked.
+    return -float(kv.mean()) + lambda_prime * weight_norm_sq / (2.0 * kv.size * sigma * sigma)
 
 
 def param_objective(errors, sigma: float, center: float) -> float:

@@ -31,14 +31,18 @@ one-center grid {c*}.  The (sigma, c) searches of one fit share a
 `kernels.RowBounds`, which lets each explicit-grid search skip the widths
 that the last one and the residuals' drift since it rule out.
 
-Each step of the loop calls the module globals `weighted_ridge_step` (once),
-`mcc_vc_cost` and, in `fit_mcc_vc`, `optimize_params` (once) by name, so a
-wrapper set on this module (a tracer, a test's counter) sees every step.  The
-cost before a step is the last step's cost when the kernel is unchanged, as
-at every `fit_mcc` step after the first: it is taken at the same residuals,
-||beta||^2 and (sigma, c), so it is reused bit for bit.  So `mcc_vc_cost`
-runs once after every step, and once before the first step and each step
-whose kernel moved.
+`fit_mcc` and `fit_mcc_vc` check H and T once; the loop then checks only what
+each step makes new (a finite ||beta||^2 and finite residuals).  Each step
+computes its new residuals once and evaluates the kernel once at them: those
+values give the cost after the step and, flushed, the weights of the next
+step.  The kernel is evaluated again only before a step whose kernel
+`choose_params` moved; at an unchanged kernel the cost before a step is the
+last step's cost, bit for bit.  The loop shares its step (`_weighted_step`)
+and its cost (`kernels._cost`) with the public `weighted_ridge_step` and
+`mcc_vc_cost`, which check their inputs and then run the same code, so
+replaying a fit through them gives its iterates and costs bit for bit.
+`fit_mcc_vc` calls `optimize_params` once per step through this module's
+global of that name.
 
 Every normal-equation system is assembled by `_normal_solve` and solved by
 `_spd_solve`, whose guards raise a SolverError for mmse, mcc and mcc-vc alike.
@@ -61,8 +65,9 @@ from .kernels import (
     KernelParams,
     ParamGrid,
     RowBounds,
+    _cost,
     _kernel_values,
-    mcc_vc_cost,
+    mcc_vc_cost,  # noqa: F401  (a name of this module that perfbench's tracer wraps)
     optimize_params,
 )
 
@@ -143,8 +148,8 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _normal_solve(H: np.ndarray, r: np.ndarray, lambda_prime: float, w=None) -> np.ndarray:
-    """Solve (H'WH + lambda' I) beta = H'W r, W = diag(w) or I; raise on overflow."""
-    lambda_prime = check_non_negative(lambda_prime, "lambda_prime")
+    """Solve (H'WH + lambda' I) beta = H'W r, W = diag(w) or I; raise on overflow.
+    lambda' is checked by the callers."""
     with np.errstate(over="ignore"):
         WH, Wr = (H, r) if w is None else (w[:, None] * H, w * r)
         A, b = H.T @ WH, H.T @ Wr
@@ -157,7 +162,7 @@ def _normal_solve(H: np.ndarray, r: np.ndarray, lambda_prime: float, w=None) -> 
 def ridge_solve(H, targets, lambda_prime: float) -> np.ndarray:
     """Regularized least squares (H'H + lambda' I)^{-1} H'T via an SPD factorization."""
     H, t = check_design(H, targets)
-    return _normal_solve(H, t, lambda_prime)
+    return _normal_solve(H, t, check_non_negative(lambda_prime, "lambda_prime"))
 
 
 def weighted_ridge_step(
@@ -176,12 +181,22 @@ def weighted_ridge_step(
     lambda' is; otherwise every weight below that float (a subnormal one) is
     set to 0, which keeps the products with H off the CPU's slow subnormal
     path.  With lambda' = 0 a singular H'WH raises SingularSystemError.
+
+    It checks its inputs and then runs the fixed-point loop's own step, so a
+    fit's iterates are this function's values bit for bit.
     """
     H, t = check_design(H, targets)
+    lambda_prime = check_non_negative(lambda_prime, "lambda_prime")
     beta_prev = finite_array(beta_prev, "beta", 1)
     same_rows(H.T, beta_prev, "beta")
     e = t - H @ beta_prev
-    w = _kernel_values(e - params.center, params.sigma)
+    return _weighted_step(H, t, params, lambda_prime, _kernel_values(e - params.center, params.sigma))
+
+
+def _weighted_step(H, t, params: KernelParams, lambda_prime: float, w: np.ndarray) -> np.ndarray:
+    """The step of `weighted_ridge_step` from its unchecked inputs and the kernel
+    values `w` at the residuals of beta_prev, whose subnormal entries it sets
+    to 0 in place."""
     if w.max() < sys.float_info.min:
         raise DegenerateWeightsError(
             f"no residual is within reach of the kernel (sigma={params.sigma:g}, center="
@@ -201,24 +216,27 @@ def _fixed_point_loop(
     config: FitConfig,
     on_iteration: IterationHook | None,
 ) -> FitResult:
-    # Every step calls `weighted_ridge_step` and `mcc_vc_cost` by their module
-    # names (see the module docstring).  At an unchanged kernel the pre-step
-    # cost is the last step's cost: same residuals, ||beta||^2 and (sigma, c).
+    # H and t are checked by the caller (see the module docstring).  `kv` holds
+    # the kernel values of `residuals` at `params_prev`: the last step's cost
+    # was taken from them, and they are the next step's weights unless the
+    # kernel moves, since the cost and the weights of one (sigma, c) at the
+    # same residuals are the same values.
     beta = np.zeros(H.shape[1])
     norm_sq = 0.0
-    lambda_prime = config.lambda_prime
+    lambda_prime = float(config.lambda_prime)
 
     trace: list[IterationRecord] = []
     converged = False
     residuals = t - H @ beta
-    params_prev = cost = None
+    params_prev = kv = cost = None
     for k in range(1, config.max_iterations + 1):
         params = choose_params(residuals)
         if params == params_prev:
             cost_prev = cost
         else:
-            cost_prev = mcc_vc_cost(residuals, params, norm_sq, lambda_prime)
-        beta_next = weighted_ridge_step(H, t, params, lambda_prime, beta)
+            kv = _kernel_values(residuals - params.center, params.sigma)
+            cost_prev = _cost(kv, params.sigma, norm_sq, lambda_prime)
+        beta_next = _weighted_step(H, t, params, lambda_prime, kv)
         residuals_next = t - H @ beta_next
         with np.errstate(over="ignore"):
             norm_sq = float(beta_next @ beta_next)
@@ -226,7 +244,9 @@ def _fixed_point_loop(
             raise SolverError(
                 "weights overflow: ||beta||^2 is not finite; rescale the design or targets"
             )
-        cost = mcc_vc_cost(residuals_next, params, norm_sq, lambda_prime)
+        finite_array(residuals_next, "errors")
+        kv = _kernel_values(residuals_next - params.center, params.sigma)
+        cost = _cost(kv, params.sigma, norm_sq, lambda_prime)
         max_delta = float(np.abs(beta_next - beta).max())
         trace.append(IterationRecord(params.sigma, params.center, cost, max_delta))
         if on_iteration is not None:

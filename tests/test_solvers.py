@@ -27,6 +27,7 @@ from mccvc.solvers import (
     ridge_solve,
     weighted_ridge_step,
 )
+from test_kernels import _reference_optimize_params
 
 
 def _random_problem(rng, n=60, m=3, noise=0.1):
@@ -368,14 +369,28 @@ class TestFixedPointLoops:
 
     def test_huge_residuals_are_rejected_before_the_first_solve(self, monkeypatch):
         def solve(*args):
-            raise AssertionError("weighted_ridge_step was called")
+            raise AssertionError("a normal-equation system was solved")
 
-        monkeypatch.setattr(solvers, "weighted_ridge_step", solve)
+        monkeypatch.setattr(solvers, "_normal_solve", solve)
         H = np.ones((400, 1))
         t = np.array([0.0, 1e160, 1.0, 2.0] * 100)
         grid = ParamGrid(np.array([0.5, 1.0]), np.array([-1.0, 0.0, 1.0]))
         with pytest.raises(ValueError, match="^error spread overflows"):
             fit_mcc_vc(H, t, grid)
+
+    @pytest.mark.parametrize("fit", ["mcc", "mcc-vc"])
+    def test_non_finite_residuals_raise(self, fit, monkeypatch):
+        # A finite beta whose product with H overflows (numpy warns of it):
+        # the loop checks each step's new residuals, as `mcc_vc_cost` checks
+        # its errors.
+        monkeypatch.setattr(solvers, "_weighted_step", lambda *args: np.array([1e10]))
+        H, t = np.array([[1e300], [1.0], [2.0]]), np.array([0.0, 1.0, 2.0])
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="^errors contains non-finite entries$"):
+            if fit == "mcc":
+                fit_mcc(H, t, 1.0)
+            else:
+                fit_mcc_vc(H, t, ParamGrid(np.array([1.0]), np.array([0.0])))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -492,27 +507,41 @@ class TestRelativeStop:
         assert abs(costs[-1] - costs[-2]) >= config.tolerance
 
 
-def _replay_stop_rule(H, t, fit, config):
-    """Run `fit(hook)` and recompute each step's costs with the public
-    `mcc_vc_cost` at the step's own (sigma, c): before the step from the
-    hook's residuals and the previous beta's ||beta||^2, after it from the
-    new beta.  The fit must stop at exactly the first step whose change is
-    within tolerance * max(1, |J before|)."""
+def _hooked(fit):
+    """Run `fit(hook)` and return its result and every (residuals, params, beta)
+    that the hook saw."""
     steps = []
     res = fit(lambda k, e, params, beta: steps.append((e.copy(), params, beta.copy())))
     assert len(steps) == res.iterations_run
-    norm_sq, stops = 0.0, []
+    return res, steps
+
+
+def _replay_stop_rule(H, t, fit, config):
+    """Run `fit(hook)` and replay it through the public functions at each
+    step's own (sigma, c), bit for bit: beta_k is `weighted_ridge_step` from
+    beta_k-1, whose residuals the hook passed, and the traced cost is
+    `mcc_vc_cost` at beta_k.  The fit must stop at exactly the first step
+    whose change from `mcc_vc_cost` at beta_k-1 is within tolerance *
+    max(1, |J before|)."""
+    res, steps = _hooked(fit)
+    lambda_prime, beta_prev, stops = config.lambda_prime, np.zeros(H.shape[1]), []
     for (e, params, beta), record in zip(steps, res.trace):
-        before = mcc_vc_cost(e, params, norm_sq, config.lambda_prime)
-        norm_sq = float(beta @ beta)
-        after = mcc_vc_cost(t - H @ beta, params, norm_sq, config.lambda_prime)
-        assert after == record.cost
+        assert np.array_equal(e, t - H @ beta_prev)
+        assert np.array_equal(beta, weighted_ridge_step(H, t, params, lambda_prime, beta_prev))
+        before = mcc_vc_cost(e, params, float(beta_prev @ beta_prev), lambda_prime)
+        after = mcc_vc_cost(t - H @ beta, params, float(beta @ beta), lambda_prime)
+        assert (record.sigma, record.center, record.cost) == (params.sigma, params.center, after)
         stops.append(abs(after - before) < config.tolerance * max(1.0, abs(before)))
+        beta_prev = beta
+    assert np.array_equal(res.beta, beta_prev)
     assert res.converged and stops.index(True) == res.iterations_run - 1
     return res
 
 
 class TestStopRuleReplay:
+    """Fits replayed through the public `weighted_ridge_step` and `mcc_vc_cost`
+    (see `_replay_stop_rule`)."""
+
     CONFIG = FitConfig()
 
     def test_fit_mcc(self):
@@ -596,47 +625,126 @@ class TestScaleEquivariance:
             assert len({center for _, _, center, _ in base}) == 1
 
 
-class TestTracedNames:
-    """The loop calls, by name, the module globals that a tracer wraps."""
+class TestLoopCalls:
+    """What one step of the loop calls: `optimize_params` once through this
+    module's global in `fit_mcc_vc`, `_kernel_values` once plus once more
+    where the kernel moves, and neither public `weighted_ridge_step` nor
+    `mcc_vc_cost`, whose checks the fit ran once at its boundary."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = dict.fromkeys(("weighted_ridge_step", "optimize_params", "mcc_vc_cost"), 0)
+    @pytest.mark.parametrize("problem", ["mcc", "vc-linear", "vc-elm"])
+    def test_calls_per_step(self, problem, monkeypatch):
+        counts = dict.fromkeys(
+            ("optimize_params", "_kernel_values", "weighted_ridge_step", "mcc_vc_cost"), 0)
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(solvers, name)):
                 counts[_name] += 1
                 return _fn(*args)
 
             monkeypatch.setattr(solvers, name, counted)
-        return counts
-
-    def test_fit_mcc(self, calls):
-        H, t = _elm_problem()
-        res = fit_mcc(H, t, 0.05)
-        assert res.iterations_run > 1
-        assert calls == {
-            "weighted_ridge_step": res.iterations_run,
-            "optimize_params": 0,
-            "mcc_vc_cost": res.iterations_run + 1,
-        }
-
-    @pytest.mark.parametrize("problem", ["linear", "elm"])
-    def test_fit_mcc_vc(self, calls, problem):
-        if problem == "linear":
-            H, t = synth_case_design(2, 400, 0)
-            res = fit_mcc_vc(H, t, default_param_grid())
+        if problem == "mcc":
+            res = fit_mcc(*_elm_problem(), 0.05)
+        elif problem == "vc-linear":
+            res = fit_mcc_vc(*synth_case_design(2, 400, 0), default_param_grid())
         else:
-            H, t = _elm_problem()
-            res = fit_mcc_vc(H, t, _MEDIAN_GRID)
+            res = fit_mcc_vc(*_elm_problem(), _MEDIAN_GRID)
         kernels = [(r.sigma, r.center) for r in res.trace]
         changes = sum(a != b for a, b in zip(kernels, kernels[1:]))
-        assert 0 < changes < res.iterations_run - 1
-        # One cost after every step, and one before each step whose kernel moved.
-        assert calls == {
-            "weighted_ridge_step": res.iterations_run,
-            "optimize_params": res.iterations_run,
-            "mcc_vc_cost": res.iterations_run + 1 + changes,
+        assert res.iterations_run > 1
+        if problem != "mcc":
+            assert 0 < changes < res.iterations_run - 1
+        # One kernel evaluation after every step, and one before the first
+        # step and each step whose kernel moved.
+        assert counts == {
+            "optimize_params": 0 if problem == "mcc" else res.iterations_run,
+            "_kernel_values": res.iterations_run + 1 + changes,
+            "weighted_ridge_step": 0,
+            "mcc_vc_cost": 0,
         }
+
+
+def _gaussian(u, sigma):
+    """The kernel written out from its definition, apart from the package."""
+    return np.exp(-0.5 * (u / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+
+
+def _replay_reference(H, t, res, steps, kernel, lambda_prime):
+    """Replay a fit's steps against a plain loop: the full-table search
+    `_reference_optimize_params` (or the frozen (sigma, 0) of `fit_mcc`,
+    `kernel` a float), `np.linalg.solve` on the weighted normal equations at
+    the hook's residuals, and the cost from its definition.  Each step's
+    (sigma, c) must be the reference pick, beta within 1e-9 relative of the
+    reference solve and the traced cost within 1e-12 relative.  Two
+    backward-stable solves of one system differ by up to about kappa(A) eps
+    relative, so an ill-conditioned system (the ELM design's kappa is about
+    2e8, where the gap reads up to 0.24 kappa eps) gets 4 kappa eps."""
+    n, m = H.shape
+    ones = np.ones(n)
+    confounded = np.sqrt(np.mean((ones - H @ np.linalg.lstsq(H, ones, rcond=None)[0]) ** 2)) < 1e-8
+    grid, beta_prev = kernel, np.zeros(m)
+    for (e, params, beta), record in zip(steps, res.trace):
+        np.testing.assert_allclose(e, t - H @ beta_prev, rtol=0.0, atol=1e-12 * (1.0 + np.abs(t).max()))
+        if isinstance(kernel, float):
+            pick = KernelParams(kernel, 0.0)
+        else:
+            pick = _reference_optimize_params(e, grid)[0]
+            if confounded and grid is kernel:
+                # 1 in span(H): later searches keep the first center.
+                grid = ParamGrid(kernel.sigma_set, [pick.center], CenterRule.EXPLICIT_GRID)
+        assert params == pick
+        w = _gaussian(e - pick.center, pick.sigma)
+        A = H.T @ (w[:, None] * H) + lambda_prime * np.eye(m)
+        ref = np.linalg.solve(A, H.T @ (w * (t - pick.center)))
+        rtol = max(1e-9, 4.0 * np.linalg.cond(A) * sys.float_info.epsilon)
+        assert np.abs(beta - ref).max() <= rtol * np.abs(ref).max()
+        u = t - H @ beta - pick.center
+        cost = -np.mean(_gaussian(u, pick.sigma)) + lambda_prime * (beta @ beta) / (2.0 * n * pick.sigma ** 2)
+        assert abs(record.cost - cost) <= 1e-12 * abs(cost)
+        beta_prev = beta
+
+
+def _clamped_problem():
+    """A line through the origin fitted exactly by 90% of the samples: once beta
+    is near its slope their residuals are within rounding of 0, a width far
+    below 1e-3 of the residual spread is clamped up to that floor, and the
+    clamped width wins the search."""
+    rng = np.random.default_rng(21)
+    x = rng.uniform(1.0, 2.0, 200)
+    t = 2.0 * x
+    t[::10] += rng.normal(0.0, 3.0, 20)
+    return x[:, None], t
+
+
+class TestReferenceLoop:
+    """Every step of a fit against a plain reference loop (see `_replay_reference`)."""
+
+    @pytest.mark.parametrize("problem", [
+        *[(case, rule) for case in (1, 2, 3, 4) for rule in ("grid", "median", "mean")],
+        "elm", "clamped", "mcc", "mcc-elm",
+    ], ids=lambda p: p if isinstance(p, str) else f"case{p[0]}-{p[1]}")
+    def test_every_step_matches_the_reference(self, problem):
+        lambda_prime = FitConfig().lambda_prime
+        if problem == "mcc":
+            (H, t), kernel = synth_case_design(3, 400, 0), 2.0
+        elif problem == "mcc-elm":
+            (H, t), kernel = _elm_problem(), 0.05
+        elif problem == "elm":
+            # The features span the constant vector, so the center freezes.
+            (H, t), kernel = _elm_problem(), _MEDIAN_GRID
+        elif problem == "clamped":
+            (H, t), kernel = _clamped_problem(), ParamGrid(
+                np.array([1e-9, 0.5, 1.0]), None, CenterRule.MEDIAN_OF_ERRORS)
+        else:
+            case, rule = problem
+            H, t = synth_case_design(case, 400, 0)
+            kernel = default_param_grid()
+            if rule != "grid":
+                kernel = ParamGrid(kernel.sigma_set, None, rule)
+        fit = fit_mcc if isinstance(kernel, float) else fit_mcc_vc
+        res, steps = _hooked(lambda hook: fit(H, t, kernel, FitConfig(lambda_prime), hook))
+        assert res.iterations_run > 1
+        if problem == "clamped":
+            assert any(params.sigma not in kernel.sigma_set for _, params, _ in steps)
+        _replay_reference(H, t, res, steps, kernel, lambda_prime)
 
 
 class TestHalfQuadraticDescent:
