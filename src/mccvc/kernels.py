@@ -24,6 +24,18 @@ the full table would.  A fit's successive searches share
 one `RowBounds`: each width carries an interval holding its least exact
 objective, widened between searches by the kernel's bounded slope, and only
 the widths whose interval can still reach the grid minimum are screened again.
+The `RowBounds` also carries the fit's search plan, all that depends only on
+the grid, N and the clamped widths: the coarse and fine centers, each width's
+lattice size and bin decision, its kernel scale, normalizer, self-energy,
+unbinned screen bound and curvature reach, and its drift coefficients.  The
+first search builds it, and a search rebuilds it only for another grid,
+another N or a moved width clamp.  With it each stage runs once over all
+contending widths: one blocked coarse screen, one screen of every (width,
+center) pair the reach admits, and one exact rescore of every kept point
+after the best-first one.  Only calls are saved, not kernel sums: the plan's
+factors are the expressions the screen took per call, so every screened
+objective and its bound are what they were, the hoisted drift coefficients
+round within the drift's charge, and every pick is what it was.
 """
 
 from __future__ import annotations
@@ -234,14 +246,16 @@ def param_objective(errors, sigma: float, center: float) -> float:
 
 
 def _exact_objectives(e: np.ndarray, centers: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """(S, C) exact objectives of each width in `sigmas` at each center, in
-    blocks of at most max(C*N, `_BLOCK_VALUES`) kernel values."""
-    diff = centers[:, None] - e
-    per_block = max(1, _BLOCK_VALUES // diff.size)
-    out = np.empty((sigmas.size, centers.size))
+    """(P,) exact objectives at the pairs (centers[p], sigmas[p]) of two (P,)
+    vectors, or of one center and P widths, in blocks of at most
+    max(N, `_BLOCK_VALUES`) kernel values."""
+    out = np.empty(sigmas.size)
+    per_block = max(1, _BLOCK_VALUES // e.size)
     for start in range(0, sigmas.size, per_block):
-        s = sigmas[start:start + per_block, None, None]
-        out[start:start + per_block] = _objective(_kernel_mean(diff, s), s[:, :, 0])
+        block = slice(start, start + per_block)
+        s = sigmas[block, None]
+        c = centers[block, None] if centers.size > 1 else centers[:, None]
+        out[block] = _objective(_kernel_mean(c - e, s), s[:, 0])
     return out
 
 
@@ -280,52 +294,179 @@ def _lattice(sorted_e: np.ndarray, centers: np.ndarray, s, count: int):
     return nodes, mass, float(gap.max(initial=0.0)), float(rounding)
 
 
-def _screened_objectives(sq: np.ndarray, s, mass: np.ndarray, n: int, h: float, rounding: float):
-    """Screened objectives of width `s` at each row of the (C, P) table `sq` of
-    squared center-minus-point differences over points of masses `mass` (nodes
-    `h` apart whose masses charge `rounding` eps, or h = 0, no charge and N =
-    `n` unit-mass errors), and their bound (derived in `optimize_params`).  A
-    (k, 1) column of widths gives (k, C) objectives and (k, 1) bounds."""
-    s = np.asarray(s)
-    arg = sq * (-1.0 / (2.0 * s * s))[..., None]
+def _width_table(sigmas, n: int) -> np.ndarray:
+    """Each width's row of a screen, stacked along a last axis of 4: the width
+    sigma, its kernel scale -1/(2 sigma^2), its normalizer N sqrt(2 pi) sigma
+    and its self-energy 1/(2 sqrt(pi) sigma)."""
+    s = np.asarray(sigmas, dtype=float)
+    return np.stack([s, -1.0 / (2.0 * s * s), n * SQRT_2PI * s, 1.0 / (2.0 * SQRT_PI * s)], axis=-1)
+
+
+def _screened_objectives(sq: np.ndarray, mass: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Screened objectives at each row of the (C, P) table `sq` of squared
+    center-minus-point differences over points of masses `mass`, for the
+    widths of a `_width_table` (derived in `optimize_params`): a (k, 1, 4)
+    column of widths gives (k, C) objectives, and a (C, 4) table, one width
+    per row of `sq`, gives (C,)."""
+    arg = sq * widths[..., 1, None]
     np.maximum(arg, -0.5 * _REACH * _REACH, out=arg)
-    corr = (np.exp(arg, out=arg) @ mass) / (n * SQRT_2PI * s)
-    bound = 2.0 / (SQRT_2PI * s) * (
+    return widths[..., 3] - 2.0 * ((np.exp(arg, out=arg) @ mass) / widths[..., 2])
+
+
+def _screen_bound(s, n: int, h: float, rounding: float):
+    """How far a screened objective of width `s` can lie from the exact one,
+    over N = `n` errors binned on nodes at most `h` apart whose masses charge
+    `rounding` eps, or unbinned with h = 0 and no charge (see `optimize_params`)."""
+    return 2.0 / (SQRT_2PI * s) * (
         h * h / (8.0 * s * s) + _TAIL + (2 * n + 48 + rounding) * sys.float_info.epsilon
     )
-    return _objective(corr, s), bound
+
+
+class _SearchPlan:
+    """What an explicit-grid search of several centers needs that depends only
+    on the grid, N and the clamped widths (see `optimize_params`): the coarse
+    and fine centers and the interval of each fine one, each width's lattice
+    size, whether it is binned, its `_width_table` row, its unbinned screen
+    bound and its curvature reach per coarse interval, and its drift
+    coefficients."""
+
+    def __init__(self, grid: ParamGrid, n: int, sigmas: np.ndarray):
+        self.grid, self.n, self.sigmas = grid, n, sigmas
+        centers = self.centers = grid.center_set
+        c, eps, s = centers.size, sys.float_info.epsilon, sigmas[:, None]
+        # Every 4th center and the last are screened first; each other center
+        # lies inside one interval between two of them.
+        self.coarse = np.append(np.arange(0, c - 1, _CENTER_STRIDE), c - 1)
+        self.fine = np.flatnonzero(np.arange(c - 1) % _CENTER_STRIDE)
+        self.interval = self.fine // _CENTER_STRIDE
+        self.counts = _node_counts(centers, sigmas)
+        self.binned = (
+            (c * n >= _BIN_COST_PER_ERROR * n + _BIN_COST_PER_NODE * c * self.counts + _BIN_COST_PER_ROW)
+            & (_BIN_FRAC * sigmas >= _RESOLUTION * (np.max(np.abs(centers)) + _REACH * sigmas))
+        )
+        self.ones = np.ones(n)
+        self.widths = _width_table(sigmas, n)
+        self.bound = _screen_bound(sigmas, n, 0.0, 0)
+        # The least exact objective an interval between two coarse centers
+        # can hold inside lies this far below their lesser screened objective
+        # less its bound (see the center-axis bound); an infinite one refines
+        # its interval, so that overflow is silenced.
+        gap = np.diff(centers[self.coarse]) / s
+        with np.errstate(over="ignore"):
+            self.bend = (gap * gap / 4.0 + 2 * (n + 16) * eps) / (SQRT_2PI * s)
+        # A row's drift is slope mean|e - e'| + charge (see the drift bound).
+        self.slope = 2.0 / (SQRT_2PI * math.sqrt(math.e)) / sigmas / sigmas
+        self.charge = 2.0 * (n + 16) * eps / SQRT_2PI / sigmas
+
+    def fits(self, grid: ParamGrid, n: int, sigmas: np.ndarray) -> bool:
+        """Whether this plan is the one of `grid`, N = `n` and these clamped widths."""
+        return self.grid is grid and self.n == n and (
+            self.sigmas is sigmas or np.array_equal(self.sigmas, sigmas))
 
 
 @dataclass
 class RowBounds:
     """What one fit's explicit-grid searches carry from one call to the next
-    (see `optimize_params`): the grid and the residuals of the last call, its
-    clamped widths, and per width an interval [lo, hi] that holds the least
-    exact objective of that width's row at those residuals.  A new state holds
-    none, so its first search screens every width."""
+    (see `optimize_params`): the search plan of the last call, its residuals,
+    and per width an interval [lo, hi] that holds the least exact objective
+    of that width's row at those residuals.  The plan is built by the first
+    search and rebuilt only for another grid, another N or a moved width
+    clamp; it holds only what those three fix, each factor computed as a
+    search without it would, so a carried plan changes no pick.  A new state
+    holds none, so its first search screens every width."""
 
-    grid: ParamGrid | None = None
+    plan: _SearchPlan | None = None
     errors: np.ndarray | None = None
-    sigmas: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
 
-    def intervals(self, e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray):
+    def intervals(self, e: np.ndarray, plan: _SearchPlan):
         """Each width's interval at the residuals `e`: the carried one widened by
         its drift bound, or (-inf, inf) for a width whose clamp moved and for
         every width of a new state, of another grid or of another N."""
-        lo, hi = np.full(sigmas.size, -np.inf), np.full(sigmas.size, np.inf)
-        if self.grid is not grid or self.errors.shape != e.shape:
-            return lo, hi
-        n, eps = e.size, sys.float_info.epsilon
+        old = self.plan
+        if old is None or old.grid is not plan.grid or old.n != plan.n:
+            return np.full(plan.sigmas.size, -np.inf), np.full(plan.sigmas.size, np.inf)
         # An overflowing drift is inf, which screens every width.
         with np.errstate(over="ignore"):
-            step = float(np.mean(np.abs(e - self.errors))) * (1.0 + (n + 8) * eps)
-            drift = 2.0 / SQRT_2PI * (step / math.sqrt(math.e) / sigmas + (n + 16) * eps) / sigmas
-            same = sigmas == self.sigmas
-            lo[same] = self.lo[same] - drift[same]
-            hi[same] = self.hi[same] + drift[same]
+            # mean|e - e'| as np.mean takes it: one sum, one division by N.
+            step = float(np.abs(e - self.errors).sum()) / plan.n
+            drift = step * (1.0 + (plan.n + 8) * sys.float_info.epsilon) * plan.slope + plan.charge
+            lo, hi = self.lo - drift, self.hi + drift
+        if old is not plan:
+            moved = plan.sigmas != old.sigmas
+            lo[moved], hi[moved] = -np.inf, np.inf
         return lo, hi
+
+
+def _grid_search(e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray, state: RowBounds):
+    """The certified search of an explicit grid of several centers (see
+    `optimize_params`): the width and center indices of every point it
+    rescores exactly, and their exact objectives."""
+    n = e.size
+    plan = state.plan
+    if plan is None or not plan.fits(grid, n, sigmas):
+        plan = _SearchPlan(grid, n, sigmas)
+    centers, coarse, fine = plan.centers, plan.coarse, plan.fine
+    lo, hi = state.intervals(e, plan)
+    cut = hi.min()
+    # The k contending widths; every table below has one row per width.
+    rows = np.flatnonzero(lo <= cut)
+    widths, bound, is_binned = plan.widths[rows], plan.bound[rows], plan.binned[rows]
+    binned = np.flatnonzero(is_binned)
+    unbinned = np.flatnonzero(~is_binned) if binned.size else np.arange(rows.size)
+    sorted_e = np.sort(e) if binned.size else None
+    head, ones, points = np.empty((rows.size, coarse.size)), plan.ones, {}
+    # A square or exp argument past the largest float is inf, which screens
+    # as a clipped difference, so that overflow is silenced.
+    with np.errstate(over="ignore"):
+        if unbinned.size:
+            sq = (centers[coarse, None] - e) ** 2
+            step = max(1, _BLOCK_VALUES // sq.size)
+            for start in range(0, unbinned.size, step):
+                block = unbinned[start:start + step]
+                head[block] = _screened_objectives(sq, ones, widths[block, None])
+        for r in binned:
+            i = rows[r]
+            nodes, mass, h, rounding = points[r] = _lattice(sorted_e, centers, sigmas[i], int(plan.counts[i]))
+            head[r] = _screened_objectives((centers[coarse, None] - nodes) ** 2, mass, widths[r])
+            bound[r] = _screen_bound(sigmas[i], n, h, rounding)
+        objective = np.full((rows.size, centers.size), np.inf)
+        objective[:, coarse] = head
+        cut = min(cut, (head + bound[:, None]).min())
+        reach = (np.minimum(head[:, :-1], head[:, 1:]) - bound[:, None] - plan.bend[rows])[:, plan.interval]
+        refine = reach <= cut
+        # One pass over every (width, center) pair of the unbinned rows that
+        # the reach admits, then one per binned row over its own nodes; a
+        # block's differences and kernel arguments hold `_BLOCK_VALUES` values.
+        pr, pf = np.nonzero(refine & ~is_binned[:, None] if binned.size else refine)
+        step = max(1, _BLOCK_VALUES // (2 * n))
+        for start in range(0, pr.size, step):
+            r, j = pr[start:start + step], fine[pf[start:start + step]]
+            sq = centers[j, None] - e
+            objective[r, j] = _screened_objectives(np.square(sq, out=sq), ones, widths[r])
+        for r in binned[refine[binned].any(axis=1)]:
+            nodes, mass, _, _ = points[r]
+            j = fine[refine[r]]
+            objective[r, j] = _screened_objectives((centers[j, None] - nodes) ** 2, mass, widths[r])
+    least = objective.min(axis=1)
+    unrefined = np.where(refine, np.inf, reach).min(axis=1, initial=np.inf)
+    lo[rows] = np.minimum(least - bound, unrefined)
+    hi[rows] = least + bound
+    # Best first: the least screened point's exact objective bounds the grid
+    # minimum before any other point is rescored.
+    r0, j0 = divmod(int(np.argmin(objective)), centers.size)
+    i0 = rows[r0]
+    best = _exact_objectives(e, centers[j0, None], sigmas[i0, None])[0]
+    hi[i0] = min(hi[i0], best)
+    keep = objective - bound[:, None] <= min(cut, hi[rows].min())
+    keep[r0, j0] = False
+    kr, kj = np.nonzero(keep)
+    state.plan, state.errors, state.lo, state.hi = plan, e.copy(), lo, hi
+    if not kr.size:
+        return np.array([i0]), np.array([j0]), np.array([best])
+    values = _exact_objectives(e, centers[kj], sigmas[rows[kr]])
+    return np.append(rows[kr], i0), np.append(kj, j0), np.append(values, best)
 
 
 def optimize_params(
@@ -344,7 +485,8 @@ def optimize_params(
 
     The result is bit for bit that of the full (S, C) table of objectives,
     with or without `state`, one `RowBounds` that a fit passes to each of its
-    searches so that they share what bounds the last one proved.
+    searches so that they share what bounds the last one proved and one
+    search plan (see the module docstring and `RowBounds`).
     Every exact objective is a row of `_kernel_mean`, as in `param_objective`;
     every one-center search (the mean and median rules, or an explicit grid
     of one center) computes its whole table so, in one broadcast over blocks
@@ -430,14 +572,32 @@ def optimize_params(
       by at most 2 p mean|e - e'|/(sigma sqrt(e)) from e' to e, and so does a
       row's least one.  The intervals hold computed exact objectives, each
       within 2(N + 16)u p of its true value (above), so the bound adds that
-      once per residual vector, 2 p (N + 16) eps in all, and raises the
-      computed mean|e - e'| by (N + 8) eps relative for its own rounding (a
-      difference, an N-term sum and a division) and that of the drift's
-      product.  A chain of widenings needs the rounding charge of its two
+      once per residual vector, 2 p (N + 16) eps in all.  The drift is
+      mean|e - e'| times the plan's slope 2/(sqrt(2 pi e) sigma^2) plus its
+      charge 2 (N + 16) eps/(sqrt(2 pi) sigma), and the computed
+      mean|e - e'| is raised by (N + 8) eps relative.  Its own rounding (a
+      difference, an N-term sum and a division) takes (N + 1)u of that, and
+      the slope's (its constants, two divisions), the product's and the
+      sum's, about 9u, fall within the (N + 15)u left.  The charge rounds by
+      a few u relative, of second order in u against the first-order charge
+      it carries.  A chain of widenings needs the rounding charge of its two
       ends only, so each further widening's charge absorbs the rounding of
       lo - drift and hi + drift; the first one's falls within the slack of
       the screened bound.  The mean|e - e'| is computed with overflow
       ignored: an infinite drift widens every interval to (-inf, inf).
+    - Search plan.  `state` also carries the plan (see the module docstring),
+      built by the first search and rebuilt for another grid, another N or
+      a moved width clamp.  The screen's kernel scale -1/(2 sigma^2),
+      normalizer N sqrt(2 pi) sigma and self-energy 1/(2 sqrt(pi) sigma), the
+      unbinned bound and the reach's bend are the plan's, each computed by
+      the expression above from the same operands, so they are the same
+      floats a call would compute.  Each stage runs once over the k
+      contending widths, on (k, C) tables: one blocked coarse screen, one
+      screen of every (width, center) pair of the unbinned rows that the
+      reach admits (a binned row screens its own nodes), and one exact
+      rescore of every kept point.  The screen and the bounds see the same
+      values either way, and a screen of a point is within its bound in any
+      summation order, so every pick is the same.
     - Certified rescore, best first.  The point with the least screened
       objective is computed exactly first; its value is a grid entry, so it
       is at least the grid minimum, and it lowers the cut (the least of U
@@ -450,7 +610,6 @@ def optimize_params(
       tied set.
     """
     e = finite_array(errors, "errors", 1)
-    n = e.size
     with np.errstate(over="ignore", invalid="ignore"):
         spread = float(np.std(e))
     if not math.isfinite(spread):
@@ -459,7 +618,7 @@ def optimize_params(
 
     median = None
     if grid.center_rule is CenterRule.EXPLICIT_GRID:
-        centers = np.asarray(grid.center_set, dtype=float)
+        centers = grid.center_set
     elif grid.center_rule is CenterRule.MEAN_OF_ERRORS:
         centers = np.array([np.mean(e)])
     else:
@@ -467,95 +626,28 @@ def optimize_params(
         centers = np.array([median])
 
     floor = _SIGMA_FLOOR_FRAC * (spread if spread > 0.0 else 1.0)
-    sigmas = np.asarray(grid.sigma_set, dtype=float)
-    n_clamped = int(np.count_nonzero(sigmas < floor))
-    if n_clamped:
+    sigmas = grid.sigma_set
+    # The widths increase, so none is clamped unless the first one is.
+    if sigmas[0] < floor:
         log.info(
             "clamped %d kernel width(s) below %.3g to the admissible floor",
-            n_clamped, floor,
+            int(np.count_nonzero(sigmas < floor)), floor,
         )
         sigmas = np.maximum(sigmas, floor)
 
     if centers.size == 1:
-        objective = _exact_objectives(e, centers, sigmas)
-        keep = np.ones(objective.shape, dtype=bool)
+        rows, cols = np.arange(sigmas.size), np.zeros(sigmas.size, dtype=np.intp)
+        values = _exact_objectives(e, centers, sigmas)
     else:
-        state = RowBounds() if state is None else state
-        lo, hi = state.intervals(e, grid, sigmas)
-        cut = hi.min()
-        rows = np.flatnonzero(lo <= cut)
-        c, counts = centers.size, _node_counts(centers, sigmas)
-        binned = (
-            (c * n >= _BIN_COST_PER_ERROR * n + _BIN_COST_PER_NODE * c * counts + _BIN_COST_PER_ROW)
-            & (_BIN_FRAC * sigmas >= _RESOLUTION * (np.max(np.abs(centers)) + _REACH * sigmas))
-        )[rows]
-        sorted_e = np.sort(e) if binned.any() else None
-        # Every 4th center and the last are screened first; each other center
-        # lies inside one interval between two of them.
-        coarse = np.append(np.arange(0, c - 1, _CENTER_STRIDE), c - 1)
-        fine = np.flatnonzero(np.arange(c - 1) % _CENTER_STRIDE)
-        interval = fine // _CENTER_STRIDE
-        objective = np.full((sigmas.size, c), np.inf)
-        bound = np.zeros((sigmas.size, 1))
-        points = {}
-        # A square or exp argument past the largest float is inf, which
-        # screens as a clipped difference, so that overflow is silenced.
-        with np.errstate(over="ignore"):
-            unbinned, ones = rows[~binned], np.ones(n)
-            if unbinned.size:
-                points.update(dict.fromkeys(unbinned, (e, ones, 0.0, 0)))
-                sq = (centers[coarse, None] - e) ** 2
-                step = max(1, _BLOCK_VALUES // sq.size)
-                for start in range(0, unbinned.size, step):
-                    block = unbinned[start:start + step]
-                    objective[block[:, None], coarse], bound[block] = _screened_objectives(
-                        sq, sigmas[block, None], ones, n, 0.0, 0)
-            for i in rows[binned]:
-                points[i] = _lattice(sorted_e, centers, sigmas[i], int(counts[i]))
-                nodes, mass, h, rounding = points[i]
-                objective[i, coarse], bound[i] = _screened_objectives(
-                    (centers[coarse, None] - nodes) ** 2, sigmas[i], mass, n, h, rounding)
-            head = objective[rows[:, None], coarse]
-            cut = min(cut, (head + bound[rows]).min())
-            # The least exact objective each interval between two coarse
-            # centers can hold inside (see the center-axis bound).
-            s, eps = sigmas[rows, None], sys.float_info.epsilon
-            gap = np.diff(centers[coarse]) / s
-            bend = (gap * gap / 4.0 + 2 * (n + 16) * eps) / (SQRT_2PI * s)
-            reach = (np.minimum(head[:, :-1], head[:, 1:]) - bound[rows] - bend)[:, interval]
-            refine = reach <= cut
-            for r in np.flatnonzero(refine.any(axis=1)):
-                i, idx = rows[r], fine[refine[r]]
-                x, mass, h, rounding = points[i]
-                objective[i, idx], _ = _screened_objectives(
-                    (centers[idx, None] - x) ** 2, sigmas[i], mass, n, h, rounding)
-        low = objective[rows] - bound[rows]
-        unrefined = np.where(refine, np.inf, reach).min(axis=1, initial=np.inf)
-        lo[rows] = np.minimum(low.min(axis=1), unrefined)
-        hi[rows] = (objective[rows] + bound[rows]).min(axis=1)
-        # Best first: the least screened point's exact objective bounds the
-        # grid minimum before any other point is rescored.
-        r, j0 = divmod(int(np.argmin(objective[rows])), c)
-        i0 = rows[r]
-        best = _exact_objectives(e, centers[j0:j0 + 1], sigmas[i0:i0 + 1])[0, 0]
-        hi[i0] = min(hi[i0], best)
-        keep = np.zeros(objective.shape, dtype=bool)
-        keep[rows] = low <= min(cut, hi[rows].min())
-        keep[i0, j0] = False
-        for i in np.flatnonzero(keep.any(axis=1)):
-            objective[i, keep[i]] = _exact_objectives(e, centers[keep[i]], sigmas[i:i + 1])[0]
-        keep[i0, j0], objective[i0, j0] = True, best
-        state.grid, state.errors, state.sigmas, state.lo, state.hi = grid, e.copy(), sigmas, lo, hi
+        rows, cols, values = _grid_search(e, grid, sigmas, RowBounds() if state is None else state)
 
-    rows, cols = np.nonzero(keep & (objective == objective[keep].min()))
-    pick = 0
-    if rows.size > 1:
+    tied = np.flatnonzero(values == values.min())
+    pick = tied[0]
+    if tied.size > 1:
         if median is None:
             median = float(np.median(e))
-        keys = [(sigmas[i], abs(centers[j] - median), centers[j]) for i, j in zip(rows, cols)]
-        pick = min(range(len(keys)), key=keys.__getitem__)
-    i_sel, j_sel = rows[pick], cols[pick]
+        pick = min(tied, key=lambda k: (sigmas[rows[k]], abs(centers[cols[k]] - median), centers[cols[k]]))
 
-    # An exact table entry is bit for bit param_objective at its pair.
-    params = KernelParams(sigma=float(sigmas[i_sel]), center=float(centers[j_sel]))
-    return params, float(objective[i_sel, j_sel])
+    # An exact objective is bit for bit param_objective at its pair.
+    params = KernelParams(sigma=float(sigmas[rows[pick]]), center=float(centers[cols[pick]]))
+    return params, float(values[pick])

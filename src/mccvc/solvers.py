@@ -29,7 +29,8 @@ fit whether 1 is in span(H), unless the caller passes the answer in, and, if
 it is, keeps the first iteration's c* and re-chooses only sigma on the
 one-center grid {c*}.  The (sigma, c) searches of one fit share a
 `kernels.RowBounds`, which lets each explicit-grid search skip the widths
-that the last one and the residuals' drift since it rule out.
+that the last one and the residuals' drift since it rule out, and carries
+the search plan that the fit's first search builds.
 
 `fit_mcc` and `fit_mcc_vc` check H and T once; the loop then checks only what
 each step makes new (a finite ||beta||^2 and finite residuals).  Each step

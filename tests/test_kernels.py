@@ -607,14 +607,14 @@ def test_screen_is_within_its_bound(n, seed, loc, scale, sigma, centers):
     far = rng.random(n) < 0.1
     e[far] = rng.normal(0.0, 1e2, far.sum())
     c = np.sort(np.array(centers))
-    exact = kernels._exact_objectives(e, c, np.array([sigma]))[0]
+    exact = kernels._exact_objectives(e, c, np.full(c.size, sigma))
     count = int(kernels._node_counts(c, np.array([sigma]))[0])
     binned = kernels._lattice(np.sort(e), c, sigma, count)
     unbinned = (e, np.ones(n), 0.0, 0)
     for points, mass, h, rounding in (binned, unbinned):
         sq = (c[:, None] - points) ** 2
-        screen, bound = kernels._screened_objectives(sq, sigma, mass, n, h, rounding)
-        assert np.all(np.abs(screen - exact) <= bound)
+        screen = kernels._screened_objectives(sq, mass, kernels._width_table(sigma, n))
+        assert np.all(np.abs(screen - exact) <= kernels._screen_bound(sigma, n, h, rounding))
 
 
 def _per_point_lattice(sorted_e, centers, s, count):
@@ -685,8 +685,9 @@ def _check_lattice(e, centers, s, exact=True):
     moment_tol = eps * (c @ (4.0 * gap + c * top) + (count + 4) * x.size * np.abs(nodes).max())
     assert abs(mass @ nodes - math.fsum(x)) <= moment_tol
     sq = (centers[:, None] - nodes) ** 2
-    screen, bound = kernels._screened_objectives(sq, s, mass, n, h, rounding)
-    assert np.all(np.abs(screen - kernels._exact_objectives(e, centers, np.array([s]))[0]) <= bound)
+    screen = kernels._screened_objectives(sq, mass, kernels._width_table(s, n))
+    exact = kernels._exact_objectives(e, centers, np.full(centers.size, s))
+    assert np.all(np.abs(screen - exact) <= kernels._screen_bound(s, n, h, rounding))
     return x, nodes
 
 
@@ -811,13 +812,12 @@ def _screen_off_by(theta, e, centers):
     screened objective at center j exactly theta[j] of its bound away from
     the exact objective, as far as the bound lets a screen err."""
     index = {row.tobytes(): j for j, row in enumerate((centers[:, None] - e) ** 2)}
-    screen = kernels._screened_objectives
 
-    def off(sq, s, *args):
-        _, bound = screen(sq, s, *args)
+    def off(sq, mass, widths):
         j = np.array([index[row.tobytes()] for row in sq])
-        exact = kernels._exact_objectives(e, centers[j], np.ravel(s))
-        return (exact[0] if np.ndim(s) == 0 else exact) + theta[j] * bound, bound
+        c, s = np.broadcast_arrays(centers[j], widths[..., 0])
+        exact = kernels._exact_objectives(e, c.ravel(), s.ravel()).reshape(s.shape)
+        return exact + theta[j] * kernels._screen_bound(s, e.size, 0.0, 0)
 
     return off
 
@@ -898,9 +898,9 @@ def _warm_searches(searches, grid):
         fresh = optimize_params(e, grid)
         widths = {}
 
-        def counted(sq, s, *args):
-            widths.update(dict.fromkeys(np.ravel(s)))
-            return screen(sq, s, *args)
+        def counted(sq, mass, rows):
+            widths.update(dict.fromkeys(np.ravel(rows[..., 0])))
+            return screen(sq, mass, rows)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_screened_objectives", counted)
@@ -909,9 +909,56 @@ def _warm_searches(searches, grid):
     return screened
 
 
+def _search_work(problems, grid):
+    """Fit each (H, t) of `problems` by `fit_mcc_vc` on `grid`, and count through
+    the search's seams the (width, center) points screened, the points
+    rescored exactly and, summed over the searches, the distinct widths each
+    one screened."""
+    work, widths = dict.fromkeys(("screened", "exact", "widths"), 0), set()
+    screen, exact, optimize = kernels._screened_objectives, kernels._exact_objectives, solvers.optimize_params
+
+    def counted_screen(sq, mass, rows):
+        out = screen(sq, mass, rows)
+        work["screened"] += out.size
+        widths.update(np.ravel(rows[..., 0]))
+        return out
+
+    def counted_exact(e, centers, sigmas):
+        work["exact"] += sigmas.size
+        return exact(e, centers, sigmas)
+
+    def search(e, grid, state):
+        widths.clear()
+        out = optimize(e, grid, state)
+        work["widths"] += len(widths)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_screened_objectives", counted_screen)
+        mp.setattr(kernels, "_exact_objectives", counted_exact)
+        mp.setattr(solvers, "optimize_params", search)
+        for H, t in problems:
+            fit_mcc_vc(H, t, grid)
+    return work
+
+
 class TestCarriedBounds:
     """Searches sharing a `RowBounds` return what searches without one do, bit
     for bit, and screen only the widths that can still hold the minimum."""
+
+    @pytest.mark.parametrize("n, cases, seeds, screened, exact, widths", [
+        (400, (1, 2, 3, 4), range(10), 131430, 505, 4170),
+        (20000, (2, 4), range(3), 20667, 213, 663),
+    ])
+    def test_search_work_per_fit(self, n, cases, seeds, screened, exact, widths):
+        # The work of a search that screened and rescored one width per call:
+        # running each stage once over all contending widths saves calls,
+        # not kernel sums, so no count may rise above it.
+        problems = [synth_case_design(case, n, seed) for case in cases for seed in seeds]
+        work = _search_work(problems, default_param_grid())
+        assert work["screened"] <= screened
+        assert work["exact"] <= exact
+        assert work["widths"] <= widths
 
     def test_replayed_fits_at_n400(self):
         grid = default_param_grid()
@@ -934,7 +981,7 @@ class TestCarriedBounds:
         rows, exact = [], kernels._exact_objectives
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_exact_objectives",
-                       lambda e, c, s: rows.append(c.size * s.size) or exact(e, c, s))
+                       lambda e, c, s: rows.append(s.size) or exact(e, c, s))
             for case in (2, 4):
                 for seed in range(3):
                     fit_mcc_vc(*synth_case_design(case, 20000, seed), default_param_grid())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from mccvc import solvers
+from mccvc import kernels, solvers
 from mccvc.bench import synth_case_design
 from mccvc.errors import DegenerateWeightsError, SingularSystemError, SolverError
 from mccvc.features import elm_features, init_elm
@@ -18,6 +18,7 @@ from mccvc.kernels import (
     default_param_grid,
     gaussian_kernel,
     mcc_vc_cost,
+    param_objective,
 )
 from mccvc.solvers import (
     FitConfig,
@@ -27,7 +28,7 @@ from mccvc.solvers import (
     ridge_solve,
     weighted_ridge_step,
 )
-from test_kernels import _reference_optimize_params
+from test_kernels import _reference_optimize_params, _screen_off_by
 
 
 def _random_problem(rng, n=60, m=3, noise=0.1):
@@ -702,6 +703,17 @@ def _replay_reference(H, t, res, steps, kernel, lambda_prime):
         beta_prev = beta
 
 
+def _mirrored_problem():
+    """A design whose rows come in pairs (h, t) and (-h, -t), 128 of each: every
+    residual vector is mirrored, so the exact objectives at c and -c are sums
+    of the same two halves and tie bit for bit, and the targets' two modes at
+    +/-3 put the grid minimum at such a pair."""
+    rng = np.random.default_rng(22)
+    x = rng.uniform(0.5, 2.0, 128)
+    y = 1.5 * x + np.where(rng.random(128) < 0.5, 3.0, -3.0) + rng.normal(0.0, 0.3, 128)
+    return np.concatenate([x, -x])[:, None], np.concatenate([y, -y])
+
+
 def _clamped_problem():
     """A line through the origin fitted exactly by 90% of the samples: once beta
     is near its slope their residuals are within rounding of 0, a width far
@@ -745,6 +757,39 @@ class TestReferenceLoop:
         if problem == "clamped":
             assert any(params.sigma not in kernel.sigma_set for _, params, _ in steps)
         _replay_reference(H, t, res, steps, kernel, lambda_prime)
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, "mirrored"])
+    def test_every_step_with_screens_at_their_bound(self, case):
+        # Every screen of the fit errs by 0.9 of its bound (`_screen_off_by`):
+        # up at some centers and down at others, drawn afresh for each search,
+        # or, on the mirrored design, down at every center above 0 and up at
+        # every one below, so the screen favors the larger of two tied
+        # centers.  The searches rely on the bound alone, so each step is
+        # still the reference's.
+        if case == "mirrored":
+            H, t = _mirrored_problem()
+            grid = ParamGrid(default_param_grid().sigma_set, np.arange(-50, 51) / 10)
+        else:
+            H, t = synth_case_design(case, 400, 0)
+            grid = default_param_grid()
+        rng, screens, optimize = np.random.default_rng(70), [], solvers.optimize_params
+
+        def search(e, grid, state):
+            c = grid.center_set
+            theta = -0.9 * np.sign(c) if case == "mirrored" else rng.choice([-0.9, 0.9], c.size)
+            screens.append(_screen_off_by(theta, e, c))
+            return optimize(e, grid, state)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "optimize_params", search)
+            mp.setattr(kernels, "_screened_objectives", lambda *args: screens[-1](*args))
+            res, steps = _hooked(lambda hook: fit_mcc_vc(H, t, grid, FitConfig(), hook))
+        assert len(screens) == res.iterations_run > 1
+        _replay_reference(H, t, res, steps, grid, FitConfig().lambda_prime)
+        if case == "mirrored":
+            # The premise: the fit picks the lesser of two centers that tie.
+            assert any(p.center < 0.0 and param_objective(e, p.sigma, p.center)
+                       == param_objective(e, p.sigma, -p.center) for e, p, _ in steps)
 
 
 class TestHalfQuadraticDescent:
