@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_count, check_width
+from ._checks import check_count, check_width, finite_array
 from ._serialize import JsonRecord
 from .data import (
     MinMaxRecord,
@@ -190,6 +190,7 @@ class SynthBenchConfig(_BenchConfig):
         if not set(self.cases) <= CASE_LABELS.keys():
             raise ValueError(f"cases must be among {sorted(CASE_LABELS)}, got {self.cases!r}")
         check_count(self.n_samples, 1, "n_samples")
+        finite_array(self.w_star, "w_star", 1)
         _check_fit_settings(self, (self.lambda_prime,), self.mcc_sigmas)
 
 
@@ -358,41 +359,25 @@ def _candidate_list(method: str, cfg: DataBenchConfig):
     return [{"lambda_prime": lp} for lp in cfg.lambda_grid]
 
 
-def _fold_score(method: str, H, targets, fold, candidate: dict, cfg: DataBenchConfig,
-                spans_constant: bool | None = None) -> float:
-    """Validation RMSE of `candidate` fit on the training rows of one fold."""
-    train_idx, val_idx = fold
-    beta, result = _fit(
-        method, H[train_idx], targets[train_idx], candidate["lambda_prime"],
-        candidate.get("sigma"), cfg.vc_grid, cfg, spans_constant=spans_constant,
-    )
-    return rmse_predictions(predict(H[val_idx], beta) + _offset(result), targets[val_idx])
+def _cross_validate(candidates: list[dict], folds, score):
+    """The candidate of least mean `score(candidate, fold)` over `folds`, the
+    first in list order among equals, or None if every candidate fails a fold.
 
-
-def _cross_validate(method: str, H, targets, folds, cfg: DataBenchConfig,
-                    spans_constant: bool | None = None):
-    """The candidate of least mean validation RMSE over `folds`, the first in
-    list order among equals, or None if every candidate fails a fold.
-
-    A candidate whose fit raises SolverError on any fold is dropped.  The
-    candidates race: each is scored on the first fold, then the survivors are
-    completed in order of that score, and a candidate stops before its next
-    fold once it can no longer be picked.  Its fold RMSEs are non-negative and
-    float addition and division round monotonically, so `np.mean` of its
+    `score` is non-negative, such as a validation RMSE, and raises
+    SolverError where a candidate's fit fails; such a candidate is dropped.
+    The candidates race: each is scored on the first fold, then the survivors
+    are completed in order of that score, and a candidate stops before its
+    next fold once it can no longer be picked.  Its scores are non-negative
+    and float addition and division round monotonically, so `np.mean` of its
     scores so far padded with zeros for the folds it has not run, summed in
     `np.mean`'s own order, is a lower bound on its mean; once that bound
     exceeds the least complete mean, its mean would too.  So the race picks
     the candidate that scoring every fold of every candidate would pick.
     """
-    candidates = _candidate_list(method, cfg)
-
-    def score(i: int, fold) -> float:
-        return _fold_score(method, H, targets, fold, candidates[i], cfg, spans_constant)
-
     first = {}
-    for i in range(len(candidates)):
+    for i, candidate in enumerate(candidates):
         try:
-            first[i] = score(i, folds[0])
+            first[i] = score(candidate, folds[0])
         except SolverError:
             continue
     means, least = {}, np.inf
@@ -402,7 +387,7 @@ def _cross_validate(method: str, H, targets, folds, cfg: DataBenchConfig,
             for fold in folds[1:]:
                 if np.mean(scores + [0.0] * (len(folds) - len(scores))) > least:
                     break
-                scores.append(score(i, fold))
+                scores.append(score(candidates[i], fold))
             else:
                 means[i] = float(np.mean(scores))
                 least = min(least, means[i])
@@ -444,17 +429,26 @@ def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict
             # Every fold's training rows are rows of H_train, so they span 1 if
             # it does; otherwise each fit tests its own rows.
             spans = True if method == "mcc-vc" and _spans_constant(H_train) else None
-            candidate = _cross_validate(method, H_train, train.targets, folds, cfg, spans)
+
+            # One candidate fit on training rows, for the race and the final fit.
+            def fit(candidate: dict, rows):
+                return _fit(method, H_train[rows], train.targets[rows], candidate["lambda_prime"],
+                            candidate.get("sigma"), cfg.vc_grid, cfg, spans_constant=spans)
+
+            def score(candidate: dict, fold) -> float:
+                train_idx, val_idx = fold
+                beta, result = fit(candidate, train_idx)
+                return rmse_predictions(predict(H_train[val_idx], beta) + _offset(result),
+                                        train.targets[val_idx])
+
+            candidate = _cross_validate(_candidate_list(method, cfg), folds, score)
             select_time = time.perf_counter() - t0
             if candidate is None:
                 tally.failures += 1
                 continue
             t0 = time.perf_counter()
             try:
-                beta, result = _fit(
-                    method, H_train, train.targets, candidate["lambda_prime"],
-                    candidate.get("sigma"), cfg.vc_grid, cfg, spans_constant=spans,
-                )
+                beta, result = fit(candidate, slice(None))  # every training row
             except SolverError:
                 tally.failures += 1
                 continue
@@ -625,11 +619,14 @@ def run_kernel_trace(H, targets, cfg: KernelTraceConfig) -> tuple[list[dict], Fi
 
     Iteration k pairs the residuals of beta_{k-1} with the (sigma*, c*)
     selected on them, which is the kernel the weighting matrix used that step.
+    The hook copies the residuals of the requested iterations only, and the
+    kernel comes from the fit's trace.
     """
-    captured: dict[int, tuple[np.ndarray, float, float]] = {}
+    captured: dict[int, np.ndarray | None] = dict.fromkeys(cfg.iterations)
 
-    def hook(k, residuals, params, _beta):
-        captured[k] = (residuals.copy(), params.sigma, params.center)
+    def hook(k, residuals, _params, _beta):
+        if k in captured:
+            captured[k] = residuals.copy()
 
     _, result = _fit("mcc-vc", H, targets, cfg.lambda_prime, None, cfg.grid, cfg, hook)
 
@@ -639,18 +636,18 @@ def run_kernel_trace(H, targets, cfg: KernelTraceConfig) -> tuple[list[dict], Fi
             raise ValueError(
                 f"iteration {k} requested but the fit ran {result.iterations_run}"
             )
-        residuals, sigma, center = captured[k]
+        residuals, kernel = captured[k], result.trace[k - 1]
         lo, hi = _histogram_range(residuals, cfg.hist_range)
         density, edges = np.histogram(
             residuals, bins=cfg.bins, range=(lo, hi), density=True
         )
         curve_x = np.linspace(edges[0], edges[-1], CURVE_POINTS)
-        curve_y = gaussian_kernel(curve_x - center, sigma)
+        curve_y = gaussian_kernel(curve_x - kernel.center, kernel.sigma)
         traces.append(
             {
                 "iteration": k,
-                "sigma": sigma,
-                "center": center,
+                "sigma": kernel.sigma,
+                "center": kernel.center,
                 "residual_median": float(np.median(residuals)),
                 "bin_edges": [float(v) for v in edges],
                 "density": [float(v) for v in density],

@@ -27,15 +27,15 @@ the widths whose interval can still reach the grid minimum are screened again.
 The `RowBounds` also carries the fit's search plan, all that depends only on
 the grid, N and the clamped widths: the coarse and fine centers, each width's
 lattice size and bin decision, its kernel scale, normalizer, self-energy,
-unbinned screen bound and curvature reach, and its drift coefficients.  The
-first search builds it, and a search rebuilds it only for another grid,
-another N or a moved width clamp.  With it each stage runs once over all
-contending widths: one blocked coarse screen, one screen of every (width,
-center) pair the reach admits, and one exact rescore of every kept point
-after the best-first one.  Only calls are saved, not kernel sums: the plan's
-factors are the expressions the screen took per call, so every screened
-objective and its bound are what they were, the hoisted drift coefficients
-round within the drift's charge, and every pick is what it was.
+unbinned screen bound and curvature reach, and its drift coefficients.
+`RowBounds.carry` states, once, what each search keeps of the plan and of the
+intervals.  With the plan each stage runs once over all contending widths:
+one blocked coarse screen, one screen of every (width, center) pair the reach
+admits, and one exact rescore of every kept point after the best-first one.
+Only calls are saved, not kernel sums: the plan's factors are the expressions
+the screen took per call, so every screened objective and its bound are what
+they were, the hoisted drift coefficients round within the drift's charge,
+and every pick is what it was.
 """
 
 from __future__ import annotations
@@ -328,7 +328,7 @@ class _SearchPlan:
     and fine centers and the interval of each fine one, each width's lattice
     size, whether it is binned, its `_width_table` row, its unbinned screen
     bound and its curvature reach per coarse interval, and its drift
-    coefficients."""
+    coefficients.  `RowBounds.carry` decides when a search builds one."""
 
     def __init__(self, grid: ParamGrid, n: int, sigmas: np.ndarray):
         self.grid, self.n, self.sigmas = grid, n, sigmas
@@ -358,45 +358,48 @@ class _SearchPlan:
         self.slope = 2.0 / (SQRT_2PI * math.sqrt(math.e)) / sigmas / sigmas
         self.charge = 2.0 * (n + 16) * eps / SQRT_2PI / sigmas
 
-    def fits(self, grid: ParamGrid, n: int, sigmas: np.ndarray) -> bool:
-        """Whether this plan is the one of `grid`, N = `n` and these clamped widths."""
-        return self.grid is grid and self.n == n and (
-            self.sigmas is sigmas or np.array_equal(self.sigmas, sigmas))
-
 
 @dataclass
 class RowBounds:
     """What one fit's explicit-grid searches carry from one call to the next
     (see `optimize_params`): the search plan of the last call, its residuals,
     and per width an interval [lo, hi] that holds the least exact objective
-    of that width's row at those residuals.  The plan is built by the first
-    search and rebuilt only for another grid, another N or a moved width
-    clamp; it holds only what those three fix, each factor computed as a
-    search without it would, so a carried plan changes no pick.  A new state
-    holds none, so its first search screens every width."""
+    of that width's row at those residuals.  `carry` is the rule for what
+    the next search keeps of them."""
 
     plan: _SearchPlan | None = None
     errors: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
 
-    def intervals(self, e: np.ndarray, plan: _SearchPlan):
-        """Each width's interval at the residuals `e`: the carried one widened by
-        its drift bound, or (-inf, inf) for a width whose clamp moved and for
-        every width of a new state, of another grid or of another N."""
-        old = self.plan
-        if old is None or old.grid is not plan.grid or old.n != plan.n:
-            return np.full(plan.sigmas.size, -np.inf), np.full(plan.sigmas.size, np.inf)
+    def carry(self, e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray):
+        """The search plan of `grid`, N = e.size and the clamped `sigmas`, and
+        each width's interval [lo, hi] at the residuals `e`.  This is the one
+        rule for what a fit's searches carry:
+
+        - a new state, another grid or another N builds a new plan, and every
+          width starts at (-inf, inf);
+        - the same grid, N and clamped widths keep the plan, and each width's
+          carried interval is widened by its drift bound;
+        - a moved clamp builds a new plan, widens the intervals of the widths
+          that did not move and restarts those that did at (-inf, inf).
+
+        The plan holds only what the grid, N and the clamped widths fix, each
+        factor computed as a search without it would, so a carried plan
+        changes no pick."""
+        n, old = e.size, self.plan
+        if old is None or old.grid is not grid or old.n != n:
+            return _SearchPlan(grid, n, sigmas), np.full(sigmas.size, -np.inf), np.full(sigmas.size, np.inf)
+        moved = sigmas != old.sigmas
+        plan = _SearchPlan(grid, n, sigmas) if moved.any() else old
         # An overflowing drift is inf, which screens every width.
         with np.errstate(over="ignore"):
             # mean|e - e'| as np.mean takes it: one sum, one division by N.
-            step = float(np.abs(e - self.errors).sum()) / plan.n
-            drift = step * (1.0 + (plan.n + 8) * sys.float_info.epsilon) * plan.slope + plan.charge
+            step = float(np.abs(e - self.errors).sum()) / n
+            drift = step * (1.0 + (n + 8) * sys.float_info.epsilon) * plan.slope + plan.charge
             lo, hi = self.lo - drift, self.hi + drift
-        if old is not plan:
-            moved = plan.sigmas != old.sigmas
-            lo[moved], hi[moved] = -np.inf, np.inf
-        return lo, hi
+        lo[moved], hi[moved] = -np.inf, np.inf
+        return plan, lo, hi
 
 
 def _grid_search(e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray, state: RowBounds):
@@ -404,17 +407,14 @@ def _grid_search(e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray, state: RowB
     `optimize_params`): the width and center indices of every point it
     rescores exactly, and their exact objectives."""
     n = e.size
-    plan = state.plan
-    if plan is None or not plan.fits(grid, n, sigmas):
-        plan = _SearchPlan(grid, n, sigmas)
+    plan, lo, hi = state.carry(e, grid, sigmas)
     centers, coarse, fine = plan.centers, plan.coarse, plan.fine
-    lo, hi = state.intervals(e, plan)
     cut = hi.min()
     # The k contending widths; every table below has one row per width.
     rows = np.flatnonzero(lo <= cut)
     widths, bound, is_binned = plan.widths[rows], plan.bound[rows], plan.binned[rows]
     binned = np.flatnonzero(is_binned)
-    unbinned = np.flatnonzero(~is_binned) if binned.size else np.arange(rows.size)
+    unbinned = np.flatnonzero(~is_binned)
     sorted_e = np.sort(e) if binned.size else None
     head, ones, points = np.empty((rows.size, coarse.size)), plan.ones, {}
     # A square or exp argument past the largest float is inf, which screens
@@ -439,7 +439,7 @@ def _grid_search(e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray, state: RowB
         # One pass over every (width, center) pair of the unbinned rows that
         # the reach admits, then one per binned row over its own nodes; a
         # block's differences and kernel arguments hold `_BLOCK_VALUES` values.
-        pr, pf = np.nonzero(refine & ~is_binned[:, None] if binned.size else refine)
+        pr, pf = np.nonzero(refine & ~is_binned[:, None])
         step = max(1, _BLOCK_VALUES // (2 * n))
         for start in range(0, pr.size, step):
             r, j = pr[start:start + step], fine[pf[start:start + step]]
@@ -563,9 +563,9 @@ def optimize_params(
       lo <= U are screened, and their intervals are refreshed: lo to the
       least of the screened objectives minus their bound and the reaches of
       the intervals left unscreened, hi to the least screened objective plus
-      its bound, or the best-first exact objective where that is lower.  A
-      width whose clamped value moved since e' gets (-inf, inf), as do all of
-      a new state, so a search without a state screens every width.
+      its bound, or the best-first exact objective where that is lower.
+      `RowBounds.carry` states when an interval is widened and when it
+      restarts at (-inf, inf); a search without a state screens every width.
     - Drift bound.  The objective's e-dependent part is -2 (1/N) sum_i
       G(e_i - c), and |G'(u)| = p |u|/sigma^2 exp(-u^2/(2 sigma^2)) is at
       most p/(sigma sqrt(e)), at |u| = sigma.  So an exact objective moves
@@ -585,13 +585,12 @@ def optimize_params(
       lo - drift and hi + drift; the first one's falls within the slack of
       the screened bound.  The mean|e - e'| is computed with overflow
       ignored: an infinite drift widens every interval to (-inf, inf).
-    - Search plan.  `state` also carries the plan (see the module docstring),
-      built by the first search and rebuilt for another grid, another N or
-      a moved width clamp.  The screen's kernel scale -1/(2 sigma^2),
-      normalizer N sqrt(2 pi) sigma and self-energy 1/(2 sqrt(pi) sigma), the
-      unbinned bound and the reach's bend are the plan's, each computed by
-      the expression above from the same operands, so they are the same
-      floats a call would compute.  Each stage runs once over the k
+    - Search plan.  `state` also carries the plan (see `RowBounds.carry`).
+      The screen's kernel scale -1/(2 sigma^2), normalizer N sqrt(2 pi) sigma
+      and self-energy 1/(2 sqrt(pi) sigma), the unbinned bound and the
+      reach's bend are the plan's, each computed by the expression above
+      from the same operands, so they are the same floats a call would
+      compute.  Each stage runs once over the k
       contending widths, on (k, C) tables: one blocked coarse screen, one
       screen of every (width, center) pair of the unbinned rows that the
       reach admits (a binned row screens its own nodes), and one exact

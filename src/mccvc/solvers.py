@@ -30,7 +30,7 @@ it is, keeps the first iteration's c* and re-chooses only sigma on the
 one-center grid {c*}.  The (sigma, c) searches of one fit share a
 `kernels.RowBounds`, which lets each explicit-grid search skip the widths
 that the last one and the residuals' drift since it rule out, and carries
-the search plan that the fit's first search builds.
+the fit's search plan; `RowBounds.carry` states what each search keeps.
 
 `fit_mcc` and `fit_mcc_vc` check H and T once; the loop then checks only what
 each step makes new (a finite ||beta||^2 and finite residuals).  Each step

@@ -309,19 +309,18 @@ class TestDataBench:
             bench._fit("boost", H, t, 1e-4, 1.0, None, self._cfg())
 
 
-def _exhaustive_cross_validate(method, H, targets, folds, cfg):
+def _exhaustive_cross_validate(candidates, folds, score):
     """Reference selection: score every fold of every candidate, drop a
     candidate on a SolverError, and keep the first strictly least mean."""
     best_score, best = np.inf, None
-    for candidate in bench._candidate_list(method, cfg):
+    for candidate in candidates:
         try:
-            scores = [bench._fold_score(method, H, targets, fold, candidate, cfg)
-                      for fold in folds]
+            scores = [score(candidate, fold) for fold in folds]
         except bench.SolverError:
             continue
-        score = float(np.mean(scores))
-        if score < best_score:
-            best_score, best = score, candidate
+        mean = float(np.mean(scores))
+        if mean < best_score:
+            best_score, best = mean, candidate
     return best
 
 
@@ -338,15 +337,15 @@ class TestCrossValidationRace:
     replay score tables through it and through the exhaustive reference."""
 
     @staticmethod
-    def _replay(table, monkeypatch):
+    def _replay(table):
         """Both selections on `table` (candidates x folds; None is a fold whose
         fit raises SolverError) and the cells the race scored."""
         n_candidates, n_folds = len(table), len(table[0])
         cfg = DataBenchConfig(lambda_grid=tuple(float(j) for j in range(n_candidates)),
                               folds=n_folds)
-        scored = []
+        candidates, scored = bench._candidate_list("mcc-vc", cfg), []
 
-        def fold_score(method, H, targets, fold, candidate, cfg, spans_constant=None):
+        def score(candidate, fold):
             cell = (int(candidate["lambda_prime"]), fold)
             scored.append(cell)
             value = table[cell[0]][fold]
@@ -354,11 +353,10 @@ class TestCrossValidationRace:
                 raise bench.SolverError("replayed failure")
             return value
 
-        monkeypatch.setattr(bench, "_fold_score", fold_score)
         folds = list(range(n_folds))
-        race = bench._cross_validate("mcc-vc", None, None, folds, cfg)
+        race = bench._cross_validate(candidates, folds, score)
         raced = list(scored)
-        reference = _exhaustive_cross_validate("mcc-vc", None, None, folds, cfg)
+        reference = _exhaustive_cross_validate(candidates, folds, score)
         return race, reference, raced
 
     @staticmethod
@@ -390,12 +388,12 @@ class TestCrossValidationRace:
                     row[f] = None
         return table
 
-    def test_random_tables_pick_as_the_exhaustive_rule(self, monkeypatch):
+    def test_random_tables_pick_as_the_exhaustive_rule(self):
         rng = np.random.default_rng(2024)
         pruned = 0
         for _ in range(3000):
             table = self._table(rng)
-            race, reference, raced = self._replay(table, monkeypatch)
+            race, reference, raced = self._replay(table)
             assert race == reference, table
             assert len(set(raced)) == len(raced)
             pruned += len(table) * len(table[0]) - len(raced)
@@ -410,13 +408,13 @@ class TestCrossValidationRace:
         ([[1.0, None], [2.0, 2.0], [None, 0.0]], 1),
         ([[None, 1.0], [1.0, None]], None),
     ])
-    def test_ties_zeros_and_failures(self, table, pick, monkeypatch):
-        race, reference, _ = self._replay(table, monkeypatch)
+    def test_ties_zeros_and_failures(self, table, pick):
+        race, reference, _ = self._replay(table)
         assert reference == (None if pick is None else {"lambda_prime": float(pick)})
         assert race == reference
 
     @pytest.mark.parametrize("n_folds", [3, 5, 8, 10])
-    def test_means_that_tie_only_after_np_mean_rounds(self, n_folds, monkeypatch):
+    def test_means_that_tie_only_after_np_mean_rounds(self, n_folds):
         # Candidate 1 permutes candidate 0's scores, zero first, so it is
         # completed first; candidate 0's last fold scores 0.  Their exact sums
         # are equal, and where np.mean (a pairwise sum from 8 folds on)
@@ -432,7 +430,7 @@ class TestCrossValidationRace:
             if float(np.mean(other)) == mean:
                 sensitive += (sum(row) / n_folds > mean
                               or math.fsum(row) > n_folds * mean)
-            race, reference, _ = self._replay([scores, other], monkeypatch)
+            race, reference, _ = self._replay([scores, other])
             assert race == reference
         assert sensitive > 0
 
@@ -451,13 +449,57 @@ class TestCrossValidationRace:
             calls["fit_mcc"] += 1
             return real(*args, **kwargs)
 
+        def score(candidate, fold):
+            train_idx, val_idx = fold
+            beta, result = bench._fit("mcc", H[train_idx], train.targets[train_idx],
+                                      candidate["lambda_prime"], candidate["sigma"], cfg.vc_grid, cfg)
+            return bench.rmse_predictions(bench.predict(H[val_idx], beta) + bench._offset(result),
+                                          train.targets[val_idx])
+
         monkeypatch.setattr(bench, "fit_mcc", counted)
-        race = bench._cross_validate("mcc", H, train.targets, folds, cfg)
+        candidates = bench._candidate_list("mcc", cfg)
+        race = bench._cross_validate(candidates, folds, score)
         raced, calls["fit_mcc"] = calls["fit_mcc"], 0
-        reference = _exhaustive_cross_validate("mcc", H, train.targets, folds, cfg)
+        reference = _exhaustive_cross_validate(candidates, folds, score)
         assert race == reference
         # Every lambda' = 0 candidate fails its first fold either way.
         assert raced < calls["fit_mcc"] == 8 * 5 + 4
+
+
+@pytest.fixture(scope="module")
+def elm_sinc_cv(tmp_path_factory):
+    """perfbench's elm-sinc-cv workload, set up on its criterion-11 CSV."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.workloads import ElmSincCV
+    workload = ElmSincCV()
+    workload.setup(0, tmp_path_factory.mktemp("elm-sinc-cv"))
+    return workload
+
+
+class TestDataBenchFits:
+    """The fits of each elm-sinc-cv data-bench call (the race's first-fold and
+    completing fits, and the final one) and its span tests, as pinned on the
+    first two split seeds, those of tools/report_digest.py."""
+
+    @pytest.mark.parametrize("seed, method, fits", [
+        (42, "relm", {"ridge_solve": 22}),
+        (42, "elm-mcc", {"fit_mcc": 119}),
+        (42, "elm-mcc-vc", {"fit_mcc_vc": 22, "_spans_constant": 1}),
+        (43, "relm", {"ridge_solve": 22}),
+        (43, "elm-mcc", {"fit_mcc": 120}),
+        (43, "elm-mcc-vc", {"fit_mcc_vc": 22, "_spans_constant": 1}),
+    ])
+    def test_fits_per_call(self, elm_sinc_cv, seed, method, fits, tmp_path, monkeypatch, capsys):
+        calls = Counter()
+        for name in ("ridge_solve", "fit_mcc", "fit_mcc_vc", "_spans_constant"):
+            def counted(*args, _name=name, _fn=getattr(bench, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(bench, name, counted)
+        assert main(elm_sinc_cv.argv(method, seed, tmp_path / "report.json")) == 0
+        assert calls == fits
 
 
 class TestSpanAnswer:
@@ -569,6 +611,19 @@ class TestKernelTrace:
     ])
     def test_histogram_range_fallbacks(self, residuals, expected):
         assert bench._histogram_range(np.array(residuals), "robust") == expected
+
+    def test_each_trace_is_its_step(self):
+        # Each requested iteration's residuals and kernel are those the fit's
+        # hook sees at that step, whatever the order requested.
+        H, t = synth_case_design(2, 200, 3)
+        steps = {}
+        bench.fit_mcc_vc(H, t, bench.default_param_grid(),
+                         on_iteration=lambda k, e, params, _: steps.setdefault(k, (e.copy(), params)))
+        traces, _ = run_kernel_trace(H, t, KernelTraceConfig(iterations=(3, 1)))
+        for tr in traces:
+            e, params = steps[tr["iteration"]]
+            assert (tr["sigma"], tr["center"]) == (params.sigma, params.center)
+            assert tr["residual_median"] == float(np.median(e))
 
     def test_deterministic(self):
         H, t = synth_case_design(1, 150, 9)
@@ -717,6 +772,10 @@ class TestCli:
         (SynthBenchConfig, {"cases": (2, 2)}),
         (SynthBenchConfig, {"cases": (1, 5)}),
         (SynthBenchConfig, {"cases": (0,)}),
+        # Generating weights: a non-empty finite vector.
+        (SynthBenchConfig, {"w_star": ()}),
+        (SynthBenchConfig, {"w_star": (float("nan"),)}),
+        (SynthBenchConfig, {"w_star": ((1.0, 2.0),)}),
         (DataBenchConfig, {"methods": ("relm", "relm")}),
         # Two names of one method.
         (DataBenchConfig, {"methods": ("relm", "mmse")}),

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from mccvc import kernels, solvers
@@ -757,6 +759,47 @@ class TestReferenceLoop:
         if problem == "clamped":
             assert any(params.sigma not in kernel.sigma_set for _, params, _ in steps)
         _replay_reference(H, t, res, steps, kernel, lambda_prime)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(8, 160),
+        m=st.integers(1, 3),
+        hidden=st.sampled_from([0, 3, 6]),
+        case=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        widths=st.lists(st.floats(0.05, 6.0), min_size=1, max_size=6),
+        clamped=st.integers(0, 2),
+        rule=st.sampled_from(["grid", "mean", "median"]),
+        n_centers=st.integers(2, 30),
+        reach=st.floats(0.5, 8.0),
+        lambda_prime=st.sampled_from([1e-8, 1e-4, 1e-2, 1.0]),
+        exact=st.booleans(),
+    )
+    def test_drawn_designs(self, n, m, hidden, case, seed, widths, clamped, rule, n_centers,
+                           reach, lambda_prime, exact):
+        # m inputs of one contamination case, as linear features or through an
+        # ELM layer of `hidden` nodes, with the case's noise on every target
+        # or, `exact`, on every 10th only.  Widths below 1e-5 lie under the
+        # clamp floor, 1e-3 of a residual spread that moves at every step, so
+        # on an explicit grid the carried rows of the clamped widths restart
+        # in the middle of the fit, and near-exact residuals let them win.
+        H, t = synth_case_design(case, n, seed, tuple(np.linspace(1.0, 2.0, m)))
+        if hidden:
+            H = elm_features(init_elm(m, hidden, seed), H)
+        if exact:
+            t = np.where(np.arange(n) % 10, H.sum(axis=1), t)
+        sigmas = np.unique([*widths, *np.geomspace(1e-9, 1e-5, clamped)])
+        centers = np.linspace(-reach, reach, n_centers) if rule == "grid" else None
+        grid = ParamGrid(sigmas, centers, rule)
+        config = FitConfig(lambda_prime, max_iterations=30)
+        try:
+            res, steps = _hooked(lambda hook: fit_mcc_vc(H, t, grid, config, hook))
+        except DegenerateWeightsError:
+            # A picked kernel that reaches no residual (a mean-rule center in
+            # a gap of the residuals, say) raises by the step's stated rule,
+            # and leaves no fit to replay.
+            reject()
+        _replay_reference(H, t, res, steps, grid, lambda_prime)
 
     @pytest.mark.parametrize("case", [1, 2, 3, 4, "mirrored"])
     def test_every_step_with_screens_at_their_bound(self, case):
