@@ -9,7 +9,9 @@
 - `same_rows`: a vector has one entry per row of a matrix.
 - `increasing_grid`: a search grid is a non-empty, finite, strictly
   increasing 1-D sequence; it is returned as a read-only copy.
-- `check_count`: a count is an integer of at least a lower bound.
+- `check_integer`: an integer setting is an integer, not a float such as
+  2.0; `check_count`: a count is such an integer of at least a lower bound.
+- `check_bool`: a yes/no setting is True or False, not a truthy string.
 
 Each raises ValueError naming the input it rejects.  `frozen_copy` makes
 the read-only copy that a frozen record stores, so that the caller's array
@@ -81,13 +83,27 @@ def frozen_copy(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def check_count(value, low: int, name: str) -> int:
-    """Return a count as an int; reject it unless it is an integer (a float,
-    even 2.0, is not) of at least `low`."""
+def check_integer(value, name: str) -> int:
+    """Return an integer setting as an int; reject it unless it is an integer
+    (a float, even 2.0, is not)."""
     try:
-        count = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_count(value, low: int, name: str) -> int:
+    """Return a count as an int; reject it unless it is an integer of at least
+    `low`."""
+    count = check_integer(value, name)
     if count < low:
         raise ValueError(f"{name} must be at least {low}, got {count}")
     return count
+
+
+def check_bool(value, name: str) -> bool:
+    """Return a yes/no setting; reject it unless it is True or False (a
+    non-empty string such as "false" is truthy)."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+    return value

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_count, check_width, finite_array
+from ._checks import check_bool, check_count, check_integer, check_width, finite_array
 from ._serialize import JsonRecord
 from .data import (
     MinMaxRecord,
@@ -89,6 +89,12 @@ def _check_fit_settings(cfg, lambdas, mcc_widths=()):
         FitConfig(lambda_prime, cfg.max_iterations, cfg.tolerance)
     for sigma in mcc_widths:
         check_width(sigma, "mcc width")
+
+
+def _check_case(case):
+    """Reject a contamination case unless it is an integer (not 2.0) in 1-4."""
+    if check_integer(case, "case") not in CASE_LABELS:
+        raise ValueError(f"case must be one of {sorted(CASE_LABELS)}, got {case!r}")
 
 
 def _check_distinct(cfg, names):
@@ -187,8 +193,8 @@ class SynthBenchConfig(_BenchConfig):
         for m in self.methods:
             if m not in ("mmse", "mcc", "mcc-vc"):
                 raise ValueError(f"unknown method {m!r}")
-        if not set(self.cases) <= CASE_LABELS.keys():
-            raise ValueError(f"cases must be among {sorted(CASE_LABELS)}, got {self.cases!r}")
+        for case in self.cases:
+            _check_case(case)
         check_count(self.n_samples, 1, "n_samples")
         finite_array(self.w_star, "w_star", 1)
         _check_fit_settings(self, (self.lambda_prime,), self.mcc_sigmas)
@@ -315,6 +321,9 @@ class DataBenchConfig(_BenchConfig):
         _check_distinct(self, ("methods", "lambda_grid", "mcc_sigma_grid"))
         if len({canonical_method(m) for m in self.methods}) < len(self.methods):
             raise ValueError(f"methods must name distinct fits, got {self.methods!r}")
+        if not isinstance(self.target, str):
+            check_integer(self.target, "target")
+        check_bool(self.bias_column, "bias_column")
         check_count(self.hidden, 1, "hidden")
         check_count(self.folds, 2, "folds")
         SplitSpec(train_fraction=self.train_fraction)
@@ -508,6 +517,8 @@ class FitCmdConfig(JsonRecord):
         canonical_method(self.method)
         check_count(self.seed, 0, "seed")
         check_count(self.hidden, 1, "hidden")
+        check_bool(self.bias_column, "bias_column")
+        check_bool(self.normalize, "normalize")
         _check_fit_settings(self, (self.lambda_prime,), (self.mcc_sigma,))
 
 
@@ -662,8 +673,7 @@ def synth_case_design(
     case: int, n_samples: int, seed: int, w_star: tuple[float, ...] = (1.0, 2.0)
 ) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix and targets for one contamination case of the benchmark."""
-    if case not in CASE_LABELS:
-        raise ValueError(f"case must be one of {sorted(CASE_LABELS)}")
+    _check_case(case)
     check_count(n_samples, 1, "n_samples")
     check_count(seed, 0, "seed")
     noise: NoiseModel = inner_noise_presets()[case - 1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -167,9 +168,10 @@ class TabularDataset:
 def load_csv(path, has_header: bool, target_column) -> TabularDataset:
     """Read a numeric CSV into features and a target column.
 
-    `target_column` is a 0-based column index (negative counts from the end)
-    or, when `has_header`, a column name.  A cell that is not a finite number
-    ('abc', 'nan', '1e309') is a DataError naming its 1-based row and column.
+    `target_column` is a 0-based integer column index (negative counts from
+    the end; a float such as 1.5 is a DataError) or, when `has_header`, a
+    column name.  A cell that is not a finite number ('abc', 'nan', '1e309')
+    is a DataError naming its 1-based row and column.
     The file is UTF-8; a leading byte-order mark, as spreadsheet exports
     write, is skipped.
     """
@@ -216,7 +218,10 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
             raise DataError(f"{path}: no column named {target_column!r}")
         target_idx = names.index(target_column)
     else:
-        target_idx = int(target_column)
+        try:
+            target_idx = operator.index(target_column)
+        except TypeError:
+            raise DataError(f"target column must be a name or an integer, got {target_column!r}") from None
         if not -width <= target_idx < width:
             raise DataError(f"{path}: target column {target_column} out of range")
         target_idx %= width

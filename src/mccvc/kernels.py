@@ -29,9 +29,12 @@ the grid, N and the clamped widths: the coarse and fine centers, each width's
 lattice size and bin decision, its kernel scale, normalizer, self-energy,
 unbinned screen bound and curvature reach, and its drift coefficients.
 `RowBounds.carry` states, once, what each search keeps of the plan and of the
-intervals.  With the plan each stage runs once over all contending widths:
-one blocked coarse screen, one screen of every (width, center) pair the reach
-admits, and one exact rescore of every kept point after the best-first one.
+intervals.  With the plan each stage runs once over all contending widths,
+grouped by the points they sum over (the unbinned widths share the errors,
+each binned width has its lattice): one coarse screen per group, broadcast
+over blocks of its widths, one screen per group of every (width, center) pair
+the reach admits, and one exact rescore of every kept point after the
+best-first one.
 Only calls are saved, not kernel sums: the plan's factors are the expressions
 the screen took per call, so every screened objective and its bound are what
 they were, the hoisted drift coefficients round within the drift's charge,
@@ -413,42 +416,42 @@ def _grid_search(e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray, state: RowB
     # The k contending widths; every table below has one row per width.
     rows = np.flatnonzero(lo <= cut)
     widths, bound, is_binned = plan.widths[rows], plan.bound[rows], plan.binned[rows]
-    binned = np.flatnonzero(is_binned)
-    unbinned = np.flatnonzero(~is_binned)
+    # The point groups (points, masses, rows, pairs per refine block): the
+    # unbinned rows share the errors with unit masses, in blocks whose
+    # differences and kernel arguments hold `_BLOCK_VALUES` values, and each
+    # binned row has its lattice, its bound and one block (a matvec's sums
+    # depend on where its rows are split, so each keeps its own split).
+    unbinned, binned = np.flatnonzero(~is_binned), np.flatnonzero(is_binned)
+    groups = [(e, plan.ones, unbinned, max(1, _BLOCK_VALUES // (2 * n)))] if unbinned.size else []
     sorted_e = np.sort(e) if binned.size else None
-    head, ones, points = np.empty((rows.size, coarse.size)), plan.ones, {}
+    for k, r in enumerate(binned):
+        i = rows[r]
+        nodes, mass, h, rounding = _lattice(sorted_e, centers, sigmas[i], int(plan.counts[i]))
+        bound[r] = _screen_bound(sigmas[i], n, h, rounding)
+        groups.append((nodes, mass, binned[k:k + 1], fine.size))
+    head = np.empty((rows.size, coarse.size))
     # A square or exp argument past the largest float is inf, which screens
     # as a clipped difference, so that overflow is silenced.
     with np.errstate(over="ignore"):
-        if unbinned.size:
-            sq = (centers[coarse, None] - e) ** 2
+        # One pass per group at the coarse centers, over blocks of its rows.
+        for x, mass, members, _ in groups:
+            sq = (centers[coarse, None] - x) ** 2
             step = max(1, _BLOCK_VALUES // sq.size)
-            for start in range(0, unbinned.size, step):
-                block = unbinned[start:start + step]
-                head[block] = _screened_objectives(sq, ones, widths[block, None])
-        for r in binned:
-            i = rows[r]
-            nodes, mass, h, rounding = points[r] = _lattice(sorted_e, centers, sigmas[i], int(plan.counts[i]))
-            head[r] = _screened_objectives((centers[coarse, None] - nodes) ** 2, mass, widths[r])
-            bound[r] = _screen_bound(sigmas[i], n, h, rounding)
+            for start in range(0, members.size, step):
+                block = members[start:start + step]
+                head[block] = _screened_objectives(sq, mass, widths[block, None])
         objective = np.full((rows.size, centers.size), np.inf)
         objective[:, coarse] = head
         cut = min(cut, (head + bound[:, None]).min())
         reach = (np.minimum(head[:, :-1], head[:, 1:]) - bound[:, None] - plan.bend[rows])[:, plan.interval]
         refine = reach <= cut
-        # One pass over every (width, center) pair of the unbinned rows that
-        # the reach admits, then one per binned row over its own nodes; a
-        # block's differences and kernel arguments hold `_BLOCK_VALUES` values.
-        pr, pf = np.nonzero(refine & ~is_binned[:, None])
-        step = max(1, _BLOCK_VALUES // (2 * n))
-        for start in range(0, pr.size, step):
-            r, j = pr[start:start + step], fine[pf[start:start + step]]
-            sq = centers[j, None] - e
-            objective[r, j] = _screened_objectives(np.square(sq, out=sq), ones, widths[r])
-        for r in binned[refine[binned].any(axis=1)]:
-            nodes, mass, _, _ = points[r]
-            j = fine[refine[r]]
-            objective[r, j] = _screened_objectives((centers[j, None] - nodes) ** 2, mass, widths[r])
+        # One pass per group over the (row, center) pairs the reach admits.
+        for x, mass, members, step in groups:
+            pr, pf = np.nonzero(refine[members])
+            for start in range(0, pr.size, step):
+                r, j = members[pr[start:start + step]], fine[pf[start:start + step]]
+                sq = centers[j, None] - x
+                objective[r, j] = _screened_objectives(np.square(sq, out=sq), mass, widths[r])
     least = objective.min(axis=1)
     unrefined = np.where(refine, np.inf, reach).min(axis=1, initial=np.inf)
     lo[rows] = np.minimum(least - bound, unrefined)
@@ -590,11 +593,14 @@ def optimize_params(
       and self-energy 1/(2 sqrt(pi) sigma), the unbinned bound and the
       reach's bend are the plan's, each computed by the expression above
       from the same operands, so they are the same floats a call would
-      compute.  Each stage runs once over the k
-      contending widths, on (k, C) tables: one blocked coarse screen, one
-      screen of every (width, center) pair of the unbinned rows that the
-      reach admits (a binned row screens its own nodes), and one exact
-      rescore of every kept point.  The screen and the bounds see the same
+      compute.  Each stage runs once over the k contending widths, on (k, C)
+      tables, one pass per point group: the unbinned rows form one group
+      over the errors with unit masses, and each binned row its own over its
+      lattice.  The coarse stage screens each group at the coarse centers,
+      broadcast over blocks of its rows; the refine stage screens each
+      group's (width, center) pairs that the reach admits, the unbinned ones
+      in blocks and a binned row's in one; then one exact rescore of every
+      kept point.  The screen and the bounds see the same
       values either way, and a screen of a point is within its bound in any
       summation order, so every pick is the same.
     - Certified rescore, best first.  The point with the least screened

@@ -772,6 +772,15 @@ class TestCli:
         (SynthBenchConfig, {"cases": (2, 2)}),
         (SynthBenchConfig, {"cases": (1, 5)}),
         (SynthBenchConfig, {"cases": (0,)}),
+        # A case number and a numeric target column must be integers.
+        (SynthBenchConfig, {"cases": (1.0,)}),
+        (SynthBenchConfig, {"cases": (2, 3.0)}),
+        (DataBenchConfig, {"target": 1.5}),
+        (DataBenchConfig, {"target": 1.0}),
+        # A yes/no setting must be True or False: "false" and "no" are truthy.
+        (FitCmdConfig, {"normalize": "false"}),
+        (FitCmdConfig, {"bias_column": "no"}),
+        (DataBenchConfig, {"bias_column": "no"}),
         # Generating weights: a non-empty finite vector.
         (SynthBenchConfig, {"w_star": ()}),
         (SynthBenchConfig, {"w_star": (float("nan"),)}),
@@ -830,6 +839,11 @@ class TestCli:
     def test_synth_case_design_checks_its_counts(self, n_samples, seed, name):
         with pytest.raises(ValueError, match=f"^{name} must be at least"):
             synth_case_design(2, n_samples, seed)
+
+    @pytest.mark.parametrize("case", [1.0, 5])
+    def test_synth_case_design_checks_its_case(self, case):
+        with pytest.raises(ValueError, match="^case must be"):
+            synth_case_design(case, 10, 0)
 
     def test_numerical_error_exit_code(self, tmp_path, capsys):
         # all-zero feature column + no regularization: singular normal equations

@@ -912,10 +912,11 @@ def _warm_searches(searches, grid):
 def _search_work(problems, grid):
     """Fit each (H, t) of `problems` by `fit_mcc_vc` on `grid`, and count through
     the search's seams the (width, center) points screened, the points
-    rescored exactly and, summed over the searches, the distinct widths each
-    one screened."""
-    work, widths = dict.fromkeys(("screened", "exact", "widths"), 0), set()
+    rescored exactly, the lattices built and, summed over the searches, the
+    distinct widths each one screened."""
+    work, widths = dict.fromkeys(("screened", "exact", "widths", "lattices"), 0), set()
     screen, exact, optimize = kernels._screened_objectives, kernels._exact_objectives, solvers.optimize_params
+    lattice = kernels._lattice
 
     def counted_screen(sq, mass, rows):
         out = screen(sq, mass, rows)
@@ -927,6 +928,10 @@ def _search_work(problems, grid):
         work["exact"] += sigmas.size
         return exact(e, centers, sigmas)
 
+    def counted_lattice(*args):
+        work["lattices"] += 1
+        return lattice(*args)
+
     def search(e, grid, state):
         widths.clear()
         out = optimize(e, grid, state)
@@ -936,6 +941,7 @@ def _search_work(problems, grid):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_screened_objectives", counted_screen)
         mp.setattr(kernels, "_exact_objectives", counted_exact)
+        mp.setattr(kernels, "_lattice", counted_lattice)
         mp.setattr(solvers, "optimize_params", search)
         for H, t in problems:
             fit_mcc_vc(H, t, grid)
@@ -946,19 +952,27 @@ class TestCarriedBounds:
     """Searches sharing a `RowBounds` return what searches without one do, bit
     for bit, and screen only the widths that can still hold the minimum."""
 
-    @pytest.mark.parametrize("n, cases, seeds, screened, exact, widths", [
-        (400, (1, 2, 3, 4), range(10), 131430, 505, 4170),
-        (20000, (2, 4), range(3), 20667, 213, 663),
-    ])
-    def test_search_work_per_fit(self, n, cases, seeds, screened, exact, widths):
+    @pytest.mark.parametrize("n, cases, seeds, grid, screened, exact, widths, lattices", [
+        # The default grid: no width is binned at N=400, every width at N=20000.
+        (400, (1, 2, 3, 4), range(10), None, 131430, 505, 4170, 0),
+        (20000, (2, 4), range(3), None, 20667, 213, 663, 663),
+        # Widths 0.02:0.04:0.98 and centers -4.6:0.4:4.6, as the CLI builds
+        # them: at N=5000 every width but 0.02 is binned, so one search
+        # screens rows of both kinds.
+        (5000, (2, 4), range(2), (0.02 + 0.04 * np.arange(25), -4.6 + 0.4 * np.arange(24)),
+         23655, 96, 1047, 958),
+    ], ids=["n400", "n20000", "n5000-mixed"])
+    def test_search_work_per_fit(self, n, cases, seeds, grid, screened, exact, widths, lattices):
         # The work of a search that screened and rescored one width per call:
         # running each stage once over all contending widths saves calls,
         # not kernel sums, so no count may rise above it.
+        grid = default_param_grid() if grid is None else ParamGrid(*grid)
         problems = [synth_case_design(case, n, seed) for case in cases for seed in seeds]
-        work = _search_work(problems, default_param_grid())
+        work = _search_work(problems, grid)
         assert work["screened"] <= screened
         assert work["exact"] <= exact
         assert work["widths"] <= widths
+        assert work["lattices"] <= lattices
 
     def test_replayed_fits_at_n400(self):
         grid = default_param_grid()

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
@@ -343,7 +343,7 @@ class TestFixedPointLoops:
         assert np.all(np.isfinite(res.beta))
 
     def test_fit_mcc_rejects_width_whose_square_underflows(self):
-        # The one width rule of `kernels._check_width`, as in `gaussian_kernel`.
+        # The one width rule, `_checks.check_width`, as in `gaussian_kernel`.
         H, t, _ = _random_problem(np.random.default_rng(4))
         with pytest.raises(ValueError, match="underflows"):
             fit_mcc(H, t, 1e-300, FitConfig(lambda_prime=1e-4))
@@ -676,7 +676,9 @@ def _replay_reference(H, t, res, steps, kernel, lambda_prime):
     `kernel` a float), `np.linalg.solve` on the weighted normal equations at
     the hook's residuals, and the cost from its definition.  Each step's
     (sigma, c) must be the reference pick, beta within 1e-9 relative of the
-    reference solve and the traced cost within 1e-12 relative.  Two
+    reference solve, and the traced cost `mcc_vc_cost` at beta bit for bit
+    and within 1e-13 of V + penalty of the definition: J = -V + penalty can
+    cancel far below its terms, so J itself is no scale for the gap.  Two
     backward-stable solves of one system differ by up to about kappa(A) eps
     relative, so an ill-conditioned system (the ELM design's kappa is about
     2e8, where the gap reads up to 0.24 kappa eps) gets 4 kappa eps."""
@@ -699,9 +701,10 @@ def _replay_reference(H, t, res, steps, kernel, lambda_prime):
         ref = np.linalg.solve(A, H.T @ (w * (t - pick.center)))
         rtol = max(1e-9, 4.0 * np.linalg.cond(A) * sys.float_info.epsilon)
         assert np.abs(beta - ref).max() <= rtol * np.abs(ref).max()
-        u = t - H @ beta - pick.center
-        cost = -np.mean(_gaussian(u, pick.sigma)) + lambda_prime * (beta @ beta) / (2.0 * n * pick.sigma ** 2)
-        assert abs(record.cost - cost) <= 1e-12 * abs(cost)
+        assert record.cost == mcc_vc_cost(t - H @ beta, pick, float(beta @ beta), lambda_prime)
+        v = np.mean(_gaussian(t - H @ beta - pick.center, pick.sigma))
+        penalty = lambda_prime * (beta @ beta) / (2.0 * n * pick.sigma ** 2)
+        assert abs(record.cost - (penalty - v)) <= 1e-13 * (v + penalty)
         beta_prev = beta
 
 
@@ -775,6 +778,12 @@ class TestReferenceLoop:
         lambda_prime=st.sampled_from([1e-8, 1e-4, 1e-2, 1.0]),
         exact=st.booleans(),
     )
+    # Two draws whose final cost J = -V + penalty cancels: in the first, J is
+    # about 1e-6 from terms near 0.03.
+    @example(n=8, m=1, hidden=6, case=1, seed=65536, widths=[3.09765625], clamped=0, rule="mean",
+             n_centers=2, reach=1.0, lambda_prime=0.01, exact=False)
+    @example(n=50, m=3, hidden=3, case=3, seed=9401, widths=[0.75, 0.6168668246327298], clamped=0,
+             rule="mean", n_centers=2, reach=1.0, lambda_prime=1.0, exact=True)
     def test_drawn_designs(self, n, m, hidden, case, seed, widths, clamped, rule, n_centers,
                            reach, lambda_prime, exact):
         # m inputs of one contamination case, as linear features or through an
