@@ -195,7 +195,8 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
         raise DataError(f"{path}: need at least 2 data rows, found {len(data_rows)}")
 
     width = len(data_rows[0])
-    values = np.empty((len(data_rows), width))
+    # Each cell is converted once, into a list that becomes the array at the end.
+    cells = []
     for i, row in enumerate(data_rows):
         file_row = i + first_data_row + 1
         if len(row) != width:
@@ -204,16 +205,19 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
             )
         for j, cell in enumerate(row):
             try:
-                values[i, j] = float(cell)
+                value = float(cell)
             except ValueError:
-                values[i, j] = math.nan
-            if not math.isfinite(values[i, j]):
+                value = math.nan
+            if not math.isfinite(value):
                 raise DataError(f"{path}: row {file_row}, column {j + 1}: "
                                 f"{cell.strip()!r} is not a finite number")
+            cells.append(value)
+    values = np.array(cells).reshape(len(data_rows), width)
 
     if isinstance(target_column, str):
         if names is None:
-            raise DataError("a named target column requires has_header=True")
+            raise DataError(f"a target column index must be an integer, got {target_column!r}; "
+                            "a named target column requires has_header=True")
         if target_column not in names:
             raise DataError(f"{path}: no column named {target_column!r}")
         target_idx = names.index(target_column)

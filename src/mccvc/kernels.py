@@ -7,11 +7,13 @@ of a residual sample is the mean kernel value of (e_i - c), so the pair
 `optimize_params` picks that pair by minimizing the integrated squared distance
 between the shifted kernel and the residual density, evaluated on a finite
 grid (the closed-form self-energy term is 1 / (2 sqrt(pi) sigma)).  Every exact
-kernel sum is one mean, `_kernel_mean`, and a one-center search is one exact
-table.  On an explicit grid of more centers each width is first screened by
-one kernel sum over points with masses, the errors themselves or, when N is
-large against the lattice, their linear binning, built from segment sums of
-the sorted errors in one pass, under one proven error bound.  Each width is
+kernel sum is one mean, `_kernel_mean`, and a row of one center, under the
+mean or median rule or on an explicit grid of one center, needs no screen:
+its exact value is that one mean.  On an explicit grid of more centers each
+width is first screened by one kernel sum over points with masses, the
+errors themselves or, when N is large against the lattice, their linear
+binning, built from segment sums of the sorted errors in one pass, under
+one proven error bound.  Each width is
 screened at every 4th center and the last first, and at the centers between
 two of them only where the objective's bounded curvature along the center
 axis lets their interval reach below the cut: as |G''| <= p/sigma^2, p the
@@ -22,12 +24,16 @@ minimum, so its value cuts the rest.  Only the grid points that the bounds
 cannot rule out are rescored exactly, so the search returns bit for bit what
 the full table would.  A fit's successive searches share
 one `RowBounds`: each width carries an interval holding its least exact
-objective, widened between searches by the kernel's bounded slope, and only
-the widths whose interval can still reach the grid minimum are screened again.
+objective, widened between searches by the kernel's bounded slope times
+the move of the residuals and of a one-center search's center, and only the
+widths whose interval can still reach the grid minimum are screened again,
+or, with one center, computed exactly again.  So a fit's one-center searches
+after its first compute few rows, often one.
 The `RowBounds` also carries the fit's search plan, all that depends only on
-the grid, N and the clamped widths: the coarse and fine centers, each width's
-lattice size and bin decision, its kernel scale, normalizer, self-energy,
-unbinned screen bound and curvature reach, and its drift coefficients.
+the grid, N and the clamped widths: each width's drift coefficients and, for
+several centers, the coarse and fine centers, each width's lattice size and
+bin decision, its kernel scale, normalizer, self-energy, unbinned screen
+bound and curvature reach.
 `RowBounds.carry` states, once, what each search keeps of the plan and of the
 intervals.  With the plan each stage runs once over all contending widths,
 grouped by the points they sum over (the unbinned widths share the errors,
@@ -326,17 +332,25 @@ def _screen_bound(s, n: int, h: float, rounding: float):
 
 
 class _SearchPlan:
-    """What an explicit-grid search of several centers needs that depends only
-    on the grid, N and the clamped widths (see `optimize_params`): the coarse
-    and fine centers and the interval of each fine one, each width's lattice
-    size, whether it is binned, its `_width_table` row, its unbinned screen
-    bound and its curvature reach per coarse interval, and its drift
-    coefficients.  `RowBounds.carry` decides when a search builds one."""
+    """What a search needs that depends only on its grid, N and the clamped
+    widths (see `optimize_params`): each width's drift coefficients and, for
+    an explicit grid of several centers, the coarse and fine centers and the
+    interval of each fine one, each width's lattice size, whether it is
+    binned, its `_width_table` row, its unbinned screen bound and its
+    curvature reach per coarse interval.  A one-center search's plan has no
+    grid (`grid` is None), as its center comes with each call.
+    `RowBounds.carry` decides when a search builds one."""
 
-    def __init__(self, grid: ParamGrid, n: int, sigmas: np.ndarray):
+    def __init__(self, grid: ParamGrid | None, n: int, sigmas: np.ndarray):
         self.grid, self.n, self.sigmas = grid, n, sigmas
+        eps = sys.float_info.epsilon
+        # A row's drift is slope step + charge (see the drift bound).
+        self.slope = 2.0 / (SQRT_2PI * math.sqrt(math.e)) / sigmas / sigmas
+        self.charge = 2.0 * (n + 16) * eps / SQRT_2PI / sigmas
+        if grid is None:
+            return
         centers = self.centers = grid.center_set
-        c, eps, s = centers.size, sys.float_info.epsilon, sigmas[:, None]
+        c, s = centers.size, sigmas[:, None]
         # Every 4th center and the last are screened first; each other center
         # lies inside one interval between two of them.
         self.coarse = np.append(np.arange(0, c - 1, _CENTER_STRIDE), c - 1)
@@ -357,51 +371,61 @@ class _SearchPlan:
         gap = np.diff(centers[self.coarse]) / s
         with np.errstate(over="ignore"):
             self.bend = (gap * gap / 4.0 + 2 * (n + 16) * eps) / (SQRT_2PI * s)
-        # A row's drift is slope mean|e - e'| + charge (see the drift bound).
-        self.slope = 2.0 / (SQRT_2PI * math.sqrt(math.e)) / sigmas / sigmas
-        self.charge = 2.0 * (n + 16) * eps / SQRT_2PI / sigmas
 
 
 @dataclass
 class RowBounds:
-    """What one fit's explicit-grid searches carry from one call to the next
-    (see `optimize_params`): the search plan of the last call, its residuals,
-    and per width an interval [lo, hi] that holds the least exact objective
-    of that width's row at those residuals.  `carry` is the rule for what
-    the next search keeps of them."""
+    """What one fit's searches carry from one call to the next (see
+    `optimize_params`): the search plan of the last call, its residuals and
+    its first center, and per width an interval [lo, hi] that holds the
+    least exact objective of that width's row at those residuals and
+    centers.  `carry` is the rule for what the next search keeps of them."""
 
     plan: _SearchPlan | None = None
     errors: np.ndarray | None = None
+    center: float = 0.0
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
 
-    def carry(self, e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray):
-        """The search plan of `grid`, N = e.size and the clamped `sigmas`, and
-        each width's interval [lo, hi] at the residuals `e`.  This is the one
-        rule for what a fit's searches carry:
+    def carry(self, e: np.ndarray, grid: ParamGrid, centers: np.ndarray, sigmas: np.ndarray):
+        """Start a search of `grid` at the residuals `e`, its centers `centers`
+        and the clamped widths `sigmas`: record them as the last call and
+        return its search plan and each width's interval [lo, hi], which the
+        search narrows in place.  This is the one rule for what a fit's
+        searches carry:
 
-        - a new state, another grid or another N builds a new plan, and every
-          width starts at (-inf, inf);
-        - the same grid, N and clamped widths keep the plan, and each width's
-          carried interval is widened by its drift bound;
+        - a new state, another N, another number of widths or a change
+          between one center and several builds a new plan, and every width
+          starts at (-inf, inf);
+        - a grid of several centers keeps the plan only for the same grid,
+          and a one-center search (the mean and median rules, or an explicit
+          grid of one center) keeps the last one-center plan whatever its
+          grid, as its center comes with each call;
+        - a kept plan keeps each width's carried interval, widened by its
+          drift bound;
         - a moved clamp builds a new plan, widens the intervals of the widths
           that did not move and restarts those that did at (-inf, inf).
 
         The plan holds only what the grid, N and the clamped widths fix, each
         factor computed as a search without it would, so a carried plan
         changes no pick."""
-        n, old = e.size, self.plan
-        if old is None or old.grid is not grid or old.n != n:
-            return _SearchPlan(grid, n, sigmas), np.full(sigmas.size, -np.inf), np.full(sigmas.size, np.inf)
-        moved = sigmas != old.sigmas
-        plan = _SearchPlan(grid, n, sigmas) if moved.any() else old
-        # An overflowing drift is inf, which screens every width.
-        with np.errstate(over="ignore"):
-            # mean|e - e'| as np.mean takes it: one sum, one division by N.
-            step = float(np.abs(e - self.errors).sum()) / n
-            drift = step * (1.0 + (n + 8) * sys.float_info.epsilon) * plan.slope + plan.charge
-            lo, hi = self.lo - drift, self.hi + drift
-        lo[moved], hi[moved] = -np.inf, np.inf
+        n, old, center = e.size, self.plan, float(centers[0])
+        key = grid if centers.size > 1 else None
+        if old is None or old.grid is not key or old.n != n or old.sigmas.size != sigmas.size:
+            plan = _SearchPlan(key, n, sigmas)
+            lo, hi = np.full(sigmas.size, -np.inf), np.full(sigmas.size, np.inf)
+        else:
+            moved = sigmas != old.sigmas
+            plan = _SearchPlan(key, n, sigmas) if moved.any() else old
+            # An overflowing drift is inf, which screens every width.
+            with np.errstate(over="ignore"):
+                # mean|e - e'| as np.mean takes it: one sum, one division by
+                # N; the centers of one grid do not move, so |c - c'| is 0.
+                step = float(np.abs(e - self.errors).sum()) / n + abs(center - self.center)
+                drift = step * (1.0 + (n + 8) * sys.float_info.epsilon) * plan.slope + plan.charge
+                lo, hi = self.lo - drift, self.hi + drift
+            lo[moved], hi[moved] = -np.inf, np.inf
+        self.plan, self.errors, self.center, self.lo, self.hi = plan, e.copy(), center, lo, hi
         return plan, lo, hi
 
 
@@ -410,7 +434,7 @@ def _grid_search(e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray, state: RowB
     `optimize_params`): the width and center indices of every point it
     rescores exactly, and their exact objectives."""
     n = e.size
-    plan, lo, hi = state.carry(e, grid, sigmas)
+    plan, lo, hi = state.carry(e, grid, grid.center_set, sigmas)
     centers, coarse, fine = plan.centers, plan.coarse, plan.fine
     cut = hi.min()
     # The k contending widths; every table below has one row per width.
@@ -465,7 +489,6 @@ def _grid_search(e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray, state: RowB
     keep = objective - bound[:, None] <= min(cut, hi[rows].min())
     keep[r0, j0] = False
     kr, kj = np.nonzero(keep)
-    state.plan, state.errors, state.lo, state.hi = plan, e.copy(), lo, hi
     if not kr.size:
         return np.array([i0]), np.array([j0]), np.array([best])
     values = _exact_objectives(e, centers[kj], sigmas[rows[kr]])
@@ -490,10 +513,13 @@ def optimize_params(
     with or without `state`, one `RowBounds` that a fit passes to each of its
     searches so that they share what bounds the last one proved and one
     search plan (see the module docstring and `RowBounds`).
-    Every exact objective is a row of `_kernel_mean`, as in `param_objective`;
-    every one-center search (the mean and median rules, or an explicit grid
-    of one center) computes its whole table so, in one broadcast over blocks
-    of widths.  An explicit grid of more centers is screened, and only the
+    Every exact objective is a row of `_kernel_mean`, as in `param_objective`.
+    A one-center search (the mean and median rules, or an explicit grid of
+    one center) needs no screen: it computes exactly, in one broadcast over
+    blocks of widths, the rows that its carried intervals leave in
+    contention, every row without a state.  Each row of that broadcast is
+    reduced as a 1-D vector, so a row is the same float in any subset of
+    widths.  An explicit grid of more centers is screened, and only the
     points the screen cannot rule out are computed exactly:
 
     - Screened rows.  A width's row is the kernel sum (1/N) sum_k m_k
@@ -561,32 +587,46 @@ def optimize_params(
       of the order of p where it decides, falls in the bound's slack.
     - Carried intervals.  `state` (one `RowBounds` per fit, or none) holds,
       per width, an interval [lo, hi] around its row's least exact objective
-      at the last call's residuals e'.  Each interval is widened by the
-      width's drift bound to e; U is the least hi, and only the widths with
-      lo <= U are screened, and their intervals are refreshed: lo to the
-      least of the screened objectives minus their bound and the reaches of
-      the intervals left unscreened, hi to the least screened objective plus
-      its bound, or the best-first exact objective where that is lower.
-      `RowBounds.carry` states when an interval is widened and when it
-      restarts at (-inf, inf); a search without a state screens every width.
-    - Drift bound.  The objective's e-dependent part is -2 (1/N) sum_i
-      G(e_i - c), and |G'(u)| = p |u|/sigma^2 exp(-u^2/(2 sigma^2)) is at
-      most p/(sigma sqrt(e)), at |u| = sigma.  So an exact objective moves
-      by at most 2 p mean|e - e'|/(sigma sqrt(e)) from e' to e, and so does a
-      row's least one.  The intervals hold computed exact objectives, each
-      within 2(N + 16)u p of its true value (above), so the bound adds that
-      once per residual vector, 2 p (N + 16) eps in all.  The drift is
-      mean|e - e'| times the plan's slope 2/(sqrt(2 pi e) sigma^2) plus its
-      charge 2 (N + 16) eps/(sqrt(2 pi) sigma), and the computed
-      mean|e - e'| is raised by (N + 8) eps relative.  Its own rounding (a
-      difference, an N-term sum and a division) takes (N + 1)u of that, and
-      the slope's (its constants, two divisions), the product's and the
-      sum's, about 9u, fall within the (N + 15)u left.  The charge rounds by
-      a few u relative, of second order in u against the first-order charge
-      it carries.  A chain of widenings needs the rounding charge of its two
+      at the last call's residuals e' and center c'.  Each interval is
+      widened by the width's drift bound to (e, c); U is the least hi, and
+      only the widths with lo <= U are screened, or, with one center,
+      computed exactly.  Their intervals are refreshed: on a grid of several
+      centers lo to the least of the screened objectives minus their bound
+      and the reaches of the intervals left unscreened, hi to the least
+      screened objective plus its bound, or the best-first exact objective
+      where that is lower; with one center lo and hi to the exact objective.
+      A one-center width left out has an exact objective of at least
+      lo > U, and U is at least the least computed objective (the width of
+      the least hi is computed, and its value lies in its interval), so it
+      is above the minimum and in no tie.  `RowBounds.carry` states when an
+      interval is widened and when it restarts at (-inf, inf); a search
+      without a state screens, or computes, every width.
+    - Drift bound.  The objective depends on the errors only through
+      u_i = e_i - c: its data part is -2 (1/N) sum_i G(u_i), and
+      |G'(u)| = p |u|/sigma^2 exp(-u^2/(2 sigma^2)) is at most
+      p/(sigma sqrt(e)), at |u| = sigma.  From (e', c') to (e, c) each u_i
+      moves by at most |e_i - e'_i| + |c - c'|, so an exact objective moves
+      by at most 2 p (mean|e - e'| + |c - c'|)/(sigma sqrt(e)), and so does a
+      row's least one.  The centers of a grid of several centers do not
+      move, so there |c - c'| = 0; a one-center search's c is its mean,
+      median or one grid center.  The intervals hold computed exact
+      objectives, each within 2(N + 16)u p of its true value (above), so
+      the bound adds that once per residual vector, 2 p (N + 16) eps in all.
+      The drift is the step mean|e - e'| + |c - c'| times the plan's slope
+      2/(sqrt(2 pi e) sigma^2) plus its charge 2 (N + 16) eps/(sqrt(2 pi)
+      sigma), and the computed step is raised by (N + 8) eps relative.  Its
+      own rounding takes (N + 2)u of that: the mean's (a difference, an
+      N-term sum and a division) (N + 1)u, the center term's (one
+      subtraction) u of that term, and the addition u; the slope's (its
+      constants, two divisions), the product's and the sum's, about 9u,
+      fall within the (N + 14)u left.  The charge rounds by a few u
+      relative, of second order in u against the first-order charge it
+      carries.  A chain of widenings needs the rounding charge of its two
       ends only, so each further widening's charge absorbs the rounding of
       lo - drift and hi + drift; the first one's falls within the slack of
-      the screened bound.  The mean|e - e'| is computed with overflow
+      the screened bound or, with one center, of the exact objectives'
+      2(N + 16)u p (their kernel values take about 5u p of the 16u p
+      charged, and |lo| is at most 2p).  The step is computed with overflow
       ignored: an infinite drift widens every interval to (-inf, inf).
     - Search plan.  `state` also carries the plan (see `RowBounds.carry`).
       The screen's kernel scale -1/(2 sigma^2), normalizer N sqrt(2 pi) sigma
@@ -640,11 +680,16 @@ def optimize_params(
         )
         sigmas = np.maximum(sigmas, floor)
 
+    state = RowBounds() if state is None else state
     if centers.size == 1:
-        rows, cols = np.arange(sigmas.size), np.zeros(sigmas.size, dtype=np.intp)
-        values = _exact_objectives(e, centers, sigmas)
+        # A one-center row needs no screen: its exact value is one mean.
+        lo, hi = state.carry(e, grid, centers, sigmas)[1:]
+        rows = np.flatnonzero(lo <= hi.min())
+        values = _exact_objectives(e, centers, sigmas[rows])
+        lo[rows] = hi[rows] = values
+        cols = np.zeros(rows.size, dtype=np.intp)
     else:
-        rows, cols, values = _grid_search(e, grid, sigmas, RowBounds() if state is None else state)
+        rows, cols, values = _grid_search(e, grid, sigmas, state)
 
     tied = np.flatnonzero(values == values.min())
     pick = tied[0]

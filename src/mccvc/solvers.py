@@ -28,9 +28,11 @@ every step so the loop never stops.  `fit_mcc_vc` therefore tests once per
 fit whether 1 is in span(H), unless the caller passes the answer in, and, if
 it is, keeps the first iteration's c* and re-chooses only sigma on the
 one-center grid {c*}.  The (sigma, c) searches of one fit share a
-`kernels.RowBounds`, which lets each explicit-grid search skip the widths
-that the last one and the residuals' drift since it rule out, and carries
-the fit's search plan; `RowBounds.carry` states what each search keeps.
+`kernels.RowBounds`, which lets each search skip the widths that the last
+one and the drift of the residuals and of the center since it rule out (a
+one-center search computes only the rows left in contention, on {c*} often
+one), and carries the fit's search plan; `RowBounds.carry` states what each
+search keeps.
 
 `fit_mcc` and `fit_mcc_vc` check H and T once; the loop then checks only what
 each step makes new (a finite ||beta||^2 and finite residuals).  Each step
@@ -298,10 +300,13 @@ def fit_mcc_vc(
     1 too, so a driver that fits row subsets of one design, such as the
     folds of a cross-validation, can test the design once and pass True.
 
-    The searches of one fit share one `RowBounds`, so a search on an
-    explicit grid of several centers screens only the widths that the
-    previous residuals and the drift since them leave in contention; each
-    pick is still bit for bit that of a search without it.
+    The searches of one fit share one `RowBounds`, so each search screens,
+    or with one center computes, only the widths that the previous search
+    and the drift of the residuals and of the center since it leave in
+    contention.  A confounded fit's first search under the mean or median
+    rule carries into its searches on {c*}, whose center is the same, so
+    only that first search must compute every width.  Each pick is still
+    bit for bit that of a search without it.
     """
     H, t = check_design(H, targets)
     confounded = _spans_constant(H) if spans_constant is None else spans_constant

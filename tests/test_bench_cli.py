@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mccvc import bench
+from mccvc import bench, kernels
 from mccvc.bench import (
     DataBenchConfig,
     FitCmdConfig,
@@ -501,6 +501,19 @@ class TestDataBenchFits:
         assert main(elm_sinc_cv.argv(method, seed, tmp_path / "report.json")) == 0
         assert calls == fits
 
+    @pytest.mark.parametrize("seed, searches, rows", [(42, 102, 1180), (43, 109, 1187)])
+    def test_exact_rows_per_vc_call(self, elm_sinc_cv, seed, searches, rows, tmp_path, monkeypatch):
+        # Each of the call's 22 fits computes the full table of its 50 widths
+        # at its first (median-rule) search only: its later searches, on the
+        # frozen center, carry their width intervals and compute about one
+        # exact row each (50 per search, 5100 and 5450 rows in all, before).
+        calls, exact = [], kernels._exact_objectives
+        monkeypatch.setattr(kernels, "_exact_objectives",
+                            lambda e, c, s: calls.append(s.size) or exact(e, c, s))
+        assert main(elm_sinc_cv.argv("elm-mcc-vc", seed, tmp_path / "report.json")) == 0
+        assert len(calls) == searches and calls.count(50) == 22
+        assert sum(calls) <= rows
+
 
 class TestSpanAnswer:
     """`bench_dataset` tests span(H) ∋ 1 once per training design and passes
@@ -854,6 +867,27 @@ class TestCli:
                      "--model", "linear", "--lambda-prime", "0",
                      "--normalize", "false", "--out", str(tmp_path / "m.json")])
         assert code == 3
+
+    def test_float_target_index_without_a_header_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("1,0,2\n2,1,4\n3,0,5\n4,1,9\n")
+        code = main(["fit", "--csv", str(path), "--no-header", "--target", "1.5",
+                     "--model", "linear", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "mccvc: data error: a target column index must be an integer, got '1.5'; "
+            "a named target column requires has_header=True\n")
+
+    def test_header_column_named_like_a_number_is_a_target(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,1.5\n1,0,2\n2,1,4\n3,0,5\n4,1,9\n")
+        rmse = []
+        for target in ("1.5", "2"):
+            out = tmp_path / f"m-{target}.json"
+            assert main(["fit", "--csv", str(path), "--target", target, "--model", "linear",
+                         "--out", str(out)]) == 0
+            rmse.append(json.loads(out.read_text())["training_rmse"])
+        assert rmse[0] == rmse[1]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "1e309"])
     def test_non_finite_cell_is_a_one_line_data_error(self, tmp_path, capsys, cell):

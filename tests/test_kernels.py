@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from mccvc import kernels, solvers
 from mccvc._checks import finite_array
 from mccvc.bench import synth_case_design
+from mccvc.features import elm_features, init_elm
 from mccvc.kernels import (
     CenterRule,
     KernelParams,
@@ -30,7 +31,7 @@ from mccvc.kernels import (
     optimize_params,
     param_objective,
 )
-from mccvc.solvers import fit_mcc, fit_mcc_vc, ridge_solve
+from mccvc.solvers import FitConfig, fit_mcc, fit_mcc_vc, ridge_solve
 
 # oracle: 1/sqrt(2 pi) and friends, mpmath dps=30
 G_0_1 = 0.39894228040143268
@@ -891,19 +892,26 @@ def _fit_searches(case, n, grid):
 def _warm_searches(searches, grid):
     """Replay `searches` through one `RowBounds`, asserting each (params, value)
     equals a search without it; return the distinct widths each call screened,
-    in the order first screened (a call may screen a block of widths, and a
-    width's centers in more than one call)."""
-    state, screened, screen = kernels.RowBounds(), [], kernels._screened_objectives
+    or, on a one-center grid, computed exactly, in the order first seen (a
+    call may screen a block of widths, and a width's centers in more than one
+    call; a grid of several centers rescores screened widths only)."""
+    state, screened = kernels.RowBounds(), []
+    screen, exact = kernels._screened_objectives, kernels._exact_objectives
     for e in searches:
         fresh = optimize_params(e, grid)
         widths = {}
 
-        def counted(sq, mass, rows):
+        def counted_screen(sq, mass, rows):
             widths.update(dict.fromkeys(np.ravel(rows[..., 0])))
             return screen(sq, mass, rows)
 
+        def counted_exact(e, centers, sigmas):
+            widths.update(dict.fromkeys(sigmas))
+            return exact(e, centers, sigmas)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "_screened_objectives", counted)
+            mp.setattr(kernels, "_screened_objectives", counted_screen)
+            mp.setattr(kernels, "_exact_objectives", counted_exact)
             assert optimize_params(e, grid, state) == fresh
         screened.append(list(widths))
     return screened
@@ -948,9 +956,24 @@ def _search_work(problems, grid):
     return work
 
 
+def _elm_problem():
+    """Sigmoid ELM features (m=50) of a noisy sinc with outliers: the features
+    span the constant vector, so the center and beta's intercept are confounded."""
+    rng = np.random.default_rng(3)
+    X = rng.uniform(0.0, 1.0, (200, 2))
+    t = 0.5 * np.sinc(4.0 * np.linalg.norm(X - 0.5, axis=1)) + 0.3 + 0.01 * rng.normal(size=200)
+    outliers = rng.random(200) < 0.1
+    t[outliers] += rng.normal(0.0, 0.5, outliers.sum())
+    return elm_features(init_elm(2, 50, 1), X), t
+
+
+_MEDIAN_GRID = ParamGrid(np.linspace(0.005, 0.25, 50), None, CenterRule.MEDIAN_OF_ERRORS)
+
+
 class TestCarriedBounds:
     """Searches sharing a `RowBounds` return what searches without one do, bit
-    for bit, and screen only the widths that can still hold the minimum."""
+    for bit, and screen (or, with one center, compute) only the widths that
+    can still hold the minimum."""
 
     @pytest.mark.parametrize("n, cases, seeds, grid, screened, exact, widths, lattices", [
         # The default grid: no width is binned at N=400, every width at N=20000.
@@ -1011,6 +1034,57 @@ class TestCarriedBounds:
         assert len({optimize_params(x, grid)[0].sigma for x in searches}) == 2
         _warm_searches(searches, grid)
 
+    def test_best_width_moves_between_calls_on_one_center(self):
+        # The one-center twin of the test above: the median moves with the
+        # sample, and the best width with it.
+        e = np.random.default_rng(40).normal(0.3, 2.0, 400)
+        grid = ParamGrid(default_param_grid().sigma_set, None, CenterRule.MEDIAN_OF_ERRORS)
+        searches = [e, 0.1 * e, e]
+        assert len({optimize_params(x, grid)[0].sigma for x in searches}) == 2
+        _warm_searches(searches, grid)
+
+    def test_median_moving_across_a_gap(self):
+        # 1001 errors near -1 (spread 0.02) and 1000 near 1 (spread 0.3): the
+        # median is the largest of the first cluster.  Moving that one error
+        # past the second cluster moves the residuals by 0.002 on average but
+        # the median by about 1, to the smallest of the second cluster, where
+        # the best width is wider: only the center's own term in the drift
+        # lets the search reach it.
+        rng = np.random.default_rng(41)
+        e = np.concatenate([rng.normal(-1.0, 0.02, 1001), rng.normal(1.0, 0.3, 1000)])
+        moved = e.copy()
+        moved[np.argmax(e[:1001])] = e.max() + 0.1
+        assert np.median(moved) - np.median(e) > 0.9 > 0.002 > np.abs(moved - e).mean()
+        searches = [e, moved, e]
+        assert len({optimize_params(x, _MEDIAN_GRID)[0].sigma for x in searches}) == 2
+        computed = _warm_searches(searches, _MEDIAN_GRID)
+        assert len(computed[0]) == _MEDIAN_GRID.sigma_set.size
+
+    @pytest.mark.parametrize("move", ["errors", "center"])
+    def test_drift_holds_each_row_and_is_tight(self, move):
+        # All but one error sit one width of the 1.0 row from the center, where
+        # the kernel's slope is largest: moving them all outward by 1e-3 (the
+        # center, a median, stays) or moving the one center by 1e-3 away from
+        # them changes that row's objective by its whole drift bound, to
+        # first order (G'' vanishes there).  Each carried interval holds its
+        # row's new exact objective, and the 1.0 row uses more than 0.99 of
+        # its drift, so no smaller drift would hold it.
+        sigmas = np.array([0.5, 1.0, 2.0])
+        if move == "errors":
+            before = np.concatenate([-np.ones(200), [0.0], np.ones(200)])
+            after, centers = before + 1e-3 * np.sign(before), (np.array([0.0]),) * 2
+        else:
+            before = after = np.concatenate([[0.0], np.ones(400)])
+            centers = np.array([0.0]), np.array([-1e-3])
+        state = kernels.RowBounds()
+        optimize_params(before, ParamGrid(sigmas, centers[0]), state)
+        carried = state.lo.copy()
+        assert np.array_equal(carried, state.hi)
+        _, lo, hi = state.carry(after, ParamGrid(sigmas, centers[1]), centers[1], sigmas)
+        exact = kernels._exact_objectives(after, centers[1], sigmas)
+        assert np.all((lo <= exact) & (exact <= hi))
+        assert exact[1] - carried[1] > 0.99 * (hi[1] - carried[1])
+
     def test_state_of_another_grid_starts_fresh(self):
         e = np.random.default_rng(42).normal(0.0, 0.4, 400)
         far = ParamGrid(np.linspace(0.2, 5.0, 25), np.linspace(-5.0, -4.0, 11))
@@ -1033,6 +1107,36 @@ class TestCarriedBounds:
         assert sum("clamped" in r.message for r in caplog.records) == 2 * len(searches)
         assert [w[0] for w in screened] == floors
         assert sum(map(len, screened)) <= 0.5 * grid.sigma_set.size * len(searches)
+
+    def test_clamped_widths_reset_their_rows_only_on_one_center(self, caplog):
+        # The one-center twin of the test above, under the median rule: the
+        # clamped row is computed at every search, and the others only while
+        # they can hold the minimum.
+        grid = ParamGrid(np.linspace(0.01, 4.81, 25), None, CenterRule.MEDIAN_OF_ERRORS)
+        searches = _fit_searches(2, 400, grid)
+        floors = [1e-3 * float(np.std(e)) for e in searches]
+        assert min(floors) > 0.01 and len(set(floors)) == len(searches)
+        with caplog.at_level(logging.INFO, logger="mccvc.kernels"):
+            computed = _warm_searches(searches, grid)
+        assert sum("clamped" in r.message for r in caplog.records) == 2 * len(searches)
+        assert [w[0] for w in computed] == floors
+        assert sum(map(len, computed)) <= 0.5 * grid.sigma_set.size * len(searches)
+
+    @pytest.mark.parametrize("lambda_prime, rows", [(1e-6, 344), (1e-4, 296), (1e-2, 131), (1.0, 122)])
+    def test_confounded_elm_fit_computes_one_full_table(self, lambda_prime, rows):
+        # The median rule's first search, then one-center searches at the
+        # frozen center c*, which carry the first search's intervals (the
+        # same center, |c - c'| = 0): one full table of the 50 widths per
+        # fit, and at most the exact rows counted when the one-center
+        # searches first carried their intervals (a full table per search,
+        # 50 rows per step, without them).
+        calls, exact = [], kernels._exact_objectives
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_exact_objectives", lambda e, c, s: calls.append(s.size) or exact(e, c, s))
+            res = fit_mcc_vc(*_elm_problem(), _MEDIAN_GRID, FitConfig(lambda_prime))
+        assert len(calls) == res.iterations_run > 10
+        assert calls.count(_MEDIAN_GRID.sigma_set.size) == 1
+        assert sum(calls) <= rows
 
     def test_overflowing_drift_screens_every_width(self):
         # Two one-error samples whose difference overflows: the drift is inf,

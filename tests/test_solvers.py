@@ -30,7 +30,7 @@ from mccvc.solvers import (
     ridge_solve,
     weighted_ridge_step,
 )
-from test_kernels import _reference_optimize_params, _screen_off_by
+from test_kernels import _MEDIAN_GRID, _elm_problem, _reference_optimize_params, _screen_off_by
 
 
 def _random_problem(rng, n=60, m=3, noise=0.1):
@@ -404,20 +404,6 @@ class TestFixedPointLoops:
             FitConfig(max_iterations=2.5)
         with pytest.raises(ValueError):
             FitConfig(tolerance=0.0)
-
-
-def _elm_problem():
-    """Sigmoid ELM features (m=50) of a noisy sinc with outliers: the features
-    span the constant vector, so the center and beta's intercept are confounded."""
-    rng = np.random.default_rng(3)
-    X = rng.uniform(0.0, 1.0, (200, 2))
-    t = 0.5 * np.sinc(4.0 * np.linalg.norm(X - 0.5, axis=1)) + 0.3 + 0.01 * rng.normal(size=200)
-    outliers = rng.random(200) < 0.1
-    t[outliers] += rng.normal(0.0, 0.5, outliers.sum())
-    return elm_features(init_elm(2, 50, 1), X), t
-
-
-_MEDIAN_GRID = ParamGrid(np.linspace(0.005, 0.25, 50), None, CenterRule.MEDIAN_OF_ERRORS)
 
 
 class TestCenterFreeze:
