@@ -10,7 +10,8 @@
 - `increasing_grid`: a search grid is a non-empty, finite, strictly
   increasing 1-D sequence; it is returned as a read-only copy.
 - `check_integer`: an integer setting is an integer, not a float such as
-  2.0; `check_count`: a count is such an integer of at least a lower bound.
+  2.0 or a bool; `check_count`: a count is such an integer of at least a
+  lower bound.
 - `check_bool`: a yes/no setting is True or False, not a truthy string.
 
 Each raises ValueError naming the input it rejects.  `frozen_copy` makes
@@ -85,8 +86,10 @@ def frozen_copy(arr: np.ndarray) -> np.ndarray:
 
 def check_integer(value, name: str) -> int:
     """Return an integer setting as an int; reject it unless it is an integer
-    (a float, even 2.0, is not)."""
+    (a float, even 2.0, is not, nor is True or False, which `int` subclasses)."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -91,6 +91,14 @@ def _check_fit_settings(cfg, lambdas, mcc_widths=()):
         check_width(sigma, "mcc width")
 
 
+def _check_model(cfg):
+    """Check the model settings: linear or elm, hidden >= 1, a bool bias_column."""
+    if cfg.model not in ("linear", "elm"):
+        raise ValueError(f"unknown model {cfg.model!r}")
+    check_count(cfg.hidden, 1, "hidden")
+    check_bool(cfg.bias_column, "bias_column")
+
+
 def _check_case(case):
     """Reject a contamination case unless it is an integer (not 2.0) in 1-4."""
     if check_integer(case, "case") not in CASE_LABELS:
@@ -314,8 +322,7 @@ class DataBenchConfig(_BenchConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.model not in ("linear", "elm"):
-            raise ValueError(f"unknown model {self.model!r}")
+        _check_model(self)
         if self.norm_scope not in ("full", "train", "none"):
             raise ValueError(f"unknown normalization scope {self.norm_scope!r}")
         _check_distinct(self, ("methods", "lambda_grid", "mcc_sigma_grid"))
@@ -323,8 +330,6 @@ class DataBenchConfig(_BenchConfig):
             raise ValueError(f"methods must name distinct fits, got {self.methods!r}")
         if not isinstance(self.target, str):
             check_integer(self.target, "target")
-        check_bool(self.bias_column, "bias_column")
-        check_count(self.hidden, 1, "hidden")
         check_count(self.folds, 2, "folds")
         SplitSpec(train_fraction=self.train_fraction)
         _check_fit_settings(self, self.lambda_grid, self.mcc_sigma_grid)
@@ -512,12 +517,9 @@ class FitCmdConfig(JsonRecord):
     seed: int = 42
 
     def __post_init__(self):
-        if self.model not in ("linear", "elm"):
-            raise ValueError(f"unknown model {self.model!r}")
+        _check_model(self)
         canonical_method(self.method)
         check_count(self.seed, 0, "seed")
-        check_count(self.hidden, 1, "hidden")
-        check_bool(self.bias_column, "bias_column")
         check_bool(self.normalize, "normalize")
         _check_fit_settings(self, (self.lambda_prime,), (self.mcc_sigma,))
 

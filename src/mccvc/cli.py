@@ -5,6 +5,8 @@ Each subcommand fills one `bench` config (`SynthBenchConfig`,
 field it sets and takes its default from that dataclass, so the CLI and the
 library run the same defaults.  The grid flags replace the config's search
 grid.  kernel-trace's data-source flags fill no config: see `_cmd_kernel_trace`.
+One parser, built at the first call, serves every call of a process, and the
+two report commands, synth-bench and data-bench, share one runner.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -164,7 +167,9 @@ def _take_defaults(p: argparse.ArgumentParser, cls):
 
 
 def _config(cls, args):
-    """Build `cls` from the parsed flags, the grid flags making its search grid."""
+    """Build `cls` from the parsed flags, the grid flags making its search grid.
+    The config copies each array it takes, and its other values are immutable,
+    so no call changes the defaults of the shared parser."""
     grid = {
         "sigma_set": args.sigma_grid,
         "center_set": args.center_grid if args.center_rule == "grid" else None,
@@ -173,6 +178,7 @@ def _config(cls, args):
     return cls.from_dict({**vars(args), _grid_field(cls): grid})
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog=PROG, description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -304,12 +310,13 @@ def _print_data_table(report: dict):
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_synth_bench(args) -> int:
-    cfg = _config(bench.SynthBenchConfig, args)
-    report = bench.run_synth_bench(cfg)
-    out = args.out or Path("synth-bench.json")
+def _cmd_report(cls, run, default: str, print_table, args) -> int:
+    """Run a report command: build its `cls` config, `run(args, cfg)`, write the
+    report to --out or `default`, and print its table."""
+    report = run(args, _config(cls, args))
+    out = args.out or Path(default)
     _write_json(report, out)
-    _print_synth_table(report)
+    print_table(report)
     print(f"report written to {out}")
     return EXIT_OK
 
@@ -319,16 +326,6 @@ def _load_datasets(args) -> list[tuple[str, TabularDataset]]:
         (p.stem, load_csv(p, has_header=not args.no_header, target_column=args.target))
         for p in args.csv
     ]
-
-
-def _cmd_data_bench(args) -> int:
-    cfg = _config(bench.DataBenchConfig, args)
-    report = bench.run_data_bench(_load_datasets(args), cfg)
-    out = args.out or Path("data-bench.json")
-    _write_json(report, out)
-    _print_data_table(report)
-    print(f"report written to {out}")
-    return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
@@ -386,9 +383,15 @@ def _cmd_kernel_trace(args) -> int:
     return EXIT_OK
 
 
+# The runners are looked up in `bench` at each call, so a profiler can wrap them.
 _COMMANDS = {
-    "synth-bench": _cmd_synth_bench,
-    "data-bench": _cmd_data_bench,
+    "synth-bench": functools.partial(
+        _cmd_report, bench.SynthBenchConfig, lambda args, cfg: bench.run_synth_bench(cfg),
+        "synth-bench.json", _print_synth_table),
+    "data-bench": functools.partial(
+        _cmd_report, bench.DataBenchConfig,
+        lambda args, cfg: bench.run_data_bench(_load_datasets(args), cfg),
+        "data-bench.json", _print_data_table),
     "fit": _cmd_fit,
     "kernel-trace": _cmd_kernel_trace,
 }
@@ -400,31 +403,22 @@ _DASH_VALUE_FLAGS = ("--center-grid", "--sigma-grid")
 
 
 def _merge_dash_values(argv):
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in _DASH_VALUE_FLAGS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-            and len(argv[i + 1]) > 1
-            and (argv[i + 1][1].isdigit() or argv[i + 1][1] == ".")
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    """Join such a flag and a next token of a dash then a digit or a dot as
+    `flag=value`."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _DASH_VALUE_FLAGS and tok[:1] == "-" and (
+                tok[1:2].isdigit() or tok[1:2] == "."):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _merge_dash_values(list(argv))
+    argv = _merge_dash_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mccvc import bench, kernels
+from mccvc import bench, cli, kernels
 from mccvc.bench import (
     DataBenchConfig,
     FitCmdConfig,
@@ -680,6 +680,27 @@ class TestCli:
         b = _strip_timings(json.loads(out_b.read_text()))
         assert a == b
 
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        added = []
+        add_argument = cli._Parser.add_argument
+        monkeypatch.setattr(cli._Parser, "add_argument",
+                            lambda self, *a, **k: added.append(a) or add_argument(self, *a, **k))
+        assert main(["frobnicate"]) == 1
+        built = len(added)
+        assert main(["synth-bench", "--bogus-flag"]) == 1
+        assert len(added) == built
+
+    @pytest.mark.parametrize("argv, merged", [
+        (["--center-grid", "-1:0.25:1"], ["--center-grid=-1:0.25:1"]),
+        (["--sigma-grid", "-.5:1:2", "-1"], ["--sigma-grid=-.5:1:2", "-1"]),
+        (["--center-grid", "--sigma-grid", "-1:1:1"], ["--center-grid", "--sigma-grid=-1:1:1"]),
+        (["--center-grid", "-x", "-"], ["--center-grid", "-x", "-"]),
+        (["--center-grid", "-", "--center-grid"], ["--center-grid", "-", "--center-grid"]),
+        (["--tol", "-1", "--center-grid=-1:1:1"], ["--tol", "-1", "--center-grid=-1:1:1"]),
+    ])
+    def test_dash_led_grid_values_join_their_flag(self, argv, merged):
+        assert cli._merge_dash_values(argv) == merged
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["synth-bench", "--bogus-flag"]) == 1
         assert main(["frobnicate"]) == 1
@@ -785,11 +806,14 @@ class TestCli:
         (SynthBenchConfig, {"cases": (2, 2)}),
         (SynthBenchConfig, {"cases": (1, 5)}),
         (SynthBenchConfig, {"cases": (0,)}),
-        # A case number and a numeric target column must be integers.
+        # A case number and a numeric target column must be integers, not
+        # floats or bools (True would read as 1).
         (SynthBenchConfig, {"cases": (1.0,)}),
         (SynthBenchConfig, {"cases": (2, 3.0)}),
+        (SynthBenchConfig, {"cases": (True,)}),
         (DataBenchConfig, {"target": 1.5}),
         (DataBenchConfig, {"target": 1.0}),
+        (DataBenchConfig, {"target": True}),
         # A yes/no setting must be True or False: "false" and "no" are truthy.
         (FitCmdConfig, {"normalize": "false"}),
         (FitCmdConfig, {"bias_column": "no"}),
@@ -812,6 +836,7 @@ class TestCli:
         (KernelTraceConfig, {"hist_range": "clip"}),
         # A count must be an integer.
         (SynthBenchConfig, {"runs": 2.5}),
+        (SynthBenchConfig, {"runs": True}),
         (SynthBenchConfig, {"n_samples": 10.5}),
         (SynthBenchConfig, {"seed": -1}),
         (SynthBenchConfig, {"seed": 1.5}),
@@ -821,6 +846,7 @@ class TestCli:
         (FitCmdConfig, {"seed": 1.5}),
         (DataBenchConfig, {"folds": 2.5}),
         (DataBenchConfig, {"hidden": 4.0}),
+        (FitCmdConfig, {"hidden": True}),
         (FitCmdConfig, {"max_iterations": 2.5}),
         (KernelTraceConfig, {"bins": 2.5}),
         (KernelTraceConfig, {"iterations": (1, 1.5)}),
@@ -853,7 +879,7 @@ class TestCli:
         with pytest.raises(ValueError, match=f"^{name} must be at least"):
             synth_case_design(2, n_samples, seed)
 
-    @pytest.mark.parametrize("case", [1.0, 5])
+    @pytest.mark.parametrize("case", [1.0, 5, True])
     def test_synth_case_design_checks_its_case(self, case):
         with pytest.raises(ValueError, match="^case must be"):
             synth_case_design(case, 10, 0)

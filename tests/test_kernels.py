@@ -698,10 +698,11 @@ class TestLattice:
     CENTERS = np.linspace(-4.6, 4.6, 24)
     SIGMA = 0.5
 
-    def _nodes(self):
-        count = int(kernels._node_counts(self.CENTERS, np.array([self.SIGMA]))[0])
-        lo = self.CENTERS[0] - kernels._REACH * self.SIGMA
-        return lo + kernels._BIN_FRAC * self.SIGMA * np.arange(count)
+    @staticmethod
+    def _nodes(centers=CENTERS, sigma=SIGMA):
+        count = int(kernels._node_counts(centers, np.array([sigma]))[0])
+        lo = centers[0] - kernels._REACH * sigma
+        return lo + kernels._BIN_FRAC * sigma * np.arange(count)
 
     def test_normal_errors_with_outliers(self):
         rng = np.random.default_rng(50)
@@ -736,6 +737,29 @@ class TestLattice:
         x, nodes = _check_lattice(e, self.CENTERS, self.SIGMA)
         _, mass, h, rounding = kernels._lattice(np.sort(e), self.CENTERS, self.SIGMA, nodes.size)
         assert x.size == 0 and not mass.any() and h == 0.0 and rounding == nodes.size
+
+    def test_segment_sums_near_the_resolution_limit(self):
+        # Nodes about 2**20 ulps apart, near the closest that a width is
+        # binned at, and 3000 errors on one node.  The linear binning keeps
+        # each error on its node, so the screen has no interpolation error
+        # (h = 0 in its bound); but T_j = (S_j - c_j n_j)/g_j cancels a few
+        # ulps of c_j |n_j| against a gap of 2**20 ulps and moves mass onto
+        # the next node, which only the segment sums' charge R - B covers.
+        s, n = 2.4e-3, 3000
+        centers = 1e6 + s * np.linspace(-2.0, 2.0, 5)
+        reach = kernels._RESOLUTION * (centers[-1] + kernels._REACH * s)
+        assert reach <= kernels._BIN_FRAC * s <= 1.05 * reach
+        nodes = self._nodes(centers, s)
+        j = nodes.size // 2
+        e = np.full(n, nodes[j])
+        _, mass, _, rounding = kernels._lattice(e, centers, s, nodes.size)
+        sq = (centers[:, None] - nodes) ** 2
+        error = np.abs(kernels._screened_objectives(sq, mass, kernels._width_table(s, n))
+                       - kernels._exact_objectives(e, centers, np.full(centers.size, s)))
+        assert mass[j + 1] != 0.0
+        assert np.any(error > kernels._screen_bound(s, n, 0.0, nodes.size))
+        assert np.all(error <= kernels._screen_bound(s, n, 0.0, rounding))
+        _check_lattice(e, centers, s)
 
     @pytest.mark.parametrize("error", [0.3, -7.2, 1e4])
     def test_one_error(self, error):

@@ -400,8 +400,9 @@ class TestFixedPointLoops:
             FitConfig(lambda_prime=-1.0)
         with pytest.raises(ValueError):
             FitConfig(max_iterations=0)
-        with pytest.raises(ValueError, match="max_iterations must be an integer"):
-            FitConfig(max_iterations=2.5)
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="max_iterations must be an integer"):
+                FitConfig(max_iterations=count)
         with pytest.raises(ValueError):
             FitConfig(tolerance=0.0)
 
