@@ -5,8 +5,8 @@ Each subcommand fills one `bench` config (`SynthBenchConfig`,
 field it sets and takes its default from that dataclass, so the CLI and the
 library run the same defaults.  The grid flags replace the config's search
 grid.  kernel-trace's data-source flags fill no config: see `_cmd_kernel_trace`.
-One parser, built at the first call, serves every call of a process, and the
-two report commands, synth-bench and data-bench, share one runner.
+One parser, built at the first call, serves every call of a process; the
+report commands, synth-bench and data-bench, share one write-and-print step.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
@@ -167,9 +167,8 @@ def _take_defaults(p: argparse.ArgumentParser, cls):
 
 
 def _config(cls, args):
-    """Build `cls` from the parsed flags, the grid flags making its search grid.
-    The config copies each array it takes, and its other values are immutable,
-    so no call changes the defaults of the shared parser."""
+    """Build `cls` from the parsed flags, the grid flags making its search grid
+    (`cls` copies each array it takes, so the shared parser's defaults stay)."""
     grid = {
         "sigma_set": args.sigma_grid,
         "center_set": args.center_grid if args.center_rule == "grid" else None,
@@ -310,15 +309,18 @@ def _print_data_table(report: dict):
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_report(cls, run, default: str, print_table, args) -> int:
-    """Run a report command: build its `cls` config, `run(args, cfg)`, write the
-    report to --out or `default`, and print its table."""
-    report = run(args, _config(cls, args))
-    out = args.out or Path(default)
+def _write_report(report: dict, out, default: str, print_table) -> int:
+    """Write a report to `out` or `default`, then print its table and path."""
+    out = out or Path(default)
     _write_json(report, out)
     print_table(report)
     print(f"report written to {out}")
     return EXIT_OK
+
+
+def _cmd_synth_bench(args) -> int:
+    report = bench.run_synth_bench(_config(bench.SynthBenchConfig, args))
+    return _write_report(report, args.out, "synth-bench.json", _print_synth_table)
 
 
 def _load_datasets(args) -> list[tuple[str, TabularDataset]]:
@@ -326,6 +328,12 @@ def _load_datasets(args) -> list[tuple[str, TabularDataset]]:
         (p.stem, load_csv(p, has_header=not args.no_header, target_column=args.target))
         for p in args.csv
     ]
+
+
+def _cmd_data_bench(args) -> int:
+    cfg = _config(bench.DataBenchConfig, args)
+    report = bench.run_data_bench(_load_datasets(args), cfg)
+    return _write_report(report, args.out, "data-bench.json", _print_data_table)
 
 
 def _cmd_fit(args) -> int:
@@ -383,15 +391,9 @@ def _cmd_kernel_trace(args) -> int:
     return EXIT_OK
 
 
-# The runners are looked up in `bench` at each call, so a profiler can wrap them.
 _COMMANDS = {
-    "synth-bench": functools.partial(
-        _cmd_report, bench.SynthBenchConfig, lambda args, cfg: bench.run_synth_bench(cfg),
-        "synth-bench.json", _print_synth_table),
-    "data-bench": functools.partial(
-        _cmd_report, bench.DataBenchConfig,
-        lambda args, cfg: bench.run_data_bench(_load_datasets(args), cfg),
-        "data-bench.json", _print_data_table),
+    "synth-bench": _cmd_synth_bench,
+    "data-bench": _cmd_data_bench,
     "fit": _cmd_fit,
     "kernel-trace": _cmd_kernel_trace,
 }
@@ -403,8 +405,7 @@ _DASH_VALUE_FLAGS = ("--center-grid", "--sigma-grid")
 
 
 def _merge_dash_values(argv):
-    """Join such a flag and a next token of a dash then a digit or a dot as
-    `flag=value`."""
+    """Join such a flag and a next token of a dash then a digit or dot as `flag=value`."""
     out = []
     for tok in argv:
         if out and out[-1] in _DASH_VALUE_FLAGS and tok[:1] == "-" and (

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._checks import check_count, finite_array, frozen_copy, same_rows
+from ._checks import check_count, check_integer, finite_array, frozen_copy, same_rows
 from ._serialize import JsonRecord
 from .errors import DataError
 
@@ -223,8 +222,8 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
         target_idx = names.index(target_column)
     else:
         try:
-            target_idx = operator.index(target_column)
-        except TypeError:
+            target_idx = check_integer(target_column, "target column")
+        except ValueError:
             raise DataError(f"target column must be a name or an integer, got {target_column!r}") from None
         if not -width <= target_idx < width:
             raise DataError(f"{path}: target column {target_column} out of range")

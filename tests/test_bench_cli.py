@@ -685,10 +685,17 @@ class TestCli:
         add_argument = cli._Parser.add_argument
         monkeypatch.setattr(cli._Parser, "add_argument",
                             lambda self, *a, **k: added.append(a) or add_argument(self, *a, **k))
-        assert main(["frobnicate"]) == 1
-        built = len(added)
-        assert main(["synth-bench", "--bogus-flag"]) == 1
-        assert len(added) == built
+        # Start from no parser, so the first call must build one, and leave none
+        # built through the counting add_argument.
+        cli.build_parser.cache_clear()
+        try:
+            assert main(["frobnicate"]) == 1
+            built = len(added)
+            assert built > 0
+            assert main(["synth-bench", "--bogus-flag"]) == 1
+            assert len(added) == built
+        finally:
+            cli.build_parser.cache_clear()
 
     @pytest.mark.parametrize("argv, merged", [
         (["--center-grid", "-1:0.25:1"], ["--center-grid=-1:0.25:1"]),

@@ -203,9 +203,10 @@ class TestLoadCsv:
         ("1,2\n3,4\n", False, 2, "target column 2 out of range"),
         ("1,2\n3,4\n", False, -3, "target column -3 out of range"),
         ("1\n2\n", False, 0, "no feature columns"),
-        # A float column index, even 1.0, is neither a name nor an index.
+        # A float column index, even 1.0, or a bool is neither a name nor an index.
         ("1,2,3\n4,5,6\n", False, 1.5, "must be a name or an integer, got 1.5"),
         ("1,2,3\n4,5,6\n", False, 1.0, "must be a name or an integer, got 1.0"),
+        ("1,2,3\n4,5,6\n", False, True, "must be a name or an integer, got True"),
     ])
     def test_unusable_layout_is_a_data_error(self, tmp_path, text, has_header, target, message):
         path = tmp_path / "d.csv"

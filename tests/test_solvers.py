@@ -665,10 +665,7 @@ def _replay_reference(H, t, res, steps, kernel, lambda_prime):
     (sigma, c) must be the reference pick, beta within 1e-9 relative of the
     reference solve, and the traced cost `mcc_vc_cost` at beta bit for bit
     and within 1e-13 of V + penalty of the definition: J = -V + penalty can
-    cancel far below its terms, so J itself is no scale for the gap.  Both
-    kernels exponentiate x = (u / sigma)^2 / 2 rounded to a few eps relative,
-    so a kernel value far out in the tail (x past 1e-13 / (4 eps), about 112)
-    may differ by 4 eps x relative, and carries that bound instead.  Two
+    cancel far below its terms, so J itself is no scale for the gap.  Two
     backward-stable solves of one system differ by up to about kappa(A) eps
     relative, so an ill-conditioned system (the ELM design's kappa is about
     2e8, where the gap reads up to 0.24 kappa eps) gets 4 kappa eps."""
@@ -692,12 +689,9 @@ def _replay_reference(H, t, res, steps, kernel, lambda_prime):
         rtol = max(1e-9, 4.0 * np.linalg.cond(A) * sys.float_info.epsilon)
         assert np.abs(beta - ref).max() <= rtol * np.abs(ref).max()
         assert record.cost == mcc_vc_cost(t - H @ beta, pick, float(beta @ beta), lambda_prime)
-        u = t - H @ beta - pick.center
-        g = _gaussian(u, pick.sigma)
-        v = np.mean(g)
+        v = np.mean(_gaussian(t - H @ beta - pick.center, pick.sigma))
         penalty = lambda_prime * (beta @ beta) / (2.0 * n * pick.sigma ** 2)
-        gap = np.maximum(1e-13, 4.0 * sys.float_info.epsilon * 0.5 * (u / pick.sigma) ** 2)
-        assert abs(record.cost - (penalty - v)) <= np.mean(g * gap) + 1e-13 * penalty
+        assert abs(record.cost - (penalty - v)) <= 1e-13 * (v + penalty)
         beta_prev = beta
 
 
@@ -777,10 +771,6 @@ class TestReferenceLoop:
              n_centers=2, reach=1.0, lambda_prime=0.01, exact=False)
     @example(n=50, m=3, hidden=3, case=3, seed=9401, widths=[0.75, 0.6168668246327298], clamped=0,
              rule="mean", n_centers=2, reach=1.0, lambda_prime=1.0, exact=True)
-    # A mean-rule center in a gap of the residuals: every kernel value lies
-    # near 1e-299, where the exponent x is about 690.
-    @example(n=8, m=1, hidden=3, case=1, seed=29, widths=[0.05], clamped=0, rule="mean",
-             n_centers=2, reach=1.0, lambda_prime=1e-8, exact=True)
     def test_drawn_designs(self, n, m, hidden, case, seed, widths, clamped, rule, n_centers,
                            reach, lambda_prime, exact):
         # m inputs of one contamination case, as linear features or through an
