@@ -49,7 +49,7 @@ from .features import (
     predict,
 )
 from .kernels import CenterRule, ParamGrid, default_param_grid, gaussian_kernel
-from .solvers import FitConfig, FitResult, _spans_constant, fit_mcc, fit_mcc_vc, ridge_solve
+from .solvers import FitConfig, FitResult, FitStart, _spans_constant, fit_mcc, fit_mcc_vc, ridge_solve
 
 CASE_LABELS = {
     1: "gaussian(0,2)",
@@ -115,12 +115,12 @@ def _check_distinct(cfg, names):
 
 
 def _fit(method: str, H, targets, lambda_prime: float, sigma, grid, cfg, on_iteration=None,
-         spans_constant: bool | None = None):
+         start=None):
     """Fit one canonical method; returns (beta, fixed-point result or None).
 
     `sigma` is the frozen mcc width, `grid` the mcc-vc search grid, and `cfg`
     supplies `max_iterations` and `tolerance`; both iterative solvers get the
-    one `FitConfig` they share.  `spans_constant` goes to `fit_mcc_vc`.  The
+    one `FitConfig` they share, and `start` (a `FitStart` of H and targets).  The
     solvers are looked up as module globals at call time, so a profiler can
     swap them for wrappers.
     """
@@ -128,10 +128,9 @@ def _fit(method: str, H, targets, lambda_prime: float, sigma, grid, cfg, on_iter
         return ridge_solve(H, targets, lambda_prime), None
     config = FitConfig(lambda_prime, cfg.max_iterations, cfg.tolerance)
     if method == "mcc":
-        result = fit_mcc(H, targets, sigma, config, on_iteration)
+        result = fit_mcc(H, targets, sigma, config, on_iteration, start=start)
     elif method == "mcc-vc":
-        result = fit_mcc_vc(H, targets, grid, config, on_iteration,
-                            spans_constant=spans_constant)
+        result = fit_mcc_vc(H, targets, grid, config, on_iteration, start=start)
     else:
         raise ValueError(f"unknown method {method!r}")
     return result.beta, result
@@ -413,7 +412,11 @@ def _cross_validate(candidates: list[dict], folds, score):
 
 
 def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict:
-    """Cross-validated benchmark of every requested method on one dataset."""
+    """Cross-validated benchmark of every requested method on one dataset.
+
+    Per split and method, each fold's candidates share one `FitStart` of its
+    rows, and so their first search and step from beta = 0, bit for bit.
+    """
     if cfg.norm_scope == "full":
         data = apply_minmax(minmax_record(data), data)
 
@@ -441,28 +444,29 @@ def bench_dataset(name: str, data: TabularDataset, cfg: DataBenchConfig) -> dict
             tally = tallies[label]
             t0 = time.perf_counter()
             # Every fold's training rows are rows of H_train, so they span 1 if
-            # it does; otherwise each fit tests its own rows.
+            # it does; otherwise each fold's start tests its own rows.
             spans = True if method == "mcc-vc" and _spans_constant(H_train) else None
+            fold_rows = [(FitStart(H_train[fit_idx], train.targets[fit_idx], spans),
+                          H_train[val_idx], train.targets[val_idx]) for fit_idx, val_idx in folds]
 
-            # One candidate fit on training rows, for the race and the final fit.
-            def fit(candidate: dict, rows):
-                return _fit(method, H_train[rows], train.targets[rows], candidate["lambda_prime"],
-                            candidate.get("sigma"), cfg.vc_grid, cfg, spans_constant=spans)
+            # One candidate fit on the rows of a start, for the race and the final fit.
+            def fit(candidate: dict, start: FitStart):
+                return _fit(method, start.H, start.t, candidate["lambda_prime"],
+                            candidate.get("sigma"), cfg.vc_grid, cfg, start=start)
 
             def score(candidate: dict, fold) -> float:
-                train_idx, val_idx = fold
-                beta, result = fit(candidate, train_idx)
-                return rmse_predictions(predict(H_train[val_idx], beta) + _offset(result),
-                                        train.targets[val_idx])
+                start, H_val, t_val = fold
+                beta, result = fit(candidate, start)
+                return rmse_predictions(predict(H_val, beta) + _offset(result), t_val)
 
-            candidate = _cross_validate(_candidate_list(method, cfg), folds, score)
+            candidate = _cross_validate(_candidate_list(method, cfg), fold_rows, score)
             select_time = time.perf_counter() - t0
             if candidate is None:
                 tally.failures += 1
                 continue
             t0 = time.perf_counter()
             try:
-                beta, result = fit(candidate, slice(None))  # every training row
+                beta, result = fit(candidate, FitStart(H_train, train.targets, spans))
             except SolverError:
                 tally.failures += 1
                 continue

@@ -10,6 +10,7 @@ normals), so repeated calls are bit-identical on a given platform.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,7 +181,7 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    rows = [row for row in rows if "".join(row).strip()]
     if not rows:
         raise DataError(f"{path}: file is empty")
 
@@ -194,24 +195,27 @@ def load_csv(path, has_header: bool, target_column) -> TabularDataset:
         raise DataError(f"{path}: need at least 2 data rows, found {len(data_rows)}")
 
     width = len(data_rows[0])
-    # Each cell is converted once, into a list that becomes the array at the end.
-    cells = []
-    for i, row in enumerate(data_rows):
-        file_row = i + first_data_row + 1
-        if len(row) != width:
-            raise DataError(
-                f"{path}: row {file_row} has {len(row)} cells, expected {width}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                value = float(cell)
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise DataError(f"{path}: row {file_row}, column {j + 1}: "
-                                f"{cell.strip()!r} is not a finite number")
-            cells.append(value)
-    values = np.array(cells).reshape(len(data_rows), width)
+    # One pass converts every cell; a bad file is read again to name its first bad cell.
+    try:
+        values = np.fromiter(map(float, itertools.chain.from_iterable(data_rows)), float)
+    except ValueError:
+        values = np.array([math.nan])
+    if not (np.isfinite(values).all() and all(len(row) == width for row in data_rows)):
+        for i, row in enumerate(data_rows):
+            file_row = i + first_data_row + 1
+            if len(row) != width:
+                raise DataError(
+                    f"{path}: row {file_row} has {len(row)} cells, expected {width}"
+                )
+            for j, cell in enumerate(row):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise DataError(f"{path}: row {file_row}, column {j + 1}: "
+                                    f"{cell.strip()!r} is not a finite number")
+    values = values.reshape(len(data_rows), width)
 
     if isinstance(target_column, str):
         if names is None:

@@ -52,7 +52,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -427,6 +427,11 @@ class RowBounds:
             lo[moved], hi[moved] = -np.inf, np.inf
         self.plan, self.errors, self.center, self.lo, self.hi = plan, e.copy(), center, lo, hi
         return plan, lo, hi
+
+    def copy(self) -> RowBounds:
+        """A state after a search that carries what this one does into another
+        fit: the plan and residuals shared, the width intervals its own."""
+        return replace(self, lo=self.lo.copy(), hi=self.hi.copy())
 
 
 def _grid_search(e: np.ndarray, grid: ParamGrid, sigmas: np.ndarray, state: RowBounds):

@@ -25,8 +25,8 @@ sigmoid ELM features that sum to one), the center is not identifiable: a
 shift of c is absorbed by the intercept direction of beta, the predictions
 H beta + c do not move, and the median rule lets c drift by a little at
 every step so the loop never stops.  `fit_mcc_vc` therefore tests once per
-fit whether 1 is in span(H), unless the caller passes the answer in, and, if
-it is, keeps the first iteration's c* and re-chooses only sigma on the
+`FitStart` whether 1 is in span(H), unless the caller passes the answer in,
+and, if it is, keeps the first iteration's c* and re-chooses only sigma on the
 one-center grid {c*}.  The (sigma, c) searches of one fit share a
 `kernels.RowBounds`, which lets each search skip the widths that the last
 one and the drift of the residuals and of the center since it rule out (a
@@ -34,20 +34,27 @@ one-center search computes only the rows left in contention, on {c*} often
 one), and carries the fit's search plan; `RowBounds.carry` states what each
 search keeps.
 
-`fit_mcc` and `fit_mcc_vc` check H and T once; the loop then checks only what
+A fit's `FitStart` checks H and T once; the loop then checks only what
 each step makes new (a finite ||beta||^2 and finite residuals).  Each step
 computes its new residuals once and evaluates the kernel once at them: those
 values give the cost after the step and, flushed, the weights of the next
 step.  The kernel is evaluated again only before a step whose kernel
 `choose_params` moved; at an unchanged kernel the cost before a step is the
-last step's cost, bit for bit.  The loop shares its step (`_weighted_step`)
-and its cost (`kernels._cost`) with the public `weighted_ridge_step` and
+last step's cost, bit for bit.  The loop shares its step (`_weighted_equations`
+and `_ridge`) and its cost (`kernels._cost`) with `weighted_ridge_step` and
 `mcc_vc_cost`, which check their inputs and then run the same code, so
 replaying a fit through them gives its iterates and costs bit for bit.
 `fit_mcc_vc` calls `optimize_params` once per step through this module's
-global of that name.
+global of that name, its first search through its start.
 
-Every normal-equation system is assembled by `_normal_solve` and solved by
+The fits on one (H, T), such as a fold's candidates, can share a start: each
+begins at beta = 0, so its first residuals, first search and, per first
+kernel, its cost, weights, H'WH and H'W(T - c) are the same floats in each,
+and lambda' enters only on H'WH's diagonal.  The start computes them once;
+each fit adds its lambda' to a copy, carries a copy of the search's width
+intervals and runs its later steps alone, so it is bit for bit the lone fit.
+
+Every normal-equation system is assembled by `_normal_equations` and solved by
 `_spd_solve`, whose guards raise a SolverError for mmse, mcc and mcc-vc alike.
 Add regularization (lambda' > 0) to fit a rank-deficient design.
 """
@@ -150,14 +157,18 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _normal_solve(H: np.ndarray, r: np.ndarray, lambda_prime: float, w=None) -> np.ndarray:
-    """Solve (H'WH + lambda' I) beta = H'W r, W = diag(w) or I; raise on overflow.
-    lambda' is checked by the callers."""
+def _normal_equations(H: np.ndarray, r: np.ndarray, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """H'WH and H'W r, W = diag(w) or I; raise on overflow."""
     with np.errstate(over="ignore"):
         WH, Wr = (H, r) if w is None else (w[:, None] * H, w * r)
         A, b = H.T @ WH, H.T @ Wr
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise SolverError("normal equations overflow; rescale the design or targets")
+    return A, b
+
+
+def _ridge(A: np.ndarray, b: np.ndarray, lambda_prime: float) -> np.ndarray:
+    # (A + lambda' I)^{-1} b, A's diagonal raised in place; lambda' is checked by the callers.
     A.flat[::A.shape[0] + 1] += lambda_prime
     return _spd_solve(A, b)
 
@@ -165,7 +176,7 @@ def _normal_solve(H: np.ndarray, r: np.ndarray, lambda_prime: float, w=None) -> 
 def ridge_solve(H, targets, lambda_prime: float) -> np.ndarray:
     """Regularized least squares (H'H + lambda' I)^{-1} H'T via an SPD factorization."""
     H, t = check_design(H, targets)
-    return _normal_solve(H, t, check_non_negative(lambda_prime, "lambda_prime"))
+    return _ridge(*_normal_equations(H, t), check_non_negative(lambda_prime, "lambda_prime"))
 
 
 def weighted_ridge_step(
@@ -193,19 +204,55 @@ def weighted_ridge_step(
     beta_prev = finite_array(beta_prev, "beta", 1)
     same_rows(H.T, beta_prev, "beta")
     e = t - H @ beta_prev
-    return _weighted_step(H, t, params, lambda_prime, _kernel_values(e - params.center, params.sigma))
+    w = _kernel_values(e - params.center, params.sigma)
+    return _ridge(*_weighted_equations(H, t, params, w), lambda_prime)
 
 
-def _weighted_step(H, t, params: KernelParams, lambda_prime: float, w: np.ndarray) -> np.ndarray:
-    """The step of `weighted_ridge_step` from its unchecked inputs and the kernel
-    values `w` at the residuals of beta_prev, whose subnormal entries it sets
-    to 0 in place."""
+def _weighted_equations(H, t, params: KernelParams, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normal equations H'WH and H'W(T - c) of `weighted_ridge_step` from
+    its unchecked inputs and the kernel values `w` at the residuals of
+    beta_prev, whose subnormal entries it sets to 0 in place."""
     if w.max() < sys.float_info.min:
         raise DegenerateWeightsError(
             f"no residual is within reach of the kernel (sigma={params.sigma:g}, center="
             f"{params.center:g}); rescale the targets or widen the grid")
     w[w < sys.float_info.min] = 0.0
-    return _normal_solve(H, t - params.center, lambda_prime, w)
+    return _normal_equations(H, t - params.center, w)
+
+
+class FitStart:
+    """The rows (H, T) that fits share, checked once, and what their first step
+    computes before lambda' enters (see the module docstring), kept once
+    computed without error.  `spans_constant`: 1 in span(H), None untested."""
+
+    def __init__(self, H, targets, spans_constant: bool | None = None):
+        self.H, self.t = check_design(H, targets)
+        self.spans_constant, self._steps, self._search = spans_constant, {}, None
+
+    def first_step(self, params: KernelParams, residuals: np.ndarray):
+        """(J, H'WH, H'W(T - c)) at beta = 0 under the first kernel `params`.
+        J = -mean(kv) + lambda' 0 / (2 N sigma^2) is the same float for every
+        lambda', so it is taken at lambda' = 0."""
+        if params not in self._steps:
+            kv = _kernel_values(residuals - params.center, params.sigma)
+            cost = _cost(kv, params.sigma, 0.0, 0.0)  # before the weights are flushed
+            self._steps[params] = (cost, *_weighted_equations(self.H, self.t, params, kv))
+        return self._steps[params]
+
+    def first_search(self, residuals: np.ndarray, grid: ParamGrid) -> tuple[KernelParams, RowBounds]:
+        """The first search's pick on `grid` and its `RowBounds` (a copy once kept)."""
+        if self._search is not None and self._search[0] is grid:
+            return self._search[1], self._search[2].copy()
+        state = RowBounds()
+        params = optimize_params(residuals, grid, state)[0]
+        self._search = (grid, params, state.copy())
+        return params, state
+
+
+def _own_start(H, targets, start: FitStart | None) -> FitStart:
+    if start is not None and (H is not start.H or targets is not start.t):
+        raise ValueError("a start must hold the fit's own H and targets")
+    return FitStart(H, targets) if start is None else start
 
 
 # Per-iteration hook: receives (k, residuals of beta_{k-1}, chosen params, beta_k).
@@ -213,17 +260,17 @@ IterationHook = Callable[[int, np.ndarray, KernelParams, np.ndarray], None]
 
 
 def _fixed_point_loop(
-    H: np.ndarray,
-    t: np.ndarray,
+    start: FitStart,
     choose_params: Callable[[np.ndarray], KernelParams],
     config: FitConfig,
     on_iteration: IterationHook | None,
 ) -> FitResult:
-    # H and t are checked by the caller (see the module docstring).  `kv` holds
+    # H and t are checked by the start (see the module docstring).  `kv` holds
     # the kernel values of `residuals` at `params_prev`: the last step's cost
     # was taken from them, and they are the next step's weights unless the
     # kernel moves, since the cost and the weights of one (sigma, c) at the
-    # same residuals are the same values.
+    # same residuals are the same values.  The first step is the start's.
+    H, t = start.H, start.t
     beta = np.zeros(H.shape[1])
     norm_sq = 0.0
     lambda_prime = float(config.lambda_prime)
@@ -234,12 +281,15 @@ def _fixed_point_loop(
     params_prev = kv = cost = None
     for k in range(1, config.max_iterations + 1):
         params = choose_params(residuals)
-        if params == params_prev:
-            cost_prev = cost
+        if k == 1:
+            cost_prev, A, b = start.first_step(params, residuals)
+            beta_next = _ridge(A.copy(), b, lambda_prime)
         else:
-            kv = _kernel_values(residuals - params.center, params.sigma)
-            cost_prev = _cost(kv, params.sigma, norm_sq, lambda_prime)
-        beta_next = _weighted_step(H, t, params, lambda_prime, kv)
+            if params != params_prev:
+                kv = _kernel_values(residuals - params.center, params.sigma)
+                cost = _cost(kv, params.sigma, norm_sq, lambda_prime)
+            cost_prev = cost
+            beta_next = _ridge(*_weighted_equations(H, t, params, kv), lambda_prime)
         residuals_next = t - H @ beta_next
         with np.errstate(over="ignore"):
             norm_sq = float(beta_next @ beta_next)
@@ -279,7 +329,7 @@ def fit_mcc_vc(
     config: FitConfig = FitConfig(),
     on_iteration: IterationHook | None = None,
     *,
-    spans_constant: bool | None = None,
+    start: FitStart | None = None,
 ) -> FitResult:
     """Fixed-point regression with kernel width and center re-chosen per iteration.
 
@@ -295,10 +345,10 @@ def fit_mcc_vc(
     the same predictions H beta + c once beta absorbs it, so c is not
     identifiable.  The fit then keeps the first iteration's c* and searches
     only the widths, on the one-center explicit grid sigma_set x {c*}.
-    `spans_constant` is that test's answer when the caller already has it;
-    None (the default) tests H.  A row subset of a design that spans 1 spans
-    1 too, so a driver that fits row subsets of one design, such as the
-    folds of a cross-validation, can test the design once and pass True.
+
+    `start` is a `FitStart` of (H, targets) that the fits on those rows
+    share: it holds the span test's answer and each fit's first search and
+    step.  None (the default) gives the fit a start of its own.
 
     The searches of one fit share one `RowBounds`, so each search screens,
     or with one center computes, only the widths that the previous search
@@ -308,18 +358,21 @@ def fit_mcc_vc(
     only that first search must compute every width.  Each pick is still
     bit for bit that of a search without it.
     """
-    H, t = check_design(H, targets)
-    confounded = _spans_constant(H) if spans_constant is None else spans_constant
-    search, state = grid, RowBounds()
+    start = _own_start(H, targets, start)
+    if start.spans_constant is None:
+        start.spans_constant = _spans_constant(start.H)
+    search, state = grid, None
 
     def choose(e: np.ndarray) -> KernelParams:
-        nonlocal search
-        params = optimize_params(e, search, state)[0]
-        if confounded and search is grid:
-            search = ParamGrid(grid.sigma_set, [params.center], CenterRule.EXPLICIT_GRID)
-        return params
+        nonlocal search, state
+        if state is None:
+            params, state = start.first_search(e, grid)
+            if start.spans_constant:
+                search = ParamGrid(grid.sigma_set, [params.center], CenterRule.EXPLICIT_GRID)
+            return params
+        return optimize_params(e, search, state)[0]
 
-    return _fixed_point_loop(H, t, choose, config, on_iteration)
+    return _fixed_point_loop(start, choose, config, on_iteration)
 
 
 def fit_mcc(
@@ -328,16 +381,18 @@ def fit_mcc(
     sigma: float,
     config: FitConfig = FitConfig(),
     on_iteration: IterationHook | None = None,
+    *,
+    start: FitStart | None = None,
 ) -> FitResult:
     """Classical zero-center baseline: the `fit_mcc_vc` loop with (sigma, 0) frozen.
 
-    It takes the same `config` as `fit_mcc_vc`; only the kernel differs, so
-    `fit_mcc_vc` on the one-point grid {sigma} x {0} (a width the search does
-    not clamp) gives this fit bit for bit.  `sigma` is checked by `KernelParams`.
+    It takes the same `config` and `start` as `fit_mcc_vc`; only the kernel
+    differs, so `fit_mcc_vc` on the grid {sigma} x {0} (a width the search
+    does not clamp) gives this fit bit for bit.  `KernelParams` checks `sigma`.
     """
-    H, t = check_design(H, targets)
+    start = _own_start(H, targets, start)
     frozen = KernelParams(sigma=sigma, center=0.0)
-    return _fixed_point_loop(H, t, lambda residuals: frozen, config, on_iteration)
+    return _fixed_point_loop(start, lambda residuals: frozen, config, on_iteration)
 
 
 def mcc_vc_gradient(H, targets, beta, params: KernelParams, lambda_prime: float) -> np.ndarray:

@@ -106,7 +106,7 @@ def test_criterion_01_nonzero_mean_gaussian_ordering(contamination_benchmark):
         r["mcc-vc"] < r["mcc"] < r["mmse"]
         and r["mcc-vc"] <= 0.10
         and r["mmse"] >= 0.5
-        and elapsed < 10.0
+        and elapsed < 5.0
     )
     _criterion(
         1,
@@ -335,7 +335,7 @@ def test_criterion_11_synthetic_elm_ordering():
     # every elm-mcc-vc fit converge.
     vc_nonconverged = by_method["elm-mcc-vc"]["nonconverged"]
     elapsed = time.perf_counter() - t0
-    ok = vc <= mcc <= relm and failures == 0 and vc_nonconverged == 0 and elapsed < 20.0
+    ok = vc <= mcc <= relm and failures == 0 and vc_nonconverged == 0 and elapsed < 10.0
     _criterion(
         11,
         ok,

@@ -240,10 +240,10 @@ class TestDataBench:
         # refit on all of them.
         real = bench.fit_mcc
 
-        def fit_mcc(H, targets, *args):
+        def fit_mcc(H, targets, *args, **kwargs):
             if len(targets) == 24:
                 raise bench.SolverError("refit failed")
-            return real(H, targets, *args)
+            return real(H, targets, *args, **kwargs)
 
         monkeypatch.setattr(bench, "fit_mcc", fit_mcc)
         rows = bench_dataset("demo", small_dataset, self._cfg())["results"]
@@ -501,24 +501,58 @@ class TestDataBenchFits:
         assert main(elm_sinc_cv.argv(method, seed, tmp_path / "report.json")) == 0
         assert calls == fits
 
-    @pytest.mark.parametrize("seed, searches, rows", [(42, 102, 1180), (43, 109, 1187)])
+    @pytest.mark.parametrize("seed, searches, rows", [(42, 86, 380), (43, 93, 387)])
     def test_exact_rows_per_vc_call(self, elm_sinc_cv, seed, searches, rows, tmp_path, monkeypatch):
-        # Each of the call's 22 fits computes the full table of its 50 widths
-        # at its first (median-rule) search only: its later searches, on the
-        # frozen center, carry their width intervals and compute about one
-        # exact row each (50 per search, 5100 and 5450 rows in all, before).
+        # The call's 22 fits share one start per fold design, its 5 folds and
+        # the final fit's rows, so 6 first (median-rule) searches compute the
+        # full table of 50 widths; every later search, on the frozen center,
+        # carries its width intervals and computes about one exact row (with
+        # a first search per fit: 102 and 109 searches, 22 full tables, 1180
+        # and 1187 rows; with no carried intervals, 5100 and 5450 rows).
         calls, exact = [], kernels._exact_objectives
         monkeypatch.setattr(kernels, "_exact_objectives",
                             lambda e, c, s: calls.append(s.size) or exact(e, c, s))
         assert main(elm_sinc_cv.argv("elm-mcc-vc", seed, tmp_path / "report.json")) == 0
-        assert len(calls) == searches and calls.count(50) == 22
+        assert len(calls) == searches and calls.count(50) == 6
         assert sum(calls) <= rows
+
+    @pytest.mark.parametrize("seed, grams", [(42, 715), (43, 643)])
+    def test_first_steps_per_mcc_call(self, elm_sinc_cv, seed, grams, tmp_path, monkeypatch):
+        # The fits of one start and width make one first step from beta = 0,
+        # whose weighted Gram the start computes once: 30 of the call's 119
+        # and 120 fits (the Grams were 804 and 733 with one per fit).
+        from mccvc import solvers
+
+        kernels_seen, fit, first_step = set(), bench.fit_mcc, solvers.FitStart.first_step
+        inside, counts, equations = [False], Counter(), solvers._weighted_equations
+
+        def counted_fit(H, targets, sigma, *args, start, **kwargs):
+            kernels_seen.add((id(start), sigma))
+            return fit(H, targets, sigma, *args, start=start, **kwargs)
+
+        def counted_first_step(self, params, residuals):
+            inside[0] = True
+            try:
+                return first_step(self, params, residuals)
+            finally:
+                inside[0] = False
+
+        def counted_equations(*args):
+            counts["first" if inside[0] else "later"] += 1
+            return equations(*args)
+
+        monkeypatch.setattr(bench, "fit_mcc", counted_fit)
+        monkeypatch.setattr(solvers.FitStart, "first_step", counted_first_step)
+        monkeypatch.setattr(solvers, "_weighted_equations", counted_equations)
+        assert main(elm_sinc_cv.argv("elm-mcc", seed, tmp_path / "report.json")) == 0
+        assert counts["first"] == len(kernels_seen) == 30
+        assert counts["first"] + counts["later"] == grams
 
 
 class TestSpanAnswer:
-    """`bench_dataset` tests span(H) ∋ 1 once per training design and passes
-    True to every mcc-vc fit on its rows, which is exact only where each fold
-    design's own test says True as well."""
+    """`bench_dataset` tests span(H) ∋ 1 once per training design and builds
+    the start of every mcc-vc fit on its rows with True, which is exact only
+    where each fold design's own test says True as well."""
 
     @pytest.mark.parametrize("folds, runs", [(5, 20), (10, 2)])
     def test_fold_designs_agree_with_the_training_design(self, folds, runs, monkeypatch):
@@ -529,8 +563,8 @@ class TestSpanAnswer:
 
         seen = []
 
-        def fit_mcc_vc(H, targets, grid, config, on_iteration=None, *, spans_constant=None):
-            seen.append((H.shape[0], spans_constant, solvers._spans_constant(H)))
+        def fit_mcc_vc(H, targets, grid, config, on_iteration=None, *, start):
+            seen.append((H.shape[0], start.spans_constant, solvers._spans_constant(H)))
             trace = (solvers.IterationRecord(1.0, 0.0, 0.0, 0.0),)
             return solvers.FitResult(np.zeros(H.shape[1]), 1, True, trace)
 

@@ -241,9 +241,9 @@ class TestWeightedRidgeStep:
         e[::50] = rng.uniform(37.8, 38.2, 8)
         t = H @ beta_prev + e
         seen = []
-        normal_solve = solvers._normal_solve
-        monkeypatch.setattr(solvers, "_normal_solve", lambda H, r, lam, w: (
-            seen.append(w.copy()) or normal_solve(H, r, lam, w)))
+        normal_equations = solvers._normal_equations
+        monkeypatch.setattr(solvers, "_normal_equations", lambda H, r, w: (
+            seen.append(w.copy()) or normal_equations(H, r, w)))
         step = weighted_ridge_step(H, t, KernelParams(1.0, 0.0), 1e-4, beta_prev)
         w = gaussian_kernel(t - H @ beta_prev, 1.0)
         assert np.count_nonzero((w > 0.0) & (w < sys.float_info.min)) == 8
@@ -372,9 +372,9 @@ class TestFixedPointLoops:
 
     def test_huge_residuals_are_rejected_before_the_first_solve(self, monkeypatch):
         def solve(*args):
-            raise AssertionError("a normal-equation system was solved")
+            raise AssertionError("a normal-equation system was assembled")
 
-        monkeypatch.setattr(solvers, "_normal_solve", solve)
+        monkeypatch.setattr(solvers, "_normal_equations", solve)
         H = np.ones((400, 1))
         t = np.array([0.0, 1e160, 1.0, 2.0] * 100)
         grid = ParamGrid(np.array([0.5, 1.0]), np.array([-1.0, 0.0, 1.0]))
@@ -386,7 +386,7 @@ class TestFixedPointLoops:
         # A finite beta whose product with H overflows (numpy warns of it):
         # the loop checks each step's new residuals, as `mcc_vc_cost` checks
         # its errors.
-        monkeypatch.setattr(solvers, "_weighted_step", lambda *args: np.array([1e10]))
+        monkeypatch.setattr(solvers, "_normal_equations", lambda *args: (np.eye(1), np.array([1e10])))
         H, t = np.array([[1e300], [1.0], [2.0]]), np.array([0.0, 1.0, 2.0])
         with np.errstate(over="ignore"), pytest.raises(
                 ValueError, match="^errors contains non-finite entries$"):
@@ -432,7 +432,7 @@ class TestCenterFreeze:
             raise AssertionError("the span test ran although its answer was passed")
 
         monkeypatch.setattr(solvers, "_spans_constant", untested)
-        passed = fit_mcc_vc(H, t, _MEDIAN_GRID, spans_constant=answer)
+        passed = fit_mcc_vc(H, t, _MEDIAN_GRID, start=solvers.FitStart(H, t, answer))
         assert np.array_equal(passed.beta, tested.beta)
         assert passed.trace == tested.trace
 
@@ -479,6 +479,93 @@ class TestCenterFreeze:
             assert grid.center_rule is CenterRule.EXPLICIT_GRID
             assert list(grid.center_set) == [res.trace[0].center]
             assert np.array_equal(grid.sigma_set, _MEDIAN_GRID.sigma_set)
+
+
+class TestSharedStart:
+    """Fits that share one `FitStart` of `_elm_problem`, as the lambda'
+    candidates of a data-bench fold do, equal fits without it bit for bit in
+    either order of lambda', and every guard of the shared first step still
+    fires in each fit."""
+
+    LAMBDAS = (0.0, 1e-6, 1e-4, 1.0)
+    # fit_mcc at one width, and a confounded fit_mcc_vc (the ELM features span 1).
+    FITS = {"mcc": (fit_mcc, 0.05), "vc": (fit_mcc_vc, _MEDIAN_GRID)}
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["listed", "reversed"])
+    @pytest.mark.parametrize("method", ["mcc", "vc"])
+    def test_shared_fits_equal_fits_alone(self, method, order, monkeypatch):
+        fit, kernel = self.FITS[method]
+        H, t = _elm_problem()
+        start = solvers.FitStart(H, t)
+        searches, optimize = [], solvers.optimize_params
+        monkeypatch.setattr(solvers, "optimize_params",
+                            lambda e, grid, state: searches.append(grid) or optimize(e, grid, state))
+        kept = False  # whether a fit through the start has made its first search
+        for lambda_prime in self.LAMBDAS[::order]:
+            config = FitConfig(lambda_prime)
+            if lambda_prime == 0.0:
+                # H'WH is singular: the factorization fails in the fit alone
+                # and in every fit through the start.
+                for shared in (False, True, True):
+                    with pytest.raises(SingularSystemError, match="^normal equations are singular"):
+                        fit(H, t, kernel, config, start=start if shared else None)
+                kept = True
+                continue
+            del searches[:]
+            alone = fit(H, t, kernel, config)
+            searched_alone = len(searches)
+            shared = fit(H, t, kernel, config, start=start)
+            assert np.array_equal(shared.beta, alone.beta)
+            assert shared.trace == alone.trace
+            assert (shared.iterations_run, shared.converged) == (alone.iterations_run, alone.converged)
+            # Once kept, a shared fit takes its first search from the start.
+            assert len(searches) - searched_alone == (method == "vc") * (alone.iterations_run - kept)
+            kept = True
+
+    @pytest.mark.parametrize("method", ["mcc", "vc"])
+    def test_a_first_step_with_no_weight_raises_in_every_fit(self, method):
+        # Residuals 1000 from the center and widths of at most 0.25: every
+        # first weight is 0.  A failed first step keeps nothing for the next.
+        H, t = _elm_problem()
+        if method == "mcc":
+            fit, kernel, t = fit_mcc, 0.05, t + 1e3
+        else:
+            fit, kernel = fit_mcc_vc, ParamGrid(_MEDIAN_GRID.sigma_set, np.array([1e3]))
+        start = solvers.FitStart(H, t)
+        for lambda_prime in self.LAMBDAS + self.LAMBDAS:
+            with pytest.raises(DegenerateWeightsError, match="^no residual is within reach"):
+                fit(H, t, kernel, FitConfig(lambda_prime), start=start)
+
+    def test_each_fit_holds_its_own_width_intervals(self):
+        # The kept state of the first search and every fit's copy of it hold
+        # their own intervals: a write into one leaves the others as they were.
+        H, t = _elm_problem()
+        start = solvers.FitStart(H, t)
+        params, first = start.first_search(t, _MEDIAN_GRID)
+        lo, hi = first.lo.copy(), first.hi.copy()
+        for _ in range(2):
+            again, state = start.first_search(t, _MEDIAN_GRID)
+            assert again == params and state is not first
+            assert np.array_equal(state.lo, lo) and np.array_equal(state.hi, hi)
+            state.lo[:], state.hi[:] = -np.inf, np.inf
+        assert np.array_equal(first.lo, lo) and np.array_equal(first.hi, hi)
+
+    def test_the_first_cost_is_taken_before_the_weights_are_flushed(self):
+        # Residuals 37.6-38.2 widths out: one kernel value is just above the
+        # smallest normal float and the rest are subnormal, so the flushed
+        # weights' mean would be another float.
+        t = np.array([37.6, 37.8, 38.0, 38.2])
+        kv = gaussian_kernel(t, 1.0)
+        assert kv.max() >= sys.float_info.min > kv[1] > 0.0
+        start = solvers.FitStart(np.ones((4, 1)), t)
+        assert start.first_step(KernelParams(1.0, 0.0), t)[0] == -float(kv.mean())
+
+    def test_a_start_holds_the_fits_own_rows(self):
+        H, t = _elm_problem()
+        start = solvers.FitStart(H, t)
+        for rows in ((H.copy(), t), (H, t.copy())):
+            with pytest.raises(ValueError, match="^a start must hold the fit's own H and targets$"):
+                fit_mcc(*rows, 0.05, start=start)
 
 
 class TestRelativeStop:
